@@ -2,13 +2,15 @@
 //! shapes: the scalar trait-object path, the LUT gather kernel, and the
 //! fixed-operand row-tabulated kernels (lhs- and rhs-fixed), plus a full
 //! forward+backward step exercising the fused surrogate-gradient
-//! kernels. All paths are bit-identical (see `tests/matmul_equivalence`);
-//! this suite tracks their relative cost.
+//! kernels. The `conv32/*` rows time one 32x32 3x3 `approx_conv2d`
+//! forward (the filter apps' hot op) on a wide untabulated unit and on a
+//! tabulated 8-bit unit. All paths are bit-identical (see
+//! `tests/matmul_equivalence`); this suite tracks their relative cost.
 //!
 //! Writes `BENCH_matmul_kernels.json`; see `lac_rt::bench` for the
 //! protocol and `LAC_BENCH_FAST` / `LAC_BENCH_SAMPLES` knobs.
 
-use lac_hw::{catalog, signed_capable, LutMultiplier, Multiplier};
+use lac_hw::{catalog, signed_capable, LutMultiplier};
 use lac_rt::bench::Harness;
 use lac_tensor::{Graph, Tensor};
 use std::hint::black_box;
@@ -98,6 +100,30 @@ fn main() {
                 let loss = a.approx_matmul(&x, &fast).sum();
                 let grads = g.backward(&loss);
                 black_box(grads.get(&a))
+            })
+        });
+    }
+
+    // One filter-app forward: a 32x32 8-bit image through 3x3 taps.
+    let mut x: u64 = 0x2545f4914f6cdd1d;
+    let image = Tensor::from_vec(
+        (0..32 * 32)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (x >> 56) as f64
+            })
+            .collect(),
+        &[32, 32],
+    );
+    let taps = Tensor::from_vec(vec![9.0, 17.0, 9.0, 17.0, 31.0, 17.0, 9.0, 17.0, 9.0], &[3, 3]);
+    for name in ["mul16s_GAT", "mul8u_FTA"] {
+        let unit = LutMultiplier::maybe_wrap(catalog::by_name(name).unwrap());
+        group.bench_function(format!("conv32/{name}"), |b| {
+            b.iter(|| {
+                let g = Graph::new();
+                let img = g.var(image.clone());
+                let k = g.var(taps.clone());
+                black_box(img.approx_conv2d(&k, &unit).value())
             })
         });
     }

@@ -291,10 +291,30 @@ struct Shared {
     /// error frames so no request silently vanishes.
     inflight: Mutex<Vec<(Arc<Conn>, u64)>>,
     /// Every accepted connection, for outbox close at join time.
-    conns: Mutex<Vec<Weak<Conn>>>,
+    /// `join` takes the list and leaves `None`: a reader that registers
+    /// after that closes its own outbox on exit.
+    conns: Mutex<Option<Vec<Weak<Conn>>>>,
 }
 
 impl Shared {
+    fn new(registry: Arc<Registry>, cfg: ServerConfig) -> Self {
+        Shared {
+            registry,
+            queue: BatchQueue::bounded(cfg.queue_cap),
+            cfg,
+            stop: AtomicBool::new(false),
+            batch_seq: Default::default(),
+            poison_seq: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            expired: AtomicU64::new(0),
+            dispatcher_restarts: AtomicU64::new(0),
+            governor_restarts: Arc::new(AtomicU64::new(0)),
+            slow_disconnects: AtomicU64::new(0),
+            inflight: Mutex::new(Vec::new()),
+            conns: Mutex::new(Some(Vec::new())),
+        }
+    }
+
     fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.queue.close();
@@ -358,22 +378,7 @@ pub fn serve(
     let port = listener.local_addr()?.port();
     listener.set_nonblocking(true)?;
 
-    let governor_restarts = Arc::new(AtomicU64::new(0));
-    let shared = Arc::new(Shared {
-        registry,
-        queue: BatchQueue::bounded(cfg.queue_cap),
-        cfg,
-        stop: AtomicBool::new(false),
-        batch_seq: Default::default(),
-        poison_seq: AtomicU64::new(0),
-        shed: AtomicU64::new(0),
-        expired: AtomicU64::new(0),
-        dispatcher_restarts: AtomicU64::new(0),
-        governor_restarts,
-        slow_disconnects: AtomicU64::new(0),
-        inflight: Mutex::new(Vec::new()),
-        conns: Mutex::new(Vec::new()),
-    });
+    let shared = Arc::new(Shared::new(registry, cfg));
     let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
 
     // The governor thread (if configured) scores sampled batches off
@@ -438,11 +443,8 @@ impl RunningServer {
         // The dispatcher has drained: close every surviving outbox so
         // writer threads deliver what is buffered and exit, releasing
         // their readers.
-        let conns = {
-            let mut c = self.shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *c)
-        };
-        for weak in conns {
+        let conns = self.shared.conns.lock().unwrap_or_else(|e| e.into_inner()).take();
+        for weak in conns.into_iter().flatten() {
             if let Some(conn) = weak.upgrade() {
                 conn.close();
             }
@@ -509,7 +511,13 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
         Ok(write_half) => Arc::new(Conn::new(write_half, shared.cfg.write_buf_cap)),
         Err(_) => return,
     };
-    shared.conns.lock().unwrap_or_else(|e| e.into_inner()).push(Arc::downgrade(&conn));
+    let registered = match &mut *shared.conns.lock().unwrap_or_else(|e| e.into_inner()) {
+        Some(conns) => {
+            conns.push(Arc::downgrade(&conn));
+            true
+        }
+        None => false,
+    };
     let writer = {
         let conn = Arc::clone(&conn);
         let shared = Arc::clone(shared);
@@ -546,8 +554,10 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     }
     // Peer gone (EOF/error/condemned): drain what is buffered and let
     // the writer exit. On server stop the outbox stays open — join()
-    // closes it once the dispatcher has fanned out the drained queue.
-    if !shared.stopping() {
+    // closes it once the dispatcher has fanned out the drained queue —
+    // unless join() had already closed the others before this
+    // connection registered.
+    if !shared.stopping() || !registered {
         conn.close();
     }
     let _ = writer.join();
@@ -825,5 +835,37 @@ fn dispatcher_run(shared: &Shared, governor_tx: &Option<mpsc::Sender<GovernorJob
             }
         }
         clear_inflight(shared);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The interleaving behind a `join()` hang: `join()` takes the
+    /// connection list before a just-accepted reader registers. That
+    /// reader must close its own outbox so its writer, and then the
+    /// reader itself, exit.
+    #[test]
+    fn reader_registering_after_join_closes_its_own_outbox() {
+        let shared = Arc::new(Shared::new(Arc::new(Registry::new()), ServerConfig::default()));
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        // What join() does before the reader gets to register.
+        shared.request_stop();
+        assert!(shared.conns.lock().unwrap().take().is_some());
+
+        let (done_tx, done_rx) = mpsc::channel();
+        let reader = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                reader_loop(&shared, stream);
+                let _ = done_tx.send(());
+            })
+        };
+        done_rx.recv_timeout(Duration::from_secs(30)).expect("reader hung on its writer");
+        reader.join().unwrap();
+        drop(peer);
     }
 }

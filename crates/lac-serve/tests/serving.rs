@@ -312,3 +312,39 @@ fn loadgen_reports_full_completion() {
     server.shutdown();
     server.join();
 }
+
+/// Regression: a connection accepted just before `shutdown()` used to
+/// register its outbox after `join()` had already closed every
+/// registered one, so its reader waited on its writer forever and
+/// `join()` on the reader. Races many connect → shutdown → join rounds
+/// against a watchdog; the server's unit tests force that exact
+/// interleaving.
+#[test]
+fn join_returns_when_connections_race_shutdown() {
+    const ROUNDS: usize = 60;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let rounds = std::thread::spawn(move || {
+        for round in 0..ROUNDS {
+            let server = start(Arc::new(Registry::new()), 1, 4);
+            let port = server.port();
+            let connector = std::thread::spawn(move || {
+                (0..4)
+                    .filter_map(|_| std::net::TcpStream::connect(("127.0.0.1", port)).ok())
+                    .collect::<Vec<_>>()
+            });
+            // Vary where shutdown lands among the accepts.
+            (0..round % 4).for_each(|_| std::thread::yield_now());
+            server.shutdown();
+            // Peers stay open until the server has joined, so their
+            // readers exit on the stop flag rather than on EOF.
+            let peers = connector.join().expect("connector");
+            server.join();
+            drop(peers);
+        }
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("RunningServer::join hung on a connection that raced shutdown");
+    rounds.join().expect("connect/shutdown rounds");
+}

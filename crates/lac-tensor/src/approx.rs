@@ -13,13 +13,14 @@
 //! inputs); they are rounded defensively and clamped into the unit's
 //! operand range by the multiplier model itself.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use lac_hw::{DenseLut, Multiplier};
+use lac_hw::Multiplier;
 
 use crate::graph::Var;
 use crate::matmul_fast;
-use crate::ops::{conv2d_backward, conv2d_forward};
+use crate::ops::{conv2d_backward, ConvShape};
 use crate::tensor::Tensor;
 
 fn approx_product(mult: &dyn Multiplier, a: f64, b: f64) -> f64 {
@@ -38,33 +39,137 @@ fn approx_product(mult: &dyn Multiplier, a: f64, b: f64) -> f64 {
 // exactly the round-and-clamp of `Multiplier::multiply`, the table holds
 // the unit's own `multiply_raw` outputs, and the loops mirror the slow
 // path's iteration order statement for statement.
+//
+// Units without a table (wide 16-bit models, sign-magnitude adapters)
+// get the same gather for the ops whose first operand is a handful of
+// taps (`approx_conv2d`, `approx_conv2d_stacked`, `approx_scale`): the
+// op fills one product row per distinct tap over the span of the
+// rounded pixels, with the very `multiply` call `approx_product` makes,
+// and drops the rows when it returns.
 // ---------------------------------------------------------------------
 
-/// Fast-path forward of [`Var::approx_conv2d`]: same-padded convolution
-/// with kernel taps pre-quantized to row offsets and pixels to column
-/// offsets, mirroring `conv2d_forward`'s walk exactly.
-fn approx_conv2d_lut(x: &Tensor, k: &Tensor, lut: DenseLut<'_>) -> Tensor {
-    let (h, w) = x.dims2("conv2d image");
-    let (kh, kw) = k.dims2("conv2d kernel");
-    assert!(kh % 2 == 1 && kw % 2 == 1, "conv2d kernel must have odd dimensions, got {kh}x{kw}");
-    let (ph, pw) = (kh / 2, kw / 2);
-    let krows: Vec<usize> = k.data().iter().map(|&v| lut.row(v)).collect();
-    let xcols: Vec<usize> = x.data().iter().map(|&v| lut.col(v)).collect();
-    let mut out = Tensor::zeros(&[h, w]);
-    for y in 0..h {
-        for xx in 0..w {
-            let mut acc = 0.0;
-            for i in 0..kh {
-                for j in 0..kw {
-                    let sy = y as isize + i as isize - ph as isize;
-                    let sx = xx as isize + j as isize - pw as isize;
-                    if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
-                        continue; // zero padding
+/// Every product of one op's taps × pixels, tabulated:
+/// `table[taps[t] + col(v)]` is `approx_product(mult, taps[t], v)` as an
+/// integer, for every pixel `v` of the op.
+struct ProductRows<'a> {
+    /// Product rows: the unit's dense table, or rows built for this op.
+    table: Cow<'a, [i64]>,
+    /// Offset of each tap's row in `table`.
+    taps: Vec<usize>,
+    /// Rounded pixels clamp into `lo..=hi`, the operand range a row
+    /// covers; `col` is the offset from `lo`.
+    lo: i64,
+    hi: i64,
+}
+
+impl<'a> ProductRows<'a> {
+    /// Tabulate `taps × pixels` for an op that multiplies `products`
+    /// (tap, pixel) pairs.
+    ///
+    /// A tabulated unit lends rows of its dense table. Otherwise one row
+    /// per distinct rounded tap is filled over `[pmin, pmax]`, the span
+    /// of the rounded pixels — unless that costs at least as many model
+    /// calls as `products`, or the span overflows (huge or non-finite
+    /// pixels): then this returns `None` and the op walks products one
+    /// model call at a time.
+    fn new(
+        mult: &'a dyn Multiplier,
+        taps: &[f64],
+        pixels: &[f64],
+        products: usize,
+    ) -> Option<Self> {
+        if let Some(lut) = mult.as_lut() {
+            let (lo, hi) = lut.operand_range();
+            return Some(ProductRows {
+                table: Cow::Borrowed(lut.table()),
+                taps: taps.iter().map(|&v| lut.row(v)).collect(),
+                lo,
+                hi,
+            });
+        }
+        let mut rounded = pixels.iter().map(|&v| v.round() as i64);
+        let first = rounded.next()?;
+        let (pmin, pmax) = rounded.fold((first, first), |(lo, hi), p| (lo.min(p), hi.max(p)));
+        let span = usize::try_from(pmax.checked_sub(pmin)?).ok()?.checked_add(1)?;
+        if span >= products {
+            return None; // not even one row pays
+        }
+        let mut distinct: Vec<i64> = Vec::new();
+        let rows: Vec<usize> = taps
+            .iter()
+            .map(|&v| {
+                let a = v.round() as i64;
+                match distinct.iter().position(|&d| d == a) {
+                    Some(r) => r,
+                    None => {
+                        distinct.push(a);
+                        distinct.len() - 1
                     }
-                    acc += lut.product(krows[i * kw + j], xcols[sy as usize * w + sx as usize]);
                 }
+            })
+            .collect();
+        if distinct.len().checked_mul(span)? >= products {
+            return None;
+        }
+        let mut table = Vec::with_capacity(distinct.len() * span);
+        for &a in &distinct {
+            table.extend((pmin..=pmax).map(|p| mult.multiply(a, p)));
+        }
+        Some(ProductRows {
+            table: Cow::Owned(table),
+            taps: rows.iter().map(|r| r * span).collect(),
+            lo: pmin,
+            hi: pmax,
+        })
+    }
+
+    /// Column of pixel `v` within a row: the round-and-clamp of
+    /// `Multiplier::multiply` for a unit's table (`DenseLut::col`), and
+    /// a plain offset for built rows, whose span holds every pixel.
+    #[inline(always)]
+    fn col(&self, v: f64) -> usize {
+        ((v.round() as i64).clamp(self.lo, self.hi) - self.lo) as usize
+    }
+}
+
+/// Forward of [`Var::approx_conv2d_stacked`] (and of
+/// [`Var::approx_conv2d`], the one-band case): every `img_h`-row band of
+/// `x` convolved with `k` on its own, products gathered from one
+/// [`ProductRows`] for the whole stack when it pays, else one model call
+/// per product. Both walks sum each output in row-major tap order.
+fn approx_conv2d_bands(x: &Tensor, k: &Tensor, img_h: usize, mult: &dyn Multiplier) -> Tensor {
+    let (h, w) = x.dims2("conv2d image");
+    let s = ConvShape::new(img_h, w, k);
+    let mut out = Tensor::zeros(&[h, w]);
+    let band_len = img_h * w;
+    if band_len == 0 {
+        return out;
+    }
+    let bands = out.data_mut().chunks_mut(band_len);
+    match ProductRows::new(mult, k.data(), x.data(), s.products() * (h / img_h)) {
+        Some(rows) => {
+            let mut cols = vec![0; band_len];
+            for (o, img) in bands.zip(x.data().chunks(band_len)) {
+                for (c, &v) in cols.iter_mut().zip(img) {
+                    *c = rows.col(v);
+                }
+                s.forward(o, |t, pixels, dst| {
+                    let row = &rows.table[rows.taps[t]..];
+                    for (o, &c) in dst.iter_mut().zip(&cols[pixels]) {
+                        *o += row[c] as f64;
+                    }
+                });
             }
-            out.data_mut()[y * w + xx] = acc;
+        }
+        None => {
+            for (o, img) in bands.zip(x.data().chunks(band_len)) {
+                s.forward(o, |t, pixels, dst| {
+                    let tap = k.data()[t];
+                    for (o, &p) in dst.iter_mut().zip(&img[pixels]) {
+                        *o += approx_product(mult, tap, p);
+                    }
+                });
+            }
         }
     }
     out
@@ -208,12 +313,7 @@ impl Var {
         assert!(self.same_tape(kernel), "approx_conv2d: operands belong to different graphs");
         let x = self.value();
         let k = kernel.value();
-        let value = if let Some(lut) = mult.as_lut() {
-            approx_conv2d_lut(&x, &k, lut)
-        } else {
-            let m = Arc::clone(mult);
-            conv2d_forward(&x, &k, |tap, pixel| approx_product(&*m, tap, pixel))
-        };
+        let value = approx_conv2d_bands(&x, &k, x.dims2("conv2d image").0, &**mult);
 
         let graph = self.graph();
         let id = graph.push(
@@ -238,8 +338,8 @@ impl Var {
     /// Per band the forward runs the exact per-image walk of
     /// [`Var::approx_conv2d`] (same helper, same accumulation order), so
     /// each band's output is bit-identical to convolving that image
-    /// alone — while the graph node, tap quantization, and LUT
-    /// resolution are paid once per batch instead of once per image.
+    /// alone — while the graph node, tap quantization, and the product
+    /// rows are paid once per batch instead of once per image.
     /// This is the serving hot path: a coalesced batch of n requests
     /// answers exactly as n single-sample passes would.
     ///
@@ -269,35 +369,23 @@ impl Var {
             "approx_conv2d_stacked: stacked height {h} is not a multiple of img_h {img_h}"
         );
 
-        let band_len = img_h * w;
-        let mut out = Tensor::zeros(&[h, w]);
-        for band in 0..h / img_h {
-            let src = &x.data()[band * band_len..(band + 1) * band_len];
-            let img = Tensor::from_vec(src.to_vec(), &[img_h, w]);
-            let conv = if let Some(lut) = mult.as_lut() {
-                approx_conv2d_lut(&img, &k, lut)
-            } else {
-                conv2d_forward(&img, &k, |tap, pixel| approx_product(&**mult, tap, pixel))
-            };
-            out.data_mut()[band * band_len..(band + 1) * band_len]
-                .copy_from_slice(conv.data());
-        }
+        let out = approx_conv2d_bands(&x, &k, img_h, &**mult);
 
         let graph = self.graph();
         let id = graph.push(
             out,
             vec![self.id, kernel.id],
             Some(Box::new(move |g: &Tensor| {
-                let (kh, kw) = k.dims2("conv2d kernel");
+                let s = ConvShape::new(img_h, w, &k);
                 let mut dx = Tensor::zeros(&[h, w]);
-                let mut dk = Tensor::zeros(&[kh, kw]);
-                for band in 0..h / img_h {
-                    let range = band * band_len..(band + 1) * band_len;
-                    let img = Tensor::from_vec(x.data()[range.clone()].to_vec(), &[img_h, w]);
-                    let grad = Tensor::from_vec(g.data()[range.clone()].to_vec(), &[img_h, w]);
-                    let (bdx, bdk) = conv2d_backward(&img, &k, &grad);
-                    dx.data_mut()[range].copy_from_slice(bdx.data());
-                    for (acc, d) in dk.data_mut().iter_mut().zip(bdk.data()) {
+                let mut dk = Tensor::zeros(&[s.kh, s.kw]);
+                let mut band_dk = vec![0.0; s.kh * s.kw];
+                let band_len = img_h * w;
+                let bands = x.data().chunks(band_len).zip(g.data().chunks(band_len));
+                for ((img, grad), bdx) in bands.zip(dx.data_mut().chunks_mut(band_len)) {
+                    band_dk.fill(0.0);
+                    s.backward(img, k.data(), grad, bdx, &mut band_dk);
+                    for (acc, d) in dk.data_mut().iter_mut().zip(&band_dk) {
                         *acc += d;
                     }
                 }
@@ -325,11 +413,12 @@ impl Var {
         let c = coeff.value();
         assert_eq!(c.len(), 1, "approx_scale coefficient must be a single element");
         let cv = c.data()[0];
-        let value = if let Some(lut) = mult.as_lut() {
-            let row = lut.row(cv); // coefficient quantized once for the whole tensor
-            x.map(|v| lut.product(row, lut.col(v)))
-        } else {
-            x.map(|v| approx_product(&**mult, cv, v))
+        let value = match ProductRows::new(&**mult, &[cv], x.data(), x.len()) {
+            Some(rows) => {
+                let row = &rows.table[rows.taps[0]..];
+                x.map(|v| row[rows.col(v)] as f64)
+            }
+            None => x.map(|v| approx_product(&**mult, cv, v)),
         };
 
         let graph = self.graph();
@@ -641,6 +730,38 @@ mod tests {
             checked += 1;
         }
         assert!(checked >= 8, "too few narrow catalog units exercised: {checked}");
+    }
+
+    /// Untabulated units get one row per distinct rounded tap over the
+    /// pixel span when that is cheaper than the products, and fall back
+    /// to the per-product walk on costly, overflowing or empty spans.
+    #[test]
+    fn product_rows_build_only_when_cheaper_than_the_products() {
+        let wide = lac_hw::catalog::by_name("mul16s_GAT").unwrap();
+        let taps = [2.0, 2.4, -3.0, 1.6];
+        let rows = ProductRows::new(&*wide, &taps, &[5.0, 7.0, 6.2], 100).expect("narrow span");
+        // Taps round to 2, 2, -3, 2: two distinct rows of span 3 (5..=7).
+        assert_eq!(rows.table.len(), 6);
+        assert_eq!(rows.taps, vec![0, 0, 3, 0]);
+        assert_eq!((rows.lo, rows.hi), (5, 7));
+        for (t, &a) in taps.iter().enumerate() {
+            for b in [5.0, 7.0, 6.2] {
+                let product = rows.table[rows.taps[t] + rows.col(b)] as f64;
+                assert_eq!(product, approx_product(&*wide, a, b));
+            }
+        }
+        // Six row cells are not cheaper than six products.
+        assert!(ProductRows::new(&*wide, &taps, &[5.0, 7.0, 6.2], 6).is_none());
+        for extreme in [f64::INFINITY, 1e300] {
+            assert!(ProductRows::new(&*wide, &taps, &[0.0, -extreme], 1 << 40).is_none());
+            assert!(ProductRows::new(&*wide, &taps, &[extreme, 0.0], 1 << 40).is_none());
+            // A single-valued extreme image has a span of one.
+            assert!(ProductRows::new(&*wide, &taps, &[extreme; 4], 16).is_some());
+        }
+        assert!(ProductRows::new(&*wide, &taps, &[], 0).is_none());
+        // Tabulated units always lend rows of their table.
+        let lut = lac_hw::LutMultiplier::maybe_wrap(exact8u());
+        assert!(ProductRows::new(&*lut, &taps, &[0.0, 255.0], 1).is_some());
     }
 
     /// The fused matmul+scale+round and elem-mul+scale nodes must match

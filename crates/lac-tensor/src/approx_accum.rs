@@ -20,7 +20,7 @@ use lac_hw::adders::Adder;
 use lac_hw::Multiplier;
 
 use crate::graph::Var;
-use crate::ops::conv2d_backward;
+use crate::ops::{conv2d_backward, ConvShape};
 use crate::tensor::Tensor;
 
 /// Add two signed values on an unsigned adder model using sign-magnitude
@@ -60,30 +60,18 @@ impl Var {
         let x = self.value();
         let k = kernel.value();
         let (h, w) = x.dims2("approx_conv2d_accum image");
-        let (kh, kw) = k.dims2("approx_conv2d_accum kernel");
-        assert!(kh % 2 == 1 && kw % 2 == 1, "kernel must have odd dimensions");
-        let (ph, pw) = (kh / 2, kw / 2);
+        let s = ConvShape::new(h, w, &k);
 
-        let mut out = Tensor::zeros(&[h, w]);
-        for y in 0..h {
-            for xx in 0..w {
-                let mut acc: i64 = 0;
-                for i in 0..kh {
-                    for j in 0..kw {
-                        let sy = y as isize + i as isize - ph as isize;
-                        let sx = xx as isize + j as isize - pw as isize;
-                        if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
-                            continue;
-                        }
-                        let tap = k.data()[i * kw + j].round() as i64;
-                        let pixel = x.data()[sy as usize * w + sx as usize].round() as i64;
-                        let product = mult.multiply(tap, pixel);
-                        acc = approx_add_signed(&**adder, acc, product);
-                    }
-                }
-                out.data_mut()[y * w + xx] = acc as f64;
+        // Per output, partial products join the running sum in row-major
+        // tap order — the order the adder tree sees them.
+        let mut acc = vec![0i64; h * w];
+        s.rows(0..s.kh * s.kw, |t, pixels, outs| {
+            let tap = k.data()[t].round() as i64;
+            for (a, &pixel) in acc[outs].iter_mut().zip(&x.data()[pixels]) {
+                *a = approx_add_signed(&**adder, *a, mult.multiply(tap, pixel.round() as i64));
             }
-        }
+        });
+        let out = Tensor::from_vec(acc.into_iter().map(|a| a as f64).collect(), &[h, w]);
 
         let graph = self.graph();
         let id = graph.push(

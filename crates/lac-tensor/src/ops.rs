@@ -5,6 +5,8 @@
 //! same-size zero padding. Approximate-hardware counterparts live in
 //! [`crate::approx`].
 
+use std::ops::Range;
+
 use crate::graph::{BackwardFn, Var};
 use crate::tensor::Tensor;
 
@@ -190,7 +192,13 @@ impl Var {
         self.binary_guard(kernel, "conv2d");
         let x = self.value();
         let k = kernel.value();
-        let value = conv2d_forward(&x, &k, |a, b| a * b);
+        let (h, w) = x.dims2("conv2d image");
+        let mut value = Tensor::zeros(&[h, w]);
+        ConvShape::new(h, w, &k).forward(value.data_mut(), |t, pixels, dst| {
+            for (o, &p) in dst.iter_mut().zip(&x.data()[pixels]) {
+                *o += k.data()[t] * p;
+            }
+        });
         self.op(
             vec![self.id, kernel.id],
             value,
@@ -389,61 +397,126 @@ pub fn concat(vars: &[Var]) -> Var {
     Var { tape: vars[0].tape.clone(), id }
 }
 
-/// Shared forward walk for exact and approximate convolution: `prod`
-/// computes one kernel-tap product.
-pub(crate) fn conv2d_forward(x: &Tensor, k: &Tensor, prod: impl Fn(f64, f64) -> f64) -> Tensor {
-    let (h, w) = x.dims2("conv2d image");
-    let (kh, kw) = k.dims2("conv2d kernel");
-    assert!(kh % 2 == 1 && kw % 2 == 1, "conv2d kernel must have odd dimensions, got {kh}x{kw}");
-    let (ph, pw) = (kh / 2, kw / 2);
-    let mut out = Tensor::zeros(&[h, w]);
-    for y in 0..h {
-        for xx in 0..w {
-            let mut acc = 0.0;
-            for i in 0..kh {
-                for j in 0..kw {
-                    let sy = y as isize + i as isize - ph as isize;
-                    let sx = xx as isize + j as isize - pw as isize;
-                    if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
-                        continue; // zero padding
-                    }
-                    let pixel = x.data()[sy as usize * w + sx as usize];
-                    acc += prod(k.data()[i * kw + j], pixel);
-                }
+/// Geometry of one same-padded 2-D convolution: an `h × w` image under
+/// an odd `kh × kw` kernel. Tap `t` is kernel element `t` (row-major);
+/// pixel `p` is image element `p` (row-major).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ConvShape {
+    pub h: usize,
+    pub w: usize,
+    pub kh: usize,
+    pub kw: usize,
+}
+
+impl ConvShape {
+    /// The geometry of an `h × w` image under kernel `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `k` is 2-D with odd dimensions.
+    pub fn new(h: usize, w: usize, k: &Tensor) -> Self {
+        let (kh, kw) = k.dims2("conv2d kernel");
+        assert!(
+            kh % 2 == 1 && kw % 2 == 1,
+            "conv2d kernel must have odd dimensions, got {kh}x{kw}"
+        );
+        ConvShape { h, w, kh, kw }
+    }
+
+    /// Number of in-bounds (tap, pixel) products over the whole image;
+    /// zero-padding terms are not products.
+    pub fn products(&self) -> usize {
+        let reach = |n: usize, k: usize| -> usize {
+            (0..k).map(|i| n.saturating_sub(i.abs_diff(k / 2))).sum()
+        };
+        reach(self.h, self.kh) * reach(self.w, self.kw)
+    }
+
+    /// The walk, tap-major: for each tap in `taps` order and each output
+    /// row it reaches, `f(tap, pixels, outputs)` with the contiguous
+    /// ranges of in-bounds source pixels and the outputs they feed
+    /// (equal lengths; zero padding is never visited).
+    ///
+    /// A tap's rows come in ascending output order, so every output
+    /// receives its products in the order the taps are given. For one
+    /// source pixel, outputs ascending means taps descending.
+    #[inline(always)]
+    pub fn rows(
+        &self,
+        taps: impl Iterator<Item = usize>,
+        mut f: impl FnMut(usize, Range<usize>, Range<usize>),
+    ) {
+        let ConvShape { h, w, kw, .. } = *self;
+        let (ph, pw) = (self.kh / 2, kw / 2);
+        for t in taps {
+            let (i, j) = (t / kw, t % kw);
+            // Output rows y with 0 <= y + i - ph < h; columns likewise.
+            let (y_lo, y_hi) = (ph.saturating_sub(i), h.min((h + ph).saturating_sub(i)));
+            let (x_lo, x_hi) = (pw.saturating_sub(j), w.min((w + pw).saturating_sub(j)));
+            if x_lo >= x_hi {
+                continue;
             }
-            out.data_mut()[y * w + xx] = acc;
+            for y in y_lo..y_hi {
+                let src = (y + i - ph) * w + j + x_lo - pw;
+                f(t, src..src + x_hi - x_lo, y * w + x_lo..y * w + x_hi);
+            }
         }
     }
-    out
+
+    /// Forward walk: `out[y * w + x]` becomes the left-to-right sum, from
+    /// `0.0`, of the products of output pixel `(y, x)`'s in-bounds
+    /// (tap, pixel) pairs in row-major tap order.
+    ///
+    /// `add_row(tap, pixels, dst)` adds the product of `tap` with each
+    /// pixel of the contiguous range `pixels` into the matching slot of
+    /// `dst`. The walk is tap-major ([`ConvShape::rows`]), so inner loops
+    /// stream whole rows, yet each output still sums in tap order: the
+    /// bits equal a per-pixel accumulator's.
+    #[inline(always)]
+    pub fn forward(
+        &self,
+        out: &mut [f64],
+        mut add_row: impl FnMut(usize, Range<usize>, &mut [f64]),
+    ) {
+        out.fill(0.0);
+        self.rows(0..self.kh * self.kw, |t, pixels, outs| add_row(t, pixels, &mut out[outs]));
+    }
+
+    /// Exact gradients of the forward walk for one image `x` under taps
+    /// `k` and output gradient `g`, accumulated into `dx` and `dk`.
+    ///
+    /// Bit-identical to the per-output walk (each output in row-major
+    /// order, its taps in row-major order, zero gradients skipped):
+    /// `dk[t]` sums over outputs in ascending order, and each `dx[p]`
+    /// takes its terms tap-descending — ascending in output order.
+    pub fn backward(&self, x: &[f64], k: &[f64], g: &[f64], dx: &mut [f64], dk: &mut [f64]) {
+        let taps = self.kh * self.kw;
+        self.rows(0..taps, |t, pixels, outs| {
+            let mut acc = dk[t];
+            for (&gv, &xv) in g[outs].iter().zip(&x[pixels]) {
+                if gv != 0.0 {
+                    acc += gv * xv;
+                }
+            }
+            dk[t] = acc;
+        });
+        self.rows((0..taps).rev(), |t, pixels, outs| {
+            for (d, &gv) in dx[pixels].iter_mut().zip(&g[outs]) {
+                if gv != 0.0 {
+                    *d += gv * k[t];
+                }
+            }
+        });
+    }
 }
 
 /// Exact gradients of same-padded 2-D convolution: `(d_image, d_kernel)`.
 pub(crate) fn conv2d_backward(x: &Tensor, k: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
     let (h, w) = x.dims2("conv2d image");
-    let (kh, kw) = k.dims2("conv2d kernel");
-    let (ph, pw) = (kh / 2, kw / 2);
+    let s = ConvShape::new(h, w, k);
     let mut dx = Tensor::zeros(&[h, w]);
-    let mut dk = Tensor::zeros(&[kh, kw]);
-    for y in 0..h {
-        for xx in 0..w {
-            let gv = g.data()[y * w + xx];
-            if gv == 0.0 {
-                continue;
-            }
-            for i in 0..kh {
-                for j in 0..kw {
-                    let sy = y as isize + i as isize - ph as isize;
-                    let sx = xx as isize + j as isize - pw as isize;
-                    if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
-                        continue;
-                    }
-                    let si = sy as usize * w + sx as usize;
-                    dk.data_mut()[i * kw + j] += gv * x.data()[si];
-                    dx.data_mut()[si] += gv * k.data()[i * kw + j];
-                }
-            }
-        }
-    }
+    let mut dk = Tensor::zeros(&[s.kh, s.kw]);
+    s.backward(x.data(), k.data(), g.data(), dx.data_mut(), dk.data_mut());
     (dx, dk)
 }
 

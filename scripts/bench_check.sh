@@ -47,6 +47,14 @@ for suite in "${SUITES[@]}"; do
         "$suite_tol" || status=1
 done
 
+median_of() {
+    # median_ns for a bench id out of a harness report.
+    awk -v id="$2" 'BEGIN{RS="{"} $0 ~ "\"id\":\""id"\"" {
+        if (match($0, /"median_ns":[0-9.]+/))
+            print substr($0, RSTART+12, RLENGTH-12)
+    }' "$1"
+}
+
 # Kernel-swap floor: the blocked LUT-matmul kernels must hold their
 # speedup over the pre-swap scalar hot path. The *committed* baseline
 # (refreshed under the full protocol whenever perf intentionally moves)
@@ -59,13 +67,6 @@ pre_snapshot="results/bench/frozen/BENCH_training_step.pre-pr6.json"
 committed_step="results/bench/BENCH_training_step.json"
 if [[ -f "$pre_snapshot" && -f "$committed_step" ]]; then
     echo "== kernel-swap floor: committed training_step/jpeg >= 3x vs pre-swap snapshot"
-    median_of() {
-        # median_ns for a bench id out of a harness report.
-        awk -v id="$2" 'BEGIN{RS="{"} $0 ~ "\"id\":\""id"\"" {
-            if (match($0, /"median_ns":[0-9.]+/))
-                print substr($0, RSTART+12, RLENGTH-12)
-        }' "$1"
-    }
     for id in training_step/jpeg/8imgs training_step/blur/8imgs; do
         pre="$(median_of "$pre_snapshot" "$id")"
         cur="$(median_of "$committed_step" "$id")"
@@ -83,6 +84,31 @@ if [[ -f "$pre_snapshot" && -f "$committed_step" ]]; then
             status=1
         fi
     done
+fi
+
+# Product-row floor: a 32x32 conv forward on the untabulated 16-bit
+# mul16s_GAT gathers from per-tap product rows instead of making one
+# virtual model call per product. The committed matmul_kernels baseline
+# must stay >= 3x faster than the frozen snapshot taken before the rows
+# landed (same box, full protocol), so re-baselining cannot hide a
+# return to the per-product walk.
+pre_rows="results/bench/frozen/BENCH_matmul_kernels.pre-rows.json"
+committed_kernels="results/bench/BENCH_matmul_kernels.json"
+if [[ -f "$pre_rows" && -f "$committed_kernels" ]]; then
+    id="matmul_kernels/conv32/mul16s_GAT"
+    echo "== product-row floor: committed ${id} >= 3x vs pre-row snapshot"
+    pre="$(median_of "$pre_rows" "$id")"
+    cur="$(median_of "$committed_kernels" "$id")"
+    if [[ -z "$pre" || -z "$cur" ]]; then
+        echo "bench_check: could not read ${id} medians from ${pre_rows} / ${committed_kernels}" >&2
+        status=1
+    elif awk -v p="$pre" -v c="$cur" 'BEGIN { exit !(c * 3 <= p) }'; then
+        echo "row_floor: ${id} pre=${pre}ns committed=${cur}ns (floor 3x): ok"
+    else
+        echo "bench_check: ${id} lost its 3x product-row floor:" \
+             "pre-row ${pre} ns, committed ${cur} ns" >&2
+        status=1
+    fi
 fi
 
 # Serving batching floor: the committed BENCH_serve.json must show that

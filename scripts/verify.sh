@@ -101,6 +101,17 @@ cargo test -q --offline --test matmul_equivalence
 cargo test -q --offline -p lac-tensor --lib matmul_fast::
 cargo test -q --offline --test golden_seed jpeg_train_fixed
 
+# Product-row battery (DESIGN.md §7b): units with no dense table
+# (16-bit catalog units, sign-magnitude adapters, fault-injected wide
+# specs) gather conv and scale products from per-tap rows, or fall back
+# to one model call per product on wide or non-finite pixel spans; both
+# must match the per-product walk bit-for-bit, and blur/edge training on
+# mul16s_GAT must reproduce its pre-row golden bits.
+echo "== product-row battery (untabulated conv/scale, wide-unit golden pins)"
+cargo test -q --offline --test matmul_equivalence untabulated
+cargo test -q --offline -p lac-tensor --lib product_rows
+cargo test -q --offline --test golden_seed on_wide_unit
+
 # CNN workload suites: the golden-seed pin for fixed-hardware CNN
 # training, per-layer gate-search invariance in the worker count,
 # bit-exact checkpoint/resume through a CNN session, the CNN-shape

@@ -144,3 +144,39 @@ fn greedy_multi_matches_pre_refactor_bits() {
     assert_eq!(r.quality.to_bits(), 0x3feb8683a99afda3, "quality drifted");
     assert_eq!(hash_tensors(&r.coeffs), 0x867fb1a4fea442ac, "coefficients drifted");
 }
+
+/// Smoke-scale `train_fixed` on the wide 16-bit `mul16s_GAT`, which has
+/// no dense product table: pins the untabulated conv forward (the
+/// per-tap product-row walk and its per-product fallback) to the bits
+/// the one-model-call-per-product walk produced. Returns
+/// `(before, after, loss-trajectory hash, coefficient hash)`.
+fn wide_unit_train_fixed(kind: FilterKind, seed: u64) -> (u64, u64, u64, u64) {
+    let (train, test) = (images(0..4), images(100..102));
+    let app = FilterApp::new(kind, StageMode::Single);
+    let mult = app.adapt(&catalog::by_name("mul16s_GAT").unwrap());
+    assert!(mult.as_lut().is_none(), "mul16s_GAT must stay untabulated for this pin");
+    let cfg = TrainConfig::new().epochs(4).learning_rate(2.0).minibatch(2).seed(seed).threads(2);
+    let r = train_fixed(&app, &mult, &train, &test, &cfg).expect("training");
+    assert_eq!(r.loss_history.len(), 4);
+    (r.before.to_bits(), r.after.to_bits(), hash_f64s(&r.loss_history), hash_tensors(&r.coeffs))
+}
+
+#[test]
+fn blur_train_fixed_on_wide_unit_matches_per_product_bits() {
+    let got = wide_unit_train_fixed(FilterKind::GaussianBlur, 13);
+    assert_eq!(
+        got,
+        (0x3fe2997643a5ce58, 0x3fee7dc855abc947, 0x4371a811e00ea855, 0xdf9446d4a7be81bf)
+    );
+}
+
+#[test]
+fn edge_train_fixed_on_wide_unit_matches_per_product_bits() {
+    // The Sobel taps' initial quality is already the best iterate, so
+    // before == after; the loss trajectory still pins every forward.
+    let got = wide_unit_train_fixed(FilterKind::EdgeDetection, 17);
+    assert_eq!(
+        got,
+        (0x3feddae41860a74a, 0x3feddae41860a74a, 0x6d07e6a81b408f27, 0xad20fa381f552e45)
+    );
+}

@@ -9,13 +9,20 @@
 //! bit-identical across the two paths, across repeated calls (which move
 //! the fast path from gather to fixed-operand tabulated kernels), and
 //! across worker counts.
+//!
+//! The second battery covers units with no dense table in the tap-wise
+//! ops (`approx_conv2d`, `approx_conv2d_stacked`, `approx_scale`): their
+//! per-tap product rows, and the per-product fallback that huge or
+//! non-finite pixels force, must match a one-model-call-per-product
+//! reference walk bit-for-bit.
 
 use std::sync::Arc;
 
 use lac::core::{batch_grads, batch_references};
 use lac::data::synth_image;
-use lac::hw::{catalog, signed_capable, LutMultiplier, Multiplier};
+use lac::hw::{catalog, signed_capable, LutMultiplier, Multiplier, MAX_LUT_BITS};
 use lac::tensor::{Graph, Tensor};
+use lac_rt::proptest::prelude::*;
 use lac_rt::rng::{RngExt, SeedableRng, StdRng};
 
 /// Forward bits and (grad-a, grad-b) bits of `sum(approx_matmul(a, b))`.
@@ -239,5 +246,227 @@ fn jpeg_batch_grads_bit_identical_across_thread_counts() {
             );
             assert_eq!(ab, bb, "gradients drifted at {threads} threads");
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Untabulated units in approx_conv2d / approx_conv2d_stacked /
+// approx_scale: the per-tap product-row gather (and its per-product
+// fallback on wide or non-finite pixel spans) against a plain
+// one-model-call-per-product reference walk.
+
+/// Units with no dense product table: every catalog unit wider than
+/// `MAX_LUT_BITS`, the sign-magnitude adapters the signed filter apps
+/// put in front of tabulated 8-bit units, and fault-injected wide specs.
+fn untabulated_units() -> Vec<Arc<dyn Multiplier>> {
+    let mut units: Vec<Arc<dyn Multiplier>> = catalog::PAPER_NAMES
+        .iter()
+        .chain(catalog::EXTRA_NAMES.iter())
+        .map(|n| catalog::by_name(n).expect("catalog unit"))
+        .filter(|u| u.bits() > MAX_LUT_BITS)
+        .collect();
+    for name in ["mul8u_FTA", "ETM8-k4", "mul8u_JV3", "kulkarni8u", "mitchell8u"] {
+        let unit = catalog::by_name(name).expect("catalog unit");
+        units.push(signed_capable(LutMultiplier::maybe_wrap(unit)));
+    }
+    for spec in ["mul16s_GAT!seed=7,flip=0.01", "DRUM16-6!seed=3,flip=0.05", "mul16s_GK2!sa1=0x4"] {
+        units.push(catalog::by_spec(spec).expect("fault spec"));
+    }
+    for u in &units {
+        assert!(u.as_lut().is_none(), "{} has a dense table", u.name());
+    }
+    units
+}
+
+/// One model call per product, rounded exactly as the tensor ops round.
+fn product(mult: &dyn Multiplier, a: f64, b: f64) -> f64 {
+    mult.multiply(a.round() as i64, b.round() as i64) as f64
+}
+
+/// Reference forward of a band-stacked same-padded 3x3 conv: per output
+/// pixel, a fresh accumulator sums the in-bounds products in row-major
+/// tap order, one model call each.
+fn reference_conv(mult: &dyn Multiplier, x: &[f64], img_h: usize, w: usize, k: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; x.len()];
+    for (band, o) in x.chunks(img_h * w).zip(out.chunks_mut(img_h * w)) {
+        for y in 0..img_h as isize {
+            for xx in 0..w as isize {
+                let mut acc = 0.0;
+                for i in 0..3isize {
+                    for j in 0..3isize {
+                        let (sy, sx) = (y + i - 1, xx + j - 1);
+                        if sy >= 0 && sx >= 0 && sy < img_h as isize && sx < w as isize {
+                            let pixel = band[sy as usize * w + sx as usize];
+                            acc += product(mult, k[(i * 3 + j) as usize], pixel);
+                        }
+                    }
+                }
+                o[y as usize * w + xx as usize] = acc;
+            }
+        }
+    }
+    out
+}
+
+/// Reference surrogate gradients `(d_image, d_kernel)` of the band conv
+/// under output gradient `g`: exact-conv gradients per band, the kernel
+/// gradient of each band summed from zero and added in stacking order.
+fn reference_conv_grads(
+    x: &[f64],
+    img_h: usize,
+    w: usize,
+    k: &[f64],
+    g: &[f64],
+) -> (Vec<f64>, Vec<f64>) {
+    let (mut dx, mut dk) = (vec![0.0; x.len()], vec![0.0; 9]);
+    let len = img_h * w;
+    for ((band, gb), dxb) in x.chunks(len).zip(g.chunks(len)).zip(dx.chunks_mut(len)) {
+        let mut band_dk = [0.0; 9];
+        for y in 0..img_h as isize {
+            for xx in 0..w as isize {
+                let gv = gb[y as usize * w + xx as usize];
+                if gv == 0.0 {
+                    continue;
+                }
+                for i in 0..3isize {
+                    for j in 0..3isize {
+                        let (sy, sx) = (y + i - 1, xx + j - 1);
+                        if sy >= 0 && sx >= 0 && sy < img_h as isize && sx < w as isize {
+                            let si = sy as usize * w + sx as usize;
+                            band_dk[(i * 3 + j) as usize] += gv * band[si];
+                            dxb[si] += gv * k[(i * 3 + j) as usize];
+                        }
+                    }
+                }
+            }
+        }
+        for (acc, d) in dk.iter_mut().zip(band_dk) {
+            *acc += d;
+        }
+    }
+    (dx, dk)
+}
+
+fn bits(vs: &[f64]) -> Vec<u64> {
+    vs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Forward and gradient bits of `op(x, k)` under the loss `sum(out ⊙ r)`.
+fn run_op(
+    x: &Tensor,
+    k: &Tensor,
+    r: &Tensor,
+    op: impl Fn(&lac::tensor::Var, &lac::tensor::Var) -> lac::tensor::Var,
+) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    let g = Graph::new();
+    let (vx, vk) = (g.var(x.clone()), g.var(k.clone()));
+    let out = op(&vx, &vk);
+    let grads = g.backward(&out.mul(&g.constant(r.clone())).sum());
+    (bits(out.value().data()), bits(grads.get(&vx).data()), bits(grads.get(&vk).data()))
+}
+
+/// `approx_conv2d` (one band), `approx_conv2d_stacked` and `approx_scale`
+/// on `mult` must match the per-product reference bit-for-bit, values
+/// and gradients, for `bands` stacked `img_h x w` images in `x`.
+fn check_untabulated(
+    mult: &Arc<dyn Multiplier>,
+    x: &[f64],
+    bands: usize,
+    img_h: usize,
+    w: usize,
+    k: &[f64],
+    r: &[f64],
+) {
+    let name = mult.name();
+    let (h, len) = (bands * img_h, bands * img_h * w);
+    let (x, r) = (&x[..len], &r[..len]);
+    let xt = Tensor::from_vec(x.to_vec(), &[h, w]);
+    let kt = Tensor::from_vec(k.to_vec(), &[3, 3]);
+    let rt = Tensor::from_vec(r.to_vec(), &[h, w]);
+
+    let (dx, dk) = reference_conv_grads(x, img_h, w, k, r);
+    let want = (bits(&reference_conv(&**mult, x, img_h, w, k)), bits(&dx), bits(&dk));
+    let got = run_op(&xt, &kt, &rt, |vx, vk| vx.approx_conv2d_stacked(vk, mult, img_h));
+    assert_eq!(got, want, "{name}: approx_conv2d_stacked, {bands} bands of {img_h}x{w}");
+
+    let (first, first_r) = (&x[..img_h * w], &r[..img_h * w]);
+    let (dx, dk) = reference_conv_grads(first, img_h, w, k, first_r);
+    let want = (bits(&reference_conv(&**mult, first, img_h, w, k)), bits(&dx), bits(&dk));
+    let one = |t: &[f64]| Tensor::from_vec(t.to_vec(), &[img_h, w]);
+    let got = run_op(&one(first), &kt, &one(first_r), |vx, vk| vx.approx_conv2d(vk, mult));
+    assert_eq!(got, want, "{name}: approx_conv2d, {img_h}x{w}");
+
+    // approx_scale: the centre tap times every pixel of the stack.
+    let c = k[4];
+    let want_value: Vec<f64> = x.iter().map(|&v| product(&**mult, c, v)).collect();
+    let want_dx: Vec<f64> = r.iter().map(|&gv| gv * c).collect();
+    let want_dc: f64 = r.iter().zip(x).map(|(&gv, &xv)| gv * xv).sum();
+    let got = run_op(&xt, &Tensor::scalar(c), &rt, |vx, vc| vx.approx_scale(vc, mult));
+    assert_eq!(got, (bits(&want_value), bits(&want_dx), bits(&[want_dc])), "{name}: approx_scale");
+}
+
+/// Pixels at ±1e300 and ±inf overflow any product-row span: the ops
+/// must take the per-product walk without overflowing, and still agree
+/// with the reference; a single-valued image (span 1) of the same
+/// extremes rides the rows. Checked on every untabulated unit.
+#[test]
+fn untabulated_units_match_per_product_walk_on_extreme_pixels() {
+    const EXTREMES: [f64; 4] = [1e300, -1e300, f64::INFINITY, f64::NEG_INFINITY];
+    let taps = [3.0, -7.0, 3.0, 250.0, 40.0, 250.0, 3.0, -7.0, 1.5];
+    let r: Vec<f64> = (0..2 * 36).map(|i| (i % 5) as f64 - 2.0).collect();
+    for mult in untabulated_units() {
+        let mixed: Vec<f64> = (0..2 * 36)
+            .map(|i| if i % 7 == 3 { EXTREMES[i / 7 % 4] } else { (i % 9) as f64 })
+            .collect();
+        check_untabulated(&mult, &mixed, 2, 6, 6, &taps, &r);
+        for &e in &EXTREMES {
+            check_untabulated(&mult, &[e; 72], 2, 6, 6, &taps, &r);
+        }
+        // Out-of-range and non-integral pixels on a narrow span.
+        let narrow: Vec<f64> =
+            (0..72).map(|i| -40_000.0 - (i % 3) as f64 + 0.5 * (i % 2) as f64).collect();
+        check_untabulated(&mult, &narrow, 2, 6, 6, &taps, &r);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random untabulated unit, stack and taps: `kind` picks the regime —
+    /// 0 narrow integral pixels and repeated taps (rows), 1 a
+    /// single-valued image, 2 narrow negative pixels and non-integral
+    /// taps and pixels, 3 wide out-of-range pixels (mostly the
+    /// per-product fallback). Shrinking walks every value toward zero.
+    #[test]
+    fn untabulated_conv_and_scale_match_per_product_walk(
+        unit in 0..untabulated_units().len(),
+        dims in (1usize..=3, 1usize..=7, 1usize..=7),
+        taps in proptest::collection::vec(-300i64..=300, 9),
+        pixels in proptest::collection::vec(-70_000i64..=70_000, 3 * 49),
+        frac in proptest::collection::vec(-1.0f64..1.0, 3 * 49),
+        kind in 0u8..4,
+    ) {
+        let mult = &untabulated_units()[unit];
+        let (bands, img_h, w) = dims;
+        let k: Vec<f64> = taps
+            .iter()
+            .zip(&frac)
+            .map(|(&t, &f)| match kind {
+                0 | 1 => (t % 4) as f64,
+                2 => t as f64 + f,
+                _ => t as f64,
+            })
+            .collect();
+        let x: Vec<f64> = pixels
+            .iter()
+            .zip(&frac)
+            .map(|(&p, &f)| match kind {
+                0 => (p % 8) as f64,
+                1 => pixels[0] as f64,
+                2 => (p % 8) as f64 + f,
+                _ => p as f64 + f,
+            })
+            .collect();
+        check_untabulated(mult, &x, bands, img_h, w, &k, &frac);
     }
 }
