@@ -4,7 +4,10 @@
 //! forward+backward step exercising the fused surrogate-gradient
 //! kernels. The `conv32/*` rows time one 32x32 3x3 `approx_conv2d`
 //! forward (the filter apps' hot op) on a wide untabulated unit and on a
-//! tabulated 8-bit unit. All paths are bit-identical (see
+//! tabulated 8-bit unit. The `matmul8/*` and `matmul12/*` rows time one
+//! JPEG/DFT-shaped `approx_matmul` forward on the untabulated 16-bit
+//! `mul16s_GAT`, one `multiply_row` call per row of products, over the
+//! unit's full operand range. All paths are bit-identical (see
 //! `tests/matmul_equivalence`); this suite tracks their relative cost.
 //!
 //! Writes `BENCH_matmul_kernels.json`; see `lac_rt::bench` for the
@@ -42,7 +45,7 @@ fn main() {
         // promotes them: the varying side always takes its cold path.
         let partners: Vec<Tensor> = (0..32).map(|s| operand(n, hi, 100 + s)).collect();
 
-        // Scalar path: one virtual multiply per product.
+        // Scalar path: one virtual `multiply_row` call per row of products.
         group.bench_function(format!("{n}x{n}/scalar"), |b| {
             let mut i = 0;
             b.iter(|| {
@@ -124,6 +127,21 @@ fn main() {
                 let img = g.var(image.clone());
                 let k = g.var(taps.clone());
                 black_box(img.approx_conv2d(&k, &unit).value())
+            })
+        });
+    }
+
+    // One JPEG block / DFT tile matmul forward on the wide unit.
+    let wide = catalog::by_name("mul16s_GAT").unwrap();
+    let (_, wide_hi) = wide.operand_range();
+    for n in [8usize, 12] {
+        let (lhs, rhs) = (operand(n, wide_hi, 7), operand(n, wide_hi, 8));
+        group.bench_function(format!("matmul{n}/mul16s_GAT"), |b| {
+            b.iter(|| {
+                let g = Graph::new();
+                let a = g.var(lhs.clone());
+                let x = g.var(rhs.clone());
+                black_box(a.approx_matmul(&x, &wide).value())
             })
         });
     }

@@ -86,30 +86,42 @@ if [[ -f "$pre_snapshot" && -f "$committed_step" ]]; then
     done
 fi
 
-# Product-row floor: a 32x32 conv forward on the untabulated 16-bit
-# mul16s_GAT gathers from per-tap product rows instead of making one
-# virtual model call per product. The committed matmul_kernels baseline
-# must stay >= 3x faster than the frozen snapshot taken before the rows
-# landed (same box, full protocol), so re-baselining cannot hide a
-# return to the per-product walk.
-pre_rows="results/bench/frozen/BENCH_matmul_kernels.pre-rows.json"
+# Committed-kernel floors: the committed matmul_kernels baseline must
+# stay a given factor faster than a frozen snapshot taken before a
+# kernel change landed (same box, full protocol), so re-baselining
+# cannot hide a return to the old path.
 committed_kernels="results/bench/BENCH_matmul_kernels.json"
-if [[ -f "$pre_rows" && -f "$committed_kernels" ]]; then
-    id="matmul_kernels/conv32/mul16s_GAT"
-    echo "== product-row floor: committed ${id} >= 3x vs pre-row snapshot"
-    pre="$(median_of "$pre_rows" "$id")"
+# committed_floor <frozen snapshot> <bench id> <factor> <floor name>
+committed_floor() {
+    local frozen="$1" id="$2" factor="$3" name="$4" pre cur
+    [[ -f "$frozen" && -f "$committed_kernels" ]] || return 0
+    echo "== ${name} floor: committed ${id} >= ${factor}x vs ${frozen}"
+    pre="$(median_of "$frozen" "$id")"
     cur="$(median_of "$committed_kernels" "$id")"
     if [[ -z "$pre" || -z "$cur" ]]; then
-        echo "bench_check: could not read ${id} medians from ${pre_rows} / ${committed_kernels}" >&2
+        echo "bench_check: could not read ${id} medians from ${frozen} / ${committed_kernels}" >&2
         status=1
-    elif awk -v p="$pre" -v c="$cur" 'BEGIN { exit !(c * 3 <= p) }'; then
-        echo "row_floor: ${id} pre=${pre}ns committed=${cur}ns (floor 3x): ok"
+    elif awk -v p="$pre" -v c="$cur" -v f="$factor" 'BEGIN { exit !(c * f <= p) }'; then
+        echo "${name}_floor: ${id} pre=${pre}ns committed=${cur}ns (floor ${factor}x): ok"
     else
-        echo "bench_check: ${id} lost its 3x product-row floor:" \
-             "pre-row ${pre} ns, committed ${cur} ns" >&2
+        echo "bench_check: ${id} lost its ${factor}x ${name} floor:" \
+             "frozen ${pre} ns, committed ${cur} ns" >&2
         status=1
     fi
-fi
+}
+
+# Product-row floor: a 32x32 conv forward on the untabulated 16-bit
+# mul16s_GAT gathers from per-tap product rows instead of making one
+# virtual model call per product.
+committed_floor results/bench/frozen/BENCH_matmul_kernels.pre-rows.json \
+    matmul_kernels/conv32/mul16s_GAT 3 row
+
+# Row-call floor: a JPEG block (8x8x8) and a DFT tile (12x12x12)
+# approx_matmul forward on mul16s_GAT make one multiply_row call per
+# row of products instead of one virtual model call per product.
+for id in matmul_kernels/matmul8/mul16s_GAT matmul_kernels/matmul12/mul16s_GAT; do
+    committed_floor results/bench/frozen/BENCH_matmul_kernels.pre-matmul-rows.json "$id" 2 row_call
+done
 
 # Serving batching floor: the committed BENCH_serve.json must show that
 # request batching actually pays on the blur kernel at 4 workers. The

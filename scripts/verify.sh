@@ -112,6 +112,20 @@ cargo test -q --offline --test matmul_equivalence untabulated
 cargo test -q --offline -p lac-tensor --lib product_rows
 cargo test -q --offline --test golden_seed on_wide_unit
 
+# Row-call battery (DESIGN.md §7b): untabulated approx_matmul makes one
+# Multiplier::multiply_row call per row of products. multiply_row must
+# equal one multiply per element for every unit kind (catalog, LUT,
+# sign-magnitude, fault-injected, every column truncation), the closed
+# form of the truncated columns must match the old bit loop, the matmul
+# and elementwise ops on untabulated units must match the per-product
+# walk bit-for-bit, and jpeg/dft training on mul16s_GAT must reproduce
+# its per-product golden bits.
+echo "== row-call battery (multiply_row, untabulated matmul/elem, jpeg/dft wide pins)"
+cargo test -q --offline -p lac-hw --test properties multiply_row
+cargo test -q --offline -p lac-hw --lib closed_form_dropped
+cargo test -q --offline --test matmul_equivalence untabulated_matmul_and_elem
+cargo test -q --offline --test golden_seed -- jpeg_train_fixed_on_wide_unit dft_train_fixed_on_wide_unit
+
 # CNN workload suites: the golden-seed pin for fixed-hardware CNN
 # training, per-layer gate-search invariance in the worker count,
 # bit-exact checkpoint/resume through a CNN session, the CNN-shape

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use lac::apps::{FilterApp, FilterKind, JpegApp, JpegMode, Kernel, StageMode};
+use lac::apps::{DftApp, FilterApp, FilterKind, JpegApp, JpegMode, Kernel, StageMode};
 use lac::core::{
     greedy_multi, search_accuracy_constrained, search_multi, search_single, train_fixed,
     MultiObjective, TrainConfig,
@@ -146,24 +146,28 @@ fn greedy_multi_matches_pre_refactor_bits() {
 }
 
 /// Smoke-scale `train_fixed` on the wide 16-bit `mul16s_GAT`, which has
-/// no dense product table: pins the untabulated conv forward (the
-/// per-tap product-row walk and its per-product fallback) to the bits
+/// no dense product table: pins the untabulated forwards (the filter
+/// apps' per-tap product-row conv and its per-product fallback, the
+/// JPEG/DFT row-batched matmuls and elementwise products) to the bits
 /// the one-model-call-per-product walk produced. Returns
 /// `(before, after, loss-trajectory hash, coefficient hash)`.
-fn wide_unit_train_fixed(kind: FilterKind, seed: u64) -> (u64, u64, u64, u64) {
+fn wide_unit_train_fixed<K: Kernel<Sample = GrayImage> + Sync>(
+    app: &K,
+    seed: u64,
+) -> (u64, u64, u64, u64) {
     let (train, test) = (images(0..4), images(100..102));
-    let app = FilterApp::new(kind, StageMode::Single);
     let mult = app.adapt(&catalog::by_name("mul16s_GAT").unwrap());
     assert!(mult.as_lut().is_none(), "mul16s_GAT must stay untabulated for this pin");
     let cfg = TrainConfig::new().epochs(4).learning_rate(2.0).minibatch(2).seed(seed).threads(2);
-    let r = train_fixed(&app, &mult, &train, &test, &cfg).expect("training");
+    let r = train_fixed(app, &mult, &train, &test, &cfg).expect("training");
     assert_eq!(r.loss_history.len(), 4);
     (r.before.to_bits(), r.after.to_bits(), hash_f64s(&r.loss_history), hash_tensors(&r.coeffs))
 }
 
 #[test]
 fn blur_train_fixed_on_wide_unit_matches_per_product_bits() {
-    let got = wide_unit_train_fixed(FilterKind::GaussianBlur, 13);
+    let app = FilterApp::new(FilterKind::GaussianBlur, StageMode::Single);
+    let got = wide_unit_train_fixed(&app, 13);
     assert_eq!(
         got,
         (0x3fe2997643a5ce58, 0x3fee7dc855abc947, 0x4371a811e00ea855, 0xdf9446d4a7be81bf)
@@ -174,9 +178,35 @@ fn blur_train_fixed_on_wide_unit_matches_per_product_bits() {
 fn edge_train_fixed_on_wide_unit_matches_per_product_bits() {
     // The Sobel taps' initial quality is already the best iterate, so
     // before == after; the loss trajectory still pins every forward.
-    let got = wide_unit_train_fixed(FilterKind::EdgeDetection, 17);
+    let app = FilterApp::new(FilterKind::EdgeDetection, StageMode::Single);
+    let got = wide_unit_train_fixed(&app, 17);
     assert_eq!(
         got,
         (0x3feddae41860a74a, 0x3feddae41860a74a, 0x6d07e6a81b408f27, 0xad20fa381f552e45)
+    );
+}
+
+/// JPEG (DCT, quantize, dequantize, IDCT) on `mul16s_GAT`: every block
+/// matmul and the dequantize elementwise product run on the untabulated
+/// unit. Constants captured on the one-model-call-per-product walk,
+/// before the row-batched matmul landed.
+#[test]
+fn jpeg_train_fixed_on_wide_unit_matches_per_product_bits() {
+    // As for edge, the initial coefficients stay the best iterate.
+    let got = wide_unit_train_fixed(&JpegApp::new(JpegMode::Single), 19);
+    assert_eq!(
+        got,
+        (0x403961436b4d267a, 0x403961436b4d267a, 0xedc3149b3b83a0a5, 0xb7c8328d37d77a85)
+    );
+}
+
+/// DFT (real and imaginary 12x12 tile matmuls) on `mul16s_GAT`,
+/// captured on the same pre-row-batching walk.
+#[test]
+fn dft_train_fixed_on_wide_unit_matches_per_product_bits() {
+    let got = wide_unit_train_fixed(&DftApp::new(), 23);
+    assert_eq!(
+        got,
+        (0x4051a7c2b766eaa2, 0x4051a7c2b766eaa2, 0xc1ae4b030cb93cf8, 0x6a03758b46fa40a5)
     );
 }

@@ -1,9 +1,10 @@
 //! Bit-equivalence battery for the blocked LUT-matmul kernels.
 //!
 //! `approx_matmul` has two implementations that must be observably one:
-//! the scalar trait-object path (one virtual `multiply` per product) and
-//! the LUT fast path in `lac-tensor::matmul_fast` (row-tabulated,
-//! cache-blocked, with fused surrogate-gradient kernels). These tests pin
+//! the scalar trait-object path (one virtual `multiply_row` call per row
+//! of products) and the LUT fast path in `lac-tensor::matmul_fast`
+//! (row-tabulated, cache-blocked, with fused surrogate-gradient
+//! kernels). These tests pin
 //! the contract from DESIGN.md §7d: for every catalog unit — healthy or
 //! fault-injected — forward values and surrogate gradients are
 //! bit-identical across the two paths, across repeated calls (which move
@@ -15,6 +16,12 @@
 //! per-tap product rows, and the per-product fallback that huge or
 //! non-finite pixels force, must match a one-model-call-per-product
 //! reference walk bit-for-bit.
+//!
+//! The third battery holds the same units to that reference in
+//! `approx_matmul` and `approx_matmul_scale_round`, which make one
+//! `Multiplier::multiply_row` call per row of products, and in
+//! `approx_mul_elem(_scale)`, at the JPEG and DFT shapes and at
+//! degenerate ones.
 
 use std::sync::Arc;
 
@@ -468,5 +475,170 @@ proptest! {
             })
             .collect();
         check_untabulated(mult, &x, bands, img_h, w, &k, &frac);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Untabulated units in approx_matmul / approx_matmul_scale_round (one
+// `multiply_row` call per row of products) and approx_mul_elem(_scale)
+// (one call per pair) against the one-model-call-per-product walk.
+
+/// `approx_matmul` and `approx_matmul_scale_round(c)` on `a` `[m, k]` ×
+/// `b` `[k, n]` must match the per-product reference bit-for-bit: each
+/// output a fresh `0.0` accumulator over ascending `p`, and exact-matmul
+/// gradients (of `r`, or `r · c`) through the materialized transposes.
+fn check_untabulated_matmul(
+    mult: &Arc<dyn Multiplier>,
+    a: &[f64],
+    b: &[f64],
+    (m, k, n): (usize, usize, usize),
+    r: &[f64],
+    c: f64,
+) {
+    let name = mult.name();
+    let (a, b, r) = (&a[..m * k], &b[..k * n], &r[..m * n]);
+    let at = Tensor::from_vec(a.to_vec(), &[m, k]);
+    let bt = Tensor::from_vec(b.to_vec(), &[k, n]);
+    let rt = Tensor::from_vec(r.to_vec(), &[m, n]);
+    let mut want = vec![0.0; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0;
+            for p in 0..k {
+                acc += product(&**mult, a[i * k + p], b[p * n + j]);
+            }
+            want[i * n + j] = acc;
+        }
+    }
+    let grads = |g: &Tensor| {
+        (bits(g.matmul(&bt.transpose()).data()), bits(at.transpose().matmul(g).data()))
+    };
+
+    let (da, db) = grads(&rt);
+    let got = run_op(&at, &bt, &rt, |va, vb| va.approx_matmul(vb, mult));
+    assert_eq!(got, (bits(&want), da, db), "{name}: approx_matmul {m}x{k}x{n}");
+
+    let scaled: Vec<f64> = want.iter().map(|v| (v * c).round()).collect();
+    let (da, db) = grads(&rt.map(|g| g * c));
+    let got = run_op(&at, &bt, &rt, |va, vb| va.approx_matmul_scale_round(vb, mult, c));
+    assert_eq!(got, (bits(&scaled), da, db), "{name}: approx_matmul_scale_round {m}x{k}x{n} c={c}");
+}
+
+/// `approx_mul_elem` and `approx_mul_elem_scale(c)` on equal-length `a`
+/// and `b`: one model call per pair, product-rule gradients.
+fn check_untabulated_elem(mult: &Arc<dyn Multiplier>, a: &[f64], b: &[f64], r: &[f64], c: f64) {
+    let name = mult.name();
+    let len = a.len();
+    let (at, bt, rt) = (
+        Tensor::from_vec(a.to_vec(), &[len]),
+        Tensor::from_vec(b.to_vec(), &[len]),
+        Tensor::from_vec(r[..len].to_vec(), &[len]),
+    );
+    let want: Vec<f64> = a.iter().zip(b).map(|(&x, &y)| product(&**mult, x, y)).collect();
+    let grads = |g: &[f64]| {
+        let da: Vec<f64> = g.iter().zip(b).map(|(gv, bv)| gv * bv).collect();
+        let db: Vec<f64> = g.iter().zip(a).map(|(gv, av)| gv * av).collect();
+        (bits(&da), bits(&db))
+    };
+
+    let (da, db) = grads(&r[..len]);
+    let got = run_op(&at, &bt, &rt, |va, vb| va.approx_mul_elem(vb, mult));
+    assert_eq!(got, (bits(&want), da, db), "{name}: approx_mul_elem x{len}");
+
+    let scaled: Vec<f64> = want.iter().map(|v| v * c).collect();
+    let gm: Vec<f64> = r[..len].iter().map(|g| g * c).collect();
+    let (da, db) = grads(&gm);
+    let got = run_op(&at, &bt, &rt, |va, vb| va.approx_mul_elem_scale(vb, mult, c));
+    assert_eq!(got, (bits(&scaled), da, db), "{name}: approx_mul_elem_scale x{len} c={c}");
+}
+
+/// JPEG block (8x8x8) and DFT tile (12x12x12) shapes, degenerate 0/1
+/// dimensions, and operands at ±1e300, ±inf, out of range and
+/// non-integral, for every untabulated unit.
+#[test]
+fn untabulated_matmul_and_elem_match_per_product_walk() {
+    const EXTREMES: [f64; 4] = [1e300, -1e300, f64::INFINITY, f64::NEG_INFINITY];
+    let shapes = [
+        (8, 8, 8),
+        (12, 12, 12),
+        (1, 1, 1),
+        (1, 12, 1),
+        (12, 1, 12),
+        (0, 3, 2),
+        (3, 0, 2),
+        (3, 2, 0),
+        (0, 0, 0),
+    ];
+    let len = 144;
+    let r: Vec<f64> = (0..len).map(|i| (i % 5) as f64 - 2.0).collect();
+    let operand_sets: [(Vec<f64>, Vec<f64>); 3] = [
+        // In range, mixed signs.
+        (
+            (0..len).map(|i| ((i * 37 + 11) % 601) as f64 - 300.0).collect(),
+            (0..len).map(|i| ((i * 53 + 7) % 40_001) as f64 - 20_000.0).collect(),
+        ),
+        // Non-integral and out of every unit's range.
+        (
+            (0..len).map(|i| (i % 9) as f64 * 1.25 - 4.5).collect(),
+            (0..len).map(|i| -70_000.0 + (i * 997 % 140_001) as f64 + 0.5).collect(),
+        ),
+        // Extremes mixed into small integers, on both sides.
+        (
+            (0..len)
+                .map(|i| if i % 7 == 3 { EXTREMES[i / 7 % 4] } else { (i % 9) as f64 })
+                .collect(),
+            (0..len)
+                .map(|i| if i % 5 == 1 { EXTREMES[i / 5 % 4] } else { (i % 11) as f64 })
+                .collect(),
+        ),
+    ];
+    for mult in untabulated_units() {
+        for (a, b) in &operand_sets {
+            for &dims in &shapes {
+                check_untabulated_matmul(&mult, a, b, dims, &r, 2f64.powi(-7));
+            }
+            check_untabulated_elem(&mult, &a[..64], &b[..64], &r, 2f64.powi(-3));
+            check_untabulated_elem(&mult, &[], &[], &r, 0.5);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random untabulated unit, shape and operands: `kind` picks 0
+    /// in-range integers, 1 non-integral values, 2 wide out-of-range
+    /// values, 3 a sprinkle of ±1e300 / ±inf. Shrinking walks dimensions
+    /// and values toward zero.
+    #[test]
+    fn untabulated_matmul_and_elem_match_per_product_walk_randomly(
+        unit in 0..untabulated_units().len(),
+        dims in (0usize..=12, 0usize..=12, 0usize..=12),
+        a in proptest::collection::vec(-40_000i64..=40_000, 144),
+        b in proptest::collection::vec(-40_000i64..=40_000, 144),
+        frac in proptest::collection::vec(-1.0f64..1.0, 144),
+        mode in (0u8..4, -8i32..=2),
+    ) {
+        let (kind, shift) = mode;
+        const EXTREMES: [f64; 4] = [1e300, -1e300, f64::INFINITY, f64::NEG_INFINITY];
+        let mult = &untabulated_units()[unit];
+        let values = |vs: &[i64]| -> Vec<f64> {
+            vs.iter()
+                .zip(&frac)
+                .enumerate()
+                .map(|(i, (&v, &f))| match kind {
+                    0 => (v % 300) as f64,
+                    1 => (v % 300) as f64 + f,
+                    2 => v as f64 * 4.0 + f,
+                    _ if i % 11 == 5 => EXTREMES[v.unsigned_abs() as usize % 4],
+                    _ => (v % 300) as f64,
+                })
+                .collect()
+        };
+        let (a, b) = (values(&a), values(&b));
+        let c = 2f64.powi(shift);
+        check_untabulated_matmul(mult, &a, &b, dims, &frac, c);
+        let len = dims.0 * dims.1;
+        check_untabulated_elem(mult, &a[..len], &b[..len], &frac, c);
     }
 }
