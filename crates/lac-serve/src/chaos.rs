@@ -2,16 +2,18 @@
 //!
 //! Two harnesses share one [`ChaosPlan`] vocabulary:
 //!
-//! - [`run_resilience`] is a fully deterministic *in-process* replica of
-//!   the daemon's dispatch loop — real protocol frames through a real
-//!   [`FrameReader`], real bounded [`BatchQueue`] admission, real
-//!   [`ServingModel`] inference, real
-//!   [`supervise`](lac_rt::supervise::supervise) panic recovery — but
-//!   with a [`MockClock`] instead of wall time and seeded arrivals
-//!   instead of sockets. Its report (and the committed
-//!   `BENCH_resilience.json` built from it by `resilience_sweep`) is a
-//!   pure function of the config, byte-identical for every `--jobs` and
-//!   worker count.
+//! - [`run_resilience`] drives the daemon's own serving core in
+//!   process: real protocol frames (poison probes included, as real
+//!   `DEBUG_PANIC` frames) go through real [`FrameReader`]s into the
+//!   same admission → batch → dispatch → respond code the TCP daemon
+//!   runs, with a [`MockClock`] instead of wall time, seeded arrivals
+//!   instead of sockets, and a transport that logs every response frame
+//!   in emission order. This module keeps only the harness: the tick
+//!   loop, fault placement, connection picking, and report counters
+//!   derived from the frames the transport saw and the core's health
+//!   counters. The report (and the committed `BENCH_resilience.json`
+//!   built from it by `resilience_sweep`) is a pure function of the
+//!   config, byte-identical for every `--jobs` and worker count.
 //! - [`run_chaos`] drives a *live* daemon over TCP: it front-loads the
 //!   plan's faults (dropped connections, oversized frames, fragmented
 //!   writes, `DEBUG_PANIC` pokes, a corrupt checkpoint swap) and then
@@ -24,21 +26,21 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
-use lac_apps::serving::{ServeApp, ServeSample};
+use lac_apps::serving::ServeApp;
 use lac_core::ServingModel;
-use lac_rt::clock::{Clock, MockClock};
+use lac_rt::clock::MockClock;
 use lac_rt::hash::fnv1a_64_hex;
 use lac_rt::json::Value;
 use lac_rt::rng::{RngExt, SeedableRng, StdRng};
-use lac_rt::supervise::{deliberate_panic, supervise};
 
-use crate::batch::{Admission, BatchQueue};
 use crate::client::Client;
 use crate::loadgen::{payload, run_loadgen, LoadgenConfig, LoadgenReport};
 use crate::protocol::{FrameEvent, FrameReader, Request, Response, MAX_FRAME_LEN};
-use crate::server::retry_after_hint;
+use crate::registry::Registry;
+use crate::server::{Core, ServerConfig, Transport};
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,30 +272,6 @@ impl ResilienceReport {
     }
 }
 
-/// Batch key of the simulated dispatcher: real traffic batches per
-/// kernel, poison probes dispatch alone.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SimKey {
-    App(ServeApp),
-    Poison(u64),
-}
-
-/// One admitted simulated request.
-struct SimPending {
-    conn: usize,
-    id: u64,
-    sample: Option<ServeSample>,
-    expires_at: Option<u64>,
-}
-
-/// One simulated client connection.
-struct SimConn {
-    reader: FrameReader,
-    dropped: bool,
-    /// Write the next request one byte at a time.
-    frag_next: bool,
-}
-
 /// The taxonomy class of an error message: its prefix before `:`.
 fn class_of(message: &str) -> String {
     match message.split_once(':') {
@@ -302,335 +280,205 @@ fn class_of(message: &str) -> String {
     }
 }
 
-struct Sim {
-    model: ServingModel,
-    clock: MockClock,
-    queue: BatchQueue<SimKey, SimPending>,
-    conns: Vec<SimConn>,
-    default_deadline_us: Option<u64>,
-    max_batch: usize,
-    service_per_item_us: u64,
-    threads: usize,
-    poison_seq: u64,
-    // Delivered response frames, concatenated, for the fingerprint.
+/// The in-process transport. Frames for live connections append to one
+/// delivery log in emission order (the report's fingerprint); frames
+/// for dropped connections are only counted. Every frame is tallied by
+/// kind whether or not its connection is still there.
+#[derive(Debug, Default)]
+struct Wire {
+    /// Per connection: dropped by the chaos schedule.
+    dropped: Vec<bool>,
+    /// Every frame delivered to a live connection, concatenated.
     delivered: Vec<u8>,
-    offered: u64,
+    /// Infer frames delivered to a live connection.
     completed: u64,
-    shed: u64,
-    expired: u64,
-    restarts: u64,
-    dropped_conns: u64,
     dropped_deliveries: u64,
-    batches: u64,
-    recovering: bool,
-    batches_since_restart: u64,
-    recovery_batches: Option<u64>,
+    /// Infer frames, delivered or not.
+    inferred: u64,
+    /// Error frames by class, plus `busy` for `BUSY` frames.
     taxonomy: BTreeMap<String, u64>,
 }
 
-impl Sim {
-    /// Encode and "deliver" a response: live connections accumulate the
-    /// frame into the fingerprint, dropped connections count the loss.
-    fn deliver(&mut self, conn: usize, resp: &Response) {
-        let bytes = match resp.encode() {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                let fallback = Response::Error { id: resp.id(), message: e };
-                match fallback.encode() {
-                    Ok(bytes) => bytes,
-                    Err(_) => return,
-                }
+impl Wire {
+    /// Frames of one taxonomy class so far.
+    fn count(&self, class: &str) -> u64 {
+        self.taxonomy.get(class).copied().unwrap_or(0)
+    }
+
+    /// Samples a forward pass answered so far: infer frames plus
+    /// `inference:` errors.
+    fn forwarded(&self) -> u64 {
+        self.inferred + self.count("inference")
+    }
+}
+
+impl Transport for Wire {
+    type Conn = usize;
+
+    fn send(&mut self, conn: &usize, resp: &Response, frame: Vec<u8>) {
+        let class = match resp {
+            Response::Infer { .. } => {
+                self.inferred += 1;
+                None
             }
+            Response::Busy { .. } => Some("busy".to_owned()),
+            Response::Error { message, .. } => Some(class_of(message)),
+            _ => None,
         };
-        match resp {
-            Response::Infer { .. } => {}
-            Response::Busy { .. } => *self.taxonomy.entry("busy".to_owned()).or_insert(0) += 1,
-            Response::Error { message, .. } => {
-                *self.taxonomy.entry(class_of(message)).or_insert(0) += 1;
-            }
-            _ => {}
+        if let Some(class) = class {
+            *self.taxonomy.entry(class).or_insert(0) += 1;
         }
-        if self.conns.get(conn).is_none_or(|c| c.dropped) {
+        if self.dropped.get(*conn).is_none_or(|&dropped| dropped) {
             self.dropped_deliveries += 1;
             return;
         }
         if let Response::Infer { .. } = resp {
             self.completed += 1;
         }
-        self.delivered.extend_from_slice(&bytes);
+        self.delivered.extend_from_slice(&frame);
+    }
+
+    fn flush(&mut self) {}
+}
+
+/// The in-process driver: the daemon's [`Core`] fed by simulated
+/// connections through real [`FrameReader`]s, answering over a
+/// [`Wire`].
+struct InProcess {
+    core: Core<usize>,
+    readers: Vec<FrameReader>,
+    wire: Wire,
+}
+
+impl InProcess {
+    fn new(registry: Arc<Registry>, cfg: ServerConfig, conns: usize) -> Self {
+        InProcess {
+            core: Core::new(registry, cfg),
+            readers: (0..conns).map(|_| FrameReader::new()).collect(),
+            wire: Wire { dropped: vec![false; conns], ..Wire::default() },
+        }
+    }
+
+    /// Feed raw bytes into connection `conn` (one byte at a time when
+    /// `fragmented`) and let the core answer every framing event.
+    fn feed(&mut self, conn: usize, bytes: &[u8], fragmented: bool) {
+        let mut events = Vec::new();
+        if let Some(reader) = self.readers.get_mut(conn) {
+            if fragmented {
+                for byte in bytes {
+                    reader.push(std::slice::from_ref(byte), &mut events);
+                }
+            } else {
+                reader.push(bytes, &mut events);
+            }
+        }
+        for event in events {
+            self.core.handle_event(&mut self.wire, &conn, event);
+        }
+    }
+
+    /// Dispatch one queued batch; `false` when nothing is queued.
+    fn dispatch(&mut self) -> bool {
+        !self.core.is_idle() && self.core.dispatch_next(&mut self.wire, None)
+    }
+}
+
+/// The tick loop's state around an [`InProcess`] driver: which
+/// connections fragment their next write, and the fault and recovery
+/// bookkeeping the report needs beyond what the wire counted.
+struct Harness {
+    io: InProcess,
+    app: ServeApp,
+    clock: Arc<MockClock>,
+    service_per_item_us: u64,
+    /// Per connection: write the next request one byte at a time.
+    frag_next: Vec<bool>,
+    poisons: u64,
+    offered: u64,
+    dropped_conns: u64,
+    batches: u64,
+    recovering: bool,
+    batches_since_restart: u64,
+    recovery_batches: Option<u64>,
+}
+
+impl Harness {
+    fn is_live(&self, conn: usize) -> bool {
+        self.io.wire.dropped.get(conn).is_some_and(|&dropped| !dropped)
     }
 
     /// First live connection at or after `salt % conns`.
     fn pick_conn(&self, salt: u64) -> usize {
-        let n = self.conns.len().max(1);
+        let n = self.io.wire.dropped.len().max(1);
         let start = (salt as usize) % n;
-        for i in 0..n {
-            let c = (start + i) % n;
-            if !self.conns.get(c).is_none_or(|conn| conn.dropped) {
-                return c;
-            }
-        }
-        start
-    }
-
-    /// Admit one decoded request, mirroring the daemon's shed path.
-    fn admit(&mut self, app: ServeApp, pending: SimPending) {
-        self.offered += 1;
-        let (conn, id) = (pending.conn, pending.id);
-        match self.queue.push(SimKey::App(app), pending) {
-            Admission::Admitted => {}
-            Admission::Busy { depth } => {
-                self.shed += 1;
-                self.deliver(
-                    conn,
-                    &Response::Busy {
-                        id,
-                        depth: depth as u32,
-                        retry_after_us: retry_after_hint(depth),
-                    },
-                );
-            }
-            Admission::Closed => {
-                self.deliver(
-                    conn,
-                    &Response::Error {
-                        id,
-                        message: "shutdown: server is draining, request refused".to_owned(),
-                    },
-                );
-            }
-        }
-    }
-
-    /// Handle frame-reader events for connection `conn`, exactly as the
-    /// daemon's reader loop would.
-    fn handle_events(&mut self, conn: usize, events: Vec<FrameEvent>) {
-        for event in events {
-            match event {
-                FrameEvent::Oversized { advertised } => {
-                    self.deliver(
-                        conn,
-                        &Response::Error {
-                            id: 0,
-                            message: format!(
-                                "overflow: frame advertises {advertised} bytes, \
-                                 limit is {MAX_FRAME_LEN}; skipped"
-                            ),
-                        },
-                    );
-                }
-                FrameEvent::Frame(body) => match Request::parse(&body) {
-                    Err(e) => self.deliver(
-                        conn,
-                        &Response::Error { id: 0, message: format!("malformed request: {e}") },
-                    ),
-                    Ok(Request::Infer { kernel, id, values, deadline_us }) => {
-                        let Some(app) = ServeApp::from_code(kernel) else {
-                            self.deliver(
-                                conn,
-                                &Response::Error {
-                                    id,
-                                    message: format!("malformed request: unknown kernel {kernel}"),
-                                },
-                            );
-                            continue;
-                        };
-                        match app.decode(&values) {
-                            Err(e) => self.deliver(
-                                conn,
-                                &Response::Error {
-                                    id,
-                                    message: format!("malformed request: {e}"),
-                                },
-                            ),
-                            Ok(sample) => {
-                                let deadline = deadline_us.or(self.default_deadline_us);
-                                let expires_at =
-                                    deadline.map(|d| self.clock.now_us().saturating_add(d));
-                                self.admit(
-                                    app,
-                                    SimPending { conn, id, sample: Some(sample), expires_at },
-                                );
-                            }
-                        }
-                    }
-                    Ok(other) => {
-                        // The harness only generates infer frames; any
-                        // other opcode here is a decode bug.
-                        self.deliver(
-                            conn,
-                            &Response::Error {
-                                id: other.id(),
-                                message: "malformed request: unexpected opcode".to_owned(),
-                            },
-                        );
-                    }
-                },
-            }
-        }
-    }
-
-    /// Feed raw bytes into one connection's frame reader.
-    fn feed(&mut self, conn: usize, bytes: &[u8], fragmented: bool) {
-        let mut events = Vec::new();
-        if let Some(c) = self.conns.get_mut(conn) {
-            if fragmented {
-                for byte in bytes {
-                    c.reader.push(std::slice::from_ref(byte), &mut events);
-                }
-            } else {
-                c.reader.push(bytes, &mut events);
-            }
-        }
-        self.handle_events(conn, events);
+        (0..n).map(|i| (start + i) % n).find(|&c| self.is_live(c)).unwrap_or(start)
     }
 
     /// Apply one scheduled fault at `tick`.
     fn apply_event(&mut self, tick: u64, event: ChaosEvent) {
+        let c = self.pick_conn(tick);
         match event {
             ChaosEvent::Drop => {
-                let c = self.pick_conn(tick);
-                if let Some(conn) = self.conns.get_mut(c) {
-                    if !conn.dropped {
-                        conn.dropped = true;
+                if let Some(dropped) = self.io.wire.dropped.get_mut(c) {
+                    if !*dropped {
+                        *dropped = true;
                         self.dropped_conns += 1;
                     }
                 }
             }
             ChaosEvent::Fragment => {
-                let c = self.pick_conn(tick);
-                if let Some(conn) = self.conns.get_mut(c) {
-                    conn.frag_next = true;
+                if let Some(frag) = self.frag_next.get_mut(c) {
+                    *frag = true;
                 }
             }
             ChaosEvent::Oversized => {
-                let c = self.pick_conn(tick);
                 let advertised = (MAX_FRAME_LEN as u32).saturating_add(1);
-                self.feed(c, &advertised.to_le_bytes(), false);
+                self.io.feed(c, &advertised.to_le_bytes(), false);
                 // Complete the oversized body so the stream resyncs and
                 // later requests on this connection still parse.
-                self.feed(c, &vec![0u8; advertised as usize], false);
+                self.io.feed(c, &vec![0u8; advertised as usize], false);
             }
             ChaosEvent::Panic => {
-                let c = self.pick_conn(tick);
-                let token = self.poison_seq;
-                self.poison_seq += 1;
-                let id = 0xFEED_0000_0000_0000 | token;
-                self.offered += 1;
-                let pending = SimPending { conn: c, id, sample: None, expires_at: None };
-                if let Admission::Busy { depth } = self.queue.push(SimKey::Poison(token), pending)
-                {
-                    self.shed += 1;
-                    self.deliver(
-                        c,
-                        &Response::Busy {
-                            id,
-                            depth: depth as u32,
-                            retry_after_us: retry_after_hint(depth),
-                        },
-                    );
+                let id = 0xFEED_0000_0000_0000 | self.poisons;
+                self.poisons += 1;
+                if let Ok(bytes) = (Request::DebugPanic { id }).encode() {
+                    self.offered += 1;
+                    self.io.feed(c, &bytes, false);
                 }
             }
             ChaosEvent::CorruptSwap => {
-                // A corrupt checkpoint swap: the registry refuses the
-                // artifact and the connection gets a structured error.
-                let c = self.pick_conn(tick);
-                if let Err(e) = ServingModel::untrained(self.model.app(), "mul8u_CORRUPT") {
-                    self.deliver(
-                        c,
-                        &Response::Error {
-                            id: 0xC0_0000_0000_0000 | tick,
-                            message: format!("swap: corrupt checkpoint refused ({e})"),
-                        },
-                    );
-                }
+                // The core's swap step refuses the corrupt artifact and
+                // answers the connection with a structured error.
+                let refused = ServingModel::untrained(self.app, "mul8u_CORRUPT")
+                    .map_err(|e| format!("corrupt checkpoint refused ({e})"));
+                self.io.core.swap(&mut self.io.wire, &c, 0xC0_0000_0000_0000 | tick, refused);
             }
         }
     }
 
-    /// Process one popped batch (runs under `supervise`; poison batches
-    /// unwind here).
-    fn process_batch(&mut self, key: SimKey, batch: &mut [SimPending]) {
-        if let SimKey::Poison(_) = key {
-            deliberate_panic("injected dispatcher panic (DEBUG_PANIC opcode)");
-        }
-        let now = self.clock.now_us();
-        let mut live: Vec<(usize, u64)> = Vec::new();
-        let mut samples: Vec<ServeSample> = Vec::new();
-        for p in batch.iter_mut() {
-            if p.expires_at.is_some_and(|t| now >= t) {
-                self.expired += 1;
-                self.deliver(
-                    p.conn,
-                    &Response::Error {
-                        id: p.id,
-                        message: "deadline: expired before dispatch".to_owned(),
-                    },
-                );
-                continue;
-            }
-            if let Some(sample) = p.sample.take() {
-                live.push((p.conn, p.id));
-                samples.push(sample);
-            }
-        }
-        if samples.is_empty() {
-            return;
-        }
-        self.clock.advance(self.service_per_item_us * samples.len() as u64);
-        let mode = self.model.trained_mode();
-        match self.model.infer_mode(mode, &samples, self.threads) {
-            Ok(outputs) => {
-                for ((conn, id), values) in live.into_iter().zip(outputs) {
-                    self.deliver(conn, &Response::Infer { id, values });
-                }
-                if self.recovering {
-                    let took = self.batches_since_restart;
-                    self.recovery_batches =
-                        Some(self.recovery_batches.map_or(took, |worst| worst.max(took)));
-                    self.recovering = false;
-                }
-            }
-            Err(e) => {
-                for (conn, id) in live {
-                    self.deliver(conn, &Response::Error { id, message: e.clone() });
-                }
-            }
-        }
-    }
-
-    /// Pop and process one batch; returns false when the queue is empty.
-    fn dispatch_batch(&mut self) -> bool {
-        if self.queue.is_empty() {
+    /// Dispatch one batch, then advance the clock by its service time
+    /// and track panic recovery from the frames it produced. Returns
+    /// `false` when nothing is queued.
+    fn serve_batch(&mut self) -> bool {
+        let wire = &self.io.wire;
+        let before = (wire.count("panic"), wire.inferred, wire.forwarded());
+        if !self.io.dispatch() {
             return false;
         }
-        let Some((key, batch)) = self.queue.pop_batch(self.max_batch, Duration::ZERO) else {
-            return false;
-        };
         self.batches += 1;
         if self.recovering {
             self.batches_since_restart += 1;
         }
-        let metas: Vec<(usize, u64)> = batch.iter().map(|p| (p.conn, p.id)).collect();
-        let mut batch = batch;
-        let mut panicked: Option<String> = None;
-        supervise(
-            || self.process_batch(key, &mut batch),
-            |msg| {
-                panicked = Some(msg.to_owned());
-                false // the supervisor restarts the loop, not the batch
-            },
-        );
-        if let Some(msg) = panicked {
-            self.restarts += 1;
+        let wire = &self.io.wire;
+        self.clock.advance(self.service_per_item_us * (wire.forwarded() - before.2));
+        if wire.count("panic") > before.0 {
             self.recovering = true;
             self.batches_since_restart = 0;
-            for (conn, id) in metas {
-                self.deliver(
-                    conn,
-                    &Response::Error { id, message: format!("panic: dispatcher restarted: {msg}") },
-                );
-            }
+        } else if self.recovering && wire.inferred > before.1 {
+            let took = self.batches_since_restart;
+            self.recovery_batches =
+                Some(self.recovery_batches.map_or(took, |worst| worst.max(took)));
+            self.recovering = false;
         }
         true
     }
@@ -638,36 +486,37 @@ impl Sim {
 
 /// Run one deterministic in-process resilience cell.
 ///
-/// Wall-clock-free: time is a [`MockClock`] advanced by the simulated
-/// scheduler, so the report — fingerprint included — is byte-identical
-/// across machines, `--jobs`, and worker counts.
+/// Wall-clock-free: time is a [`MockClock`] advanced by the tick loop,
+/// so the report — fingerprint included — is byte-identical across
+/// machines, `--jobs`, and worker counts.
 pub fn run_resilience(cfg: &ResilienceConfig) -> Result<ResilienceReport, String> {
-    let model = ServingModel::untrained(cfg.app, &cfg.spec).map_err(|e| e.to_string())?;
-    let mut sim = Sim {
-        model,
-        clock: MockClock::new(0),
-        queue: BatchQueue::bounded(cfg.queue_cap),
-        conns: (0..cfg.conns.max(1))
-            .map(|_| SimConn { reader: FrameReader::new(), dropped: false, frag_next: false })
-            .collect(),
-        default_deadline_us: cfg.deadline_us,
+    let registry = Arc::new(Registry::new());
+    registry.swap(ServingModel::untrained(cfg.app, &cfg.spec).map_err(|e| e.to_string())?);
+    let clock = Arc::new(MockClock::new(0));
+    let server = ServerConfig {
+        workers: cfg.threads,
         max_batch: cfg.max_batch,
+        linger: Duration::ZERO,
+        queue_cap: cfg.queue_cap,
+        default_deadline_us: cfg.deadline_us,
+        debug_opcodes: true,
+        clock: clock.clone(),
+        ..ServerConfig::default()
+    };
+    let conns = cfg.conns.max(1);
+    let mut sim = Harness {
+        io: InProcess::new(registry, server, conns),
+        app: cfg.app,
+        clock,
         service_per_item_us: cfg.service_per_item_us,
-        threads: cfg.threads,
-        poison_seq: 0,
-        delivered: Vec::new(),
+        frag_next: vec![false; conns],
+        poisons: 0,
         offered: 0,
-        completed: 0,
-        shed: 0,
-        expired: 0,
-        restarts: 0,
         dropped_conns: 0,
-        dropped_deliveries: 0,
         batches: 0,
         recovering: false,
         batches_since_restart: 0,
         recovery_batches: None,
-        taxonomy: BTreeMap::new(),
     };
 
     let events = cfg.chaos.events(cfg.ticks);
@@ -681,7 +530,7 @@ pub fn run_resilience(cfg: &ResilienceConfig) -> Result<ResilienceReport, String
         }
         for _ in 0..cfg.arrivals_per_tick {
             let conn = sim.pick_conn(arrival);
-            if sim.conns.get(conn).is_none_or(|c| c.dropped) {
+            if !sim.is_live(conn) {
                 break; // every connection is gone; no more arrivals
             }
             let id = ((conn as u64) << 48) | arrival;
@@ -693,33 +542,33 @@ pub fn run_resilience(cfg: &ResilienceConfig) -> Result<ResilienceReport, String
             };
             arrival += 1;
             let Ok(bytes) = request.encode() else { continue };
-            let fragmented = sim.conns.get(conn).is_some_and(|c| c.frag_next);
-            if let Some(c) = sim.conns.get_mut(conn) {
-                c.frag_next = false;
-            }
-            sim.feed(conn, &bytes, fragmented);
+            let fragmented = sim.frag_next.get_mut(conn).is_some_and(std::mem::take);
+            sim.offered += 1;
+            sim.io.feed(conn, &bytes, fragmented);
         }
         for _ in 0..cfg.batches_per_tick {
-            if !sim.dispatch_batch() {
+            if !sim.serve_batch() {
                 break;
             }
         }
     }
     // Drain whatever is still queued, as the daemon does on shutdown.
-    while sim.dispatch_batch() {}
+    while sim.serve_batch() {}
 
+    let health = sim.io.core.health();
+    let wire = sim.io.wire;
     Ok(ResilienceReport {
         offered: sim.offered,
-        completed: sim.completed,
-        shed: sim.shed,
-        expired: sim.expired,
-        restarts: sim.restarts,
+        completed: wire.completed,
+        shed: health.shed,
+        expired: health.expired,
+        restarts: health.dispatcher_restarts,
         dropped_conns: sim.dropped_conns,
-        dropped_deliveries: sim.dropped_deliveries,
+        dropped_deliveries: wire.dropped_deliveries,
         batches: sim.batches,
         recovery_batches: sim.recovery_batches,
-        taxonomy: sim.taxonomy,
-        fingerprint: fnv1a_64_hex(&sim.delivered),
+        taxonomy: wire.taxonomy,
+        fingerprint: fnv1a_64_hex(&wire.delivered),
     })
 }
 
@@ -830,14 +679,23 @@ pub struct ChaosReport {
     pub loadgen: LoadgenReport,
 }
 
-/// One raw framed round trip over a fresh connection.
-fn raw_round_trip(port: u16, bytes: &[u8], timeout: Duration) -> Result<Response, String> {
+/// One raw framed round trip over a fresh connection, writing `bytes`
+/// one at a time when `fragmented`.
+fn raw_round_trip(
+    port: u16,
+    bytes: &[u8],
+    timeout: Duration,
+    fragmented: bool,
+) -> Result<Response, String> {
     let mut stream =
         TcpStream::connect(("127.0.0.1", port)).map_err(|e| format!("chaos connect: {e}"))?;
     stream
         .set_read_timeout(Some(timeout))
         .map_err(|e| format!("chaos timeout: {e}"))?;
-    stream.write_all(bytes).map_err(|e| format!("chaos write: {e}"))?;
+    let chunk = if fragmented { 1 } else { bytes.len().max(1) };
+    for piece in bytes.chunks(chunk) {
+        stream.write_all(piece).map_err(|e| format!("chaos write: {e}"))?;
+    }
     let mut reader = FrameReader::new();
     let mut events = Vec::new();
     let mut buf = [0u8; 64 * 1024];
@@ -894,7 +752,7 @@ pub fn run_chaos(cfg: &LoadgenConfig, plan: &ChaosPlan) -> Result<ChaosReport, S
     // overflow error instead of buffering the advertised body.
     for _ in 0..plan.oversized {
         let header = ((MAX_FRAME_LEN as u32).saturating_add(1)).to_le_bytes();
-        let resp = raw_round_trip(cfg.port, &header, cfg.timeout)?;
+        let resp = raw_round_trip(cfg.port, &header, cfg.timeout, false)?;
         match resp {
             Response::Error { message, .. } if message.starts_with("overflow:") => {
                 report.oversized_rejections += 1;
@@ -912,31 +770,7 @@ pub fn run_chaos(cfg: &LoadgenConfig, plan: &ChaosPlan) -> Result<ChaosReport, S
             values: payload(cfg.app, plan.seed ^ 0x5eed, u64::from(i)),
             deadline_us: None,
         };
-        let bytes = request.encode()?;
-        let mut stream =
-            TcpStream::connect(("127.0.0.1", cfg.port)).map_err(|e| format!("chaos connect: {e}"))?;
-        stream
-            .set_read_timeout(Some(cfg.timeout))
-            .map_err(|e| format!("chaos timeout: {e}"))?;
-        for byte in &bytes {
-            stream
-                .write_all(std::slice::from_ref(byte))
-                .map_err(|e| format!("chaos write: {e}"))?;
-        }
-        let mut reader = FrameReader::new();
-        let mut events = Vec::new();
-        let mut buf = [0u8; 64 * 1024];
-        let resp = loop {
-            if let Some(FrameEvent::Frame(body)) = events.first() {
-                break Response::parse(body)?;
-            }
-            events.clear();
-            let n = stream.read(&mut buf).map_err(|e| format!("chaos read: {e}"))?;
-            if n == 0 {
-                return Err("chaos: server closed the fragmented connection".to_owned());
-            }
-            reader.push(&buf[..n], &mut events);
-        };
+        let resp = raw_round_trip(cfg.port, &request.encode()?, cfg.timeout, true)?;
         match resp {
             Response::Infer { id: got, .. } if got == id => report.fragmented_ok += 1,
             other => return Err(format!("chaos: fragmented request got {other:?}")),
@@ -953,7 +787,7 @@ pub fn run_chaos(cfg: &LoadgenConfig, plan: &ChaosPlan) -> Result<ChaosReport, S
             id: 0xC0_0000 | u64::from(i),
             path: path.to_string_lossy().into_owned(),
         };
-        let resp = raw_round_trip(cfg.port, &request.encode()?, cfg.timeout);
+        let resp = raw_round_trip(cfg.port, &request.encode()?, cfg.timeout, false);
         let _ = std::fs::remove_file(&path);
         match resp? {
             Response::Error { .. } => report.corrupt_swap_rejections += 1,
@@ -964,7 +798,7 @@ pub fn run_chaos(cfg: &LoadgenConfig, plan: &ChaosPlan) -> Result<ChaosReport, S
     // Dispatcher poison: requires the daemon to run with debug opcodes.
     for i in 0..plan.panics {
         let request = Request::DebugPanic { id: 0xBAD | (u64::from(i) << 16) };
-        match raw_round_trip(cfg.port, &request.encode()?, cfg.timeout)? {
+        match raw_round_trip(cfg.port, &request.encode()?, cfg.timeout, false)? {
             Response::Error { message, .. } if message.starts_with("panic:") => {
                 report.injected_panics += 1;
             }
@@ -1074,5 +908,113 @@ mod tests {
         assert!(report.taxonomy.contains_key("busy"));
         let again = run_resilience(&heavy.1).unwrap();
         assert_eq!(report, again);
+    }
+
+    /// Send `bytes` on `stream` and read back exactly one response
+    /// frame, length prefix included.
+    fn round_trip(stream: &mut TcpStream, reader: &mut FrameReader, bytes: &[u8]) -> Vec<u8> {
+        stream.write_all(bytes).unwrap();
+        let mut events = Vec::new();
+        let mut buf = [0u8; 64 * 1024];
+        loop {
+            if let Some(event) = events.pop() {
+                assert!(events.is_empty(), "one request outstanding, one response");
+                let FrameEvent::Frame(body) = event else { panic!("oversized response") };
+                let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+                frame.extend_from_slice(&body);
+                return frame;
+            }
+            let n = stream.read(&mut buf).unwrap();
+            assert!(n > 0, "daemon closed the connection");
+            reader.push(&buf[..n], &mut events);
+        }
+    }
+
+    /// The TCP daemon and the in-process driver run one core: the same
+    /// per-connection script of requests, one outstanding at a time,
+    /// gets the same response bytes from both.
+    #[test]
+    fn tcp_and_in_process_drivers_answer_byte_identically() {
+        let registry = || {
+            let registry = Arc::new(Registry::new());
+            for (app, spec) in [
+                (ServeApp::Blur, "mul8u_FTA"),
+                (ServeApp::Jpeg, "mul8u_FTA"),
+                (ServeApp::Dft, "mul8u_FTA"),
+                (ServeApp::InverseK2j, "DRUM16-4"),
+            ] {
+                registry.swap(ServingModel::untrained(app, spec).unwrap());
+            }
+            registry
+        };
+        let cfg = ServerConfig {
+            workers: 2,
+            max_batch: 4,
+            linger: Duration::ZERO,
+            debug_opcodes: true,
+            ..ServerConfig::default()
+        };
+        let infer = |kernel: u8, id: u64, values: Vec<f64>| {
+            Request::Infer { kernel, id, values, deadline_us: None }.encode().unwrap()
+        };
+        let valid = |app: ServeApp, id: u64| infer(app.code(), id, payload(app, 9, id));
+        // An oversized header plus the body it advertises, so the
+        // stream resyncs for the requests after it.
+        let mut oversized = (MAX_FRAME_LEN as u32 + 1).to_le_bytes().to_vec();
+        oversized.resize(4 + MAX_FRAME_LEN + 1, 0);
+        let script = [
+            vec![
+                valid(ServeApp::Blur, 1),
+                valid(ServeApp::InverseK2j, 2),
+                infer(ServeApp::Blur.code(), 3, vec![1.0; 3]),
+                valid(ServeApp::Dft, 4),
+            ],
+            vec![
+                infer(42, 5, vec![0.0; 4]),
+                oversized,
+                valid(ServeApp::Jpeg, 6),
+                Request::DebugPanic { id: 7 }.encode().unwrap(),
+                valid(ServeApp::Blur, 8),
+            ],
+        ];
+        let steps = script.iter().map(Vec::len).max().unwrap();
+
+        let server = crate::serve(registry(), cfg.clone(), 0).unwrap();
+        let mut streams: Vec<(TcpStream, FrameReader)> = script
+            .iter()
+            .map(|_| {
+                let stream = TcpStream::connect(("127.0.0.1", server.port())).unwrap();
+                stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+                (stream, FrameReader::new())
+            })
+            .collect();
+        let mut tcp = vec![Vec::new(); script.len()];
+        for step in 0..steps {
+            for (c, (stream, reader)) in streams.iter_mut().enumerate() {
+                if let Some(bytes) = script[c].get(step) {
+                    tcp[c].extend(round_trip(stream, reader, bytes));
+                }
+            }
+        }
+        server.shutdown();
+        server.join();
+
+        let mut io = InProcess::new(registry(), cfg, script.len());
+        let mut local = vec![Vec::new(); script.len()];
+        for step in 0..steps {
+            for (c, requests) in script.iter().enumerate() {
+                if let Some(bytes) = requests.get(step) {
+                    let before = io.wire.delivered.len();
+                    io.feed(c, bytes, false);
+                    while io.dispatch() {}
+                    local[c].extend_from_slice(&io.wire.delivered[before..]);
+                }
+            }
+        }
+        assert_eq!(tcp, local, "the two drivers answered differently");
+        for class in ["malformed request", "overflow", "panic"] {
+            assert!(io.wire.taxonomy.contains_key(class), "{class}: {:?}", io.wire.taxonomy);
+        }
+        assert_eq!(io.wire.completed, 5, "every valid infer was answered");
     }
 }

@@ -60,6 +60,7 @@ use lac_rt::hash::{fnv1a_64, fnv1a_64_hex};
 use lac_rt::json::Value;
 
 use crate::registry::Registry;
+use crate::server::forward;
 
 /// Governor knobs. All decision inputs are deterministic; `log` only
 /// adds a JSONL sink.
@@ -515,12 +516,14 @@ pub struct ClosedLoopReport {
 /// Drive a governed registry through seeded traffic with a seeded
 /// mid-run fault injection, entirely in-process and wall-clock free.
 ///
-/// The loop mirrors the daemon's dispatcher: resolve `(model, mode)`
-/// per batch, infer, then hand sampled batches to the governor. Faults
-/// arrive as a checkpoint hot-swap to a model whose approximate rungs
-/// carry a `flip=` fault spec — exactly how a degraded redeploy looks
-/// in production — and clear by swapping the healthy model back, which
-/// also exercises swap/step position handoff under live stepping.
+/// Each batch goes through the daemon's own forward step
+/// (`server::forward`): resolve `(model, mode)`, infer, and package
+/// sampled batches for the governor, with the batch index as the
+/// sequence number. Faults arrive as a checkpoint hot-swap to a model
+/// whose approximate rungs carry a `flip=` fault spec — exactly how a
+/// degraded redeploy looks in production — and clear by swapping the
+/// healthy model back, which also exercises swap/step position handoff
+/// under live stepping.
 pub fn run_closed_loop(cfg: &ClosedLoopConfig) -> Result<ClosedLoopReport, String> {
     let healthy = Arc::new(
         ServingModel::untrained(cfg.app, &cfg.trained_spec)
@@ -573,14 +576,11 @@ pub fn run_closed_loop(cfg: &ClosedLoopConfig) -> Result<ClosedLoopReport, Strin
             let n = seq * cfg.batch_size as u64 + k as u64;
             samples.push(cfg.app.decode(&crate::loadgen::payload(cfg.app, cfg.traffic_seed, n))?);
         }
-        let (model, mode) =
-            registry.resolve_mode(cfg.app).ok_or("registry slot emptied mid-run")?;
-        let outputs = model.infer_mode(mode, &samples, cfg.threads)?;
-        mode_timeline.push((seq, mode));
-        if should_sample(cfg.governor.seed, cfg.app, seq, cfg.governor.sample_rate) {
-            let job = GovernorJob { model, app: cfg.app, seq, mode, samples, outputs };
+        let fwd = forward(&registry, cfg.app, samples, cfg.threads, Some((&cfg.governor, seq)))?;
+        mode_timeline.push((seq, fwd.mode));
+        if let Some(job) = fwd.job {
             let obs = governor.observe(&job, cfg.threads)?;
-            sampled.push((seq, mode, obs.quality));
+            sampled.push((seq, job.mode, obs.quality));
         }
     }
 

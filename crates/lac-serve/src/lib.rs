@@ -26,7 +26,10 @@
 //! counters ride on the extended `PING` health reply. A seeded chaos
 //! harness ([`chaos`]) injects connection drops, fragmented writes,
 //! oversized frames, dispatcher panics and corrupt checkpoint swaps,
-//! and produces the deterministic `BENCH_resilience.json`.
+//! and produces the deterministic `BENCH_resilience.json`. The TCP
+//! daemon and that in-process harness are two drivers of one serving
+//! core in [`server`] (admission → batch → dispatch → respond), so the
+//! resilience benchmark measures the daemon's own code.
 //!
 //! # Quick start
 //!

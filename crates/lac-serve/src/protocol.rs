@@ -155,7 +155,8 @@ pub enum Response {
         /// unparseable).
         id: u64,
         /// What went wrong, prefixed with its taxonomy class
-        /// (`malformed:`, `deadline:`, `panic:`, `overflow:`, …).
+        /// (`malformed request:`, `deadline:`, `panic:`, `overflow:`, …;
+        /// DESIGN.md §10 lists them all).
         message: String,
     },
 }
@@ -404,6 +405,13 @@ impl Response {
             }
         }
         frame(body)
+    }
+
+    /// [`encode`](Self::encode), degrading an unencodable (over-limit)
+    /// response to an error frame that carries the `overflow:` reason.
+    /// `None` only if even that frame cannot be built.
+    pub(crate) fn encode_or_degrade(&self) -> Option<Vec<u8>> {
+        self.encode().or_else(|message| Response::Error { id: self.id(), message }.encode()).ok()
     }
 
     /// Parse one complete frame body.

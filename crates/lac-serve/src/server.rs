@@ -1,20 +1,29 @@
-//! The serving daemon: accept loop, per-connection readers/writers, and
-//! the supervised batching dispatcher.
+//! The serving core, and the TCP daemon that drives it.
 //!
 //! # Architecture
 //!
 //! ```text
 //! accept loop ──spawns──▶ reader thread per connection
-//!                            │  parse frame → decode sample
-//!                            │  stamp deadline, bounded admission
+//!                            │  FrameReader → Core::handle_event:
+//!                            │  parse, decode, stamp deadline,
+//!                            │  bounded admission
 //!                            ▼
 //!               BatchQueue (arrival order, depth-capped)
 //!                            │  head run of one key, ≤ max_batch
 //!                            ▼
-//!        supervised dispatcher ── lac_rt::par pool (cfg.workers) ──▶
-//!        deadline pass → one batched forward pass → responses
-//!        enqueued per connection (bounded outbox + writer thread)
+//!        dispatcher ── Core::dispatch_next, one supervised batch ──▶
+//!        deadline pass → forward() on the lac_rt::par pool (cfg.workers)
+//!        → responses coalesced per connection (bounded outbox + writer)
 //! ```
+//!
+//! [`Core`] is the one copy of the serving semantics: admission → batch
+//! → dispatch → respond. It reads time from [`ServerConfig::clock`] and
+//! answers through a [`Transport`] (send a response to a connection,
+//! flush at the end of an event or batch). Two thin drivers run it:
+//! the TCP daemon in this module ([`serve`]), whose transport coalesces
+//! each connection's responses into one outbox enqueue per batch, and
+//! the in-process resilience harness ([`crate::chaos`]), whose
+//! transport logs frames in emission order on a mock clock.
 //!
 //! Readers do all per-request validation (framing, opcodes, payload
 //! decoding), answering malformed requests with error frames so only
@@ -22,8 +31,8 @@
 //! head-run batches, drops expired requests with `deadline:` errors
 //! before spending kernel time, resolves the model `Arc` once per batch
 //! (so a concurrent hot-swap never splits a batch across models), runs
-//! the batched forward pass across the worker pool, and enqueues each
-//! connection's responses as one coalesced buffer.
+//! the batched forward pass across the worker pool, and answers every
+//! request in batch order.
 //!
 //! # Resilience
 //!
@@ -39,10 +48,11 @@
 //!   timeout. A reader that stalls past the buffer or the timeout is
 //!   condemned (socket shut down, buffer discarded) without ever
 //!   blocking the dispatcher's fan-out.
-//! * **Panic supervision** — the dispatcher (and governor) run under
-//!   [`lac_rt::supervise::supervise`]: a panic converts the in-flight
-//!   batch into per-request `panic:` error frames, bumps a restart
-//!   counter, and restarts the thread. Injected panics
+//! * **Panic supervision** — every batch runs under
+//!   [`lac_rt::supervise::supervise`]: a panic converts the batch's
+//!   in-flight requests into per-request `panic:` error frames, bumps a
+//!   restart counter, and the dispatcher goes on to the next batch (the
+//!   governor thread is supervised the same way). Injected panics
 //!   ([`Request::DebugPanic`], gated by
 //!   [`ServerConfig::debug_opcodes`]) are dispatched as solo poison
 //!   batches, so they can never take innocent requests down with them.
@@ -73,7 +83,7 @@ use lac_rt::clock::{Clock, MonotonicClock};
 use lac_rt::supervise::{deliberate_panic, supervise};
 
 use crate::batch::{Admission, BatchQueue};
-use crate::governor::{self, GovernorConfig, GovernorJob};
+use crate::governor::{self, should_sample, GovernorConfig, GovernorJob};
 use crate::protocol::{FrameEvent, FrameReader, Request, Response, MAX_FRAME_LEN};
 use crate::registry::Registry;
 
@@ -135,9 +145,371 @@ impl Default for ServerConfig {
     }
 }
 
-/// Retry-after hint for a request shed at `depth` queued items.
-pub(crate) fn retry_after_hint(depth: usize) -> u64 {
-    (depth as u64 + 1) * RETRY_HINT_PER_QUEUED_US
+/// Where the core's responses go. The core emits every response in
+/// order through [`send`](Transport::send) and calls
+/// [`flush`](Transport::flush) at the end of each framing event and
+/// each batch.
+pub(crate) trait Transport {
+    /// The driver's connection handle.
+    type Conn;
+    /// Deliver `resp`, already encoded as `frame`, to `conn`.
+    fn send(&mut self, conn: &Self::Conn, resp: &Response, frame: Vec<u8>);
+    /// Deliver whatever [`send`](Transport::send) buffered.
+    fn flush(&mut self);
+}
+
+/// One validated request waiting for a batch. `sample` is `None` only
+/// for injected poison probes ([`Request::DebugPanic`]).
+struct Pending<C> {
+    id: u64,
+    sample: Option<ServeSample>,
+    conn: C,
+    /// Absolute expiry reading of the config clock, if any.
+    expires_at: Option<u64>,
+}
+
+/// Batch key: real traffic batches per kernel; every poison probe gets
+/// a unique key so it dispatches as a solo batch and can never take
+/// innocent requests down with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BatchKey {
+    App(ServeApp),
+    Poison(u64),
+}
+
+/// The `unavailable:` answer for a kernel with no published model.
+fn no_model(app: ServeApp) -> String {
+    format!("unavailable: no model loaded for kernel `{}`", app.cli_id())
+}
+
+/// One batch's forward pass (see [`forward`]).
+pub(crate) struct Forward {
+    /// Per-sample outputs, in batch order.
+    pub(crate) outputs: Vec<Vec<f64>>,
+    /// The ladder rung the batch ran at.
+    pub(crate) mode: usize,
+    /// The batch packaged for the governor, when sampled.
+    pub(crate) job: Option<GovernorJob>,
+}
+
+/// The forward step every driver shares: resolve `app`'s live
+/// `(model, mode)` once, run the batch at that rung, and — when
+/// `sampling` names governor knobs and this batch's per-app sequence
+/// number and the seeded hash picks it — package the batch as a
+/// [`GovernorJob`].
+pub(crate) fn forward(
+    registry: &Registry,
+    app: ServeApp,
+    samples: Vec<ServeSample>,
+    workers: usize,
+    sampling: Option<(&GovernorConfig, u64)>,
+) -> Result<Forward, String> {
+    // Resolve once per batch: a hot-swap or a governor step between
+    // batches takes effect cleanly; one during a batch lets it finish
+    // on the state it started with.
+    let (model, mode) = registry.resolve_mode(app).ok_or_else(|| no_model(app))?;
+    let outputs =
+        model.infer_mode(mode, &samples, workers).map_err(|e| format!("inference: {e}"))?;
+    let job = sampling
+        .filter(|(g, seq)| should_sample(g.seed, app, *seq, g.sample_rate))
+        .map(|(_, seq)| GovernorJob { model, app, seq, mode, samples, outputs: outputs.clone() });
+    Ok(Forward { outputs, mode, job })
+}
+
+/// The serving state machine: admission → batch → dispatch → respond,
+/// generic over the driver's connection handle `C`.
+#[derive(Debug)]
+pub(crate) struct Core<C> {
+    registry: Arc<Registry>,
+    queue: BatchQueue<BatchKey, Pending<C>>,
+    cfg: ServerConfig,
+    stop: AtomicBool,
+    /// Per-app dispatched-batch counters (governor sampling keys on
+    /// these, so the sample set depends only on batch arrival order).
+    batch_seq: [AtomicU64; 6],
+    /// Unique keys for poison probes.
+    poison_seq: AtomicU64,
+    shed: AtomicU64,
+    expired: AtomicU64,
+    dispatcher_restarts: AtomicU64,
+    /// `Arc` so the governor thread can bump it from its supervisor.
+    governor_restarts: Arc<AtomicU64>,
+    slow_disconnects: AtomicU64,
+}
+
+impl<C: Clone> Core<C> {
+    pub(crate) fn new(registry: Arc<Registry>, cfg: ServerConfig) -> Self {
+        Core {
+            registry,
+            queue: BatchQueue::bounded(cfg.queue_cap),
+            cfg,
+            stop: AtomicBool::new(false),
+            batch_seq: Default::default(),
+            poison_seq: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            expired: AtomicU64::new(0),
+            dispatcher_restarts: AtomicU64::new(0),
+            governor_restarts: Arc::new(AtomicU64::new(0)),
+            slow_disconnects: AtomicU64::new(0),
+        }
+    }
+
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.queue.close();
+    }
+
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Whether no request is waiting for a batch.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    pub(crate) fn health(&self) -> HealthSnapshot {
+        let mut modes = Vec::new();
+        for app in self.registry.apps() {
+            if let Some((_, mode)) = self.registry.resolve_mode(app) {
+                modes.push((app.code(), mode as u8));
+            }
+        }
+        HealthSnapshot {
+            queue_depth: self.queue.len() as u32,
+            shed: self.shed.load(Ordering::SeqCst),
+            expired: self.expired.load(Ordering::SeqCst),
+            dispatcher_restarts: self.dispatcher_restarts.load(Ordering::SeqCst),
+            governor_restarts: self.governor_restarts.load(Ordering::SeqCst),
+            slow_client_disconnects: self.slow_disconnects.load(Ordering::SeqCst),
+            modes,
+        }
+    }
+
+    fn respond<T: Transport<Conn = C>>(&self, out: &mut T, conn: &C, resp: &Response) {
+        if let Some(frame) = resp.encode_or_degrade() {
+            out.send(conn, resp, frame);
+        }
+    }
+
+    fn error<T: Transport<Conn = C>>(&self, out: &mut T, conn: &C, id: u64, message: String) {
+        self.respond(out, conn, &Response::Error { id, message });
+    }
+
+    /// Answer one framing event from `conn`, then flush. Returns `true`
+    /// on `SHUTDOWN`.
+    pub(crate) fn handle_event<T: Transport<Conn = C>>(
+        &self,
+        out: &mut T,
+        conn: &C,
+        event: FrameEvent,
+    ) -> bool {
+        let shutdown = self.answer(out, conn, event);
+        out.flush();
+        shutdown
+    }
+
+    fn answer<T: Transport<Conn = C>>(&self, out: &mut T, conn: &C, event: FrameEvent) -> bool {
+        let body = match event {
+            FrameEvent::Oversized { advertised } => {
+                let message = format!(
+                    "overflow: frame advertises {advertised} bytes, limit is {MAX_FRAME_LEN}; \
+                     skipped"
+                );
+                self.error(out, conn, 0, message);
+                return false;
+            }
+            FrameEvent::Frame(body) => body,
+        };
+        let request = match Request::parse(&body) {
+            Ok(req) => req,
+            Err(e) => {
+                self.error(out, conn, 0, format!("malformed request: {e}"));
+                return false;
+            }
+        };
+        match request {
+            Request::Ping { id } => {
+                self.respond(out, conn, &Response::Pong { id, health: self.health() });
+            }
+            Request::Infer { kernel, id, values, deadline_us } => {
+                let Some(app) = ServeApp::from_code(kernel) else {
+                    let message = format!("malformed request: unknown kernel {kernel}");
+                    self.error(out, conn, id, message);
+                    return false;
+                };
+                if self.registry.resolve(app).is_none() {
+                    self.error(out, conn, id, no_model(app));
+                    return false;
+                }
+                match app.decode(&values) {
+                    Ok(sample) => {
+                        let deadline = deadline_us.or(self.cfg.default_deadline_us);
+                        let expires_at =
+                            deadline.map(|d| self.cfg.clock.now_us().saturating_add(d));
+                        let pending =
+                            Pending { id, sample: Some(sample), conn: conn.clone(), expires_at };
+                        self.admit(out, BatchKey::App(app), pending);
+                    }
+                    Err(e) => self.error(out, conn, id, format!("malformed request: {e}")),
+                }
+            }
+            Request::DebugPanic { id } => {
+                if !self.cfg.debug_opcodes {
+                    let message =
+                        "debug: DEBUG_PANIC refused (server started without debug opcodes)";
+                    self.error(out, conn, id, message.into());
+                    return false;
+                }
+                let token = self.poison_seq.fetch_add(1, Ordering::SeqCst);
+                let pending = Pending { id, sample: None, conn: conn.clone(), expires_at: None };
+                self.admit(out, BatchKey::Poison(token), pending);
+            }
+            Request::Swap { id, path } => {
+                let loaded = ServingModel::load(Path::new(&path)).map_err(|e| e.to_string());
+                self.swap(out, conn, id, loaded);
+            }
+            Request::Shutdown { id } => {
+                self.respond(out, conn, &Response::Bye { id });
+                self.request_stop();
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Publish a loaded checkpoint, or answer with a `swap:` error
+    /// naming why it was refused. Responds without flushing.
+    pub(crate) fn swap<T: Transport<Conn = C>>(
+        &self,
+        out: &mut T,
+        conn: &C,
+        id: u64,
+        loaded: Result<ServingModel, String>,
+    ) {
+        match loaded {
+            Ok(model) => {
+                let kernel = model.app().code();
+                self.registry.swap(model);
+                self.respond(out, conn, &Response::Swapped { id, kernel });
+            }
+            Err(e) => self.error(out, conn, id, format!("swap: {e}")),
+        }
+    }
+
+    /// Push one request through bounded admission, answering the
+    /// shed/drain cases with structured frames.
+    fn admit<T: Transport<Conn = C>>(&self, out: &mut T, key: BatchKey, pending: Pending<C>) {
+        let (conn, id) = (pending.conn.clone(), pending.id);
+        match self.queue.push(key, pending) {
+            Admission::Admitted => {}
+            Admission::Busy { depth } => {
+                self.shed.fetch_add(1, Ordering::SeqCst);
+                let retry_after_us = (depth as u64 + 1) * RETRY_HINT_PER_QUEUED_US;
+                let busy = Response::Busy { id, depth: depth as u32, retry_after_us };
+                self.respond(out, &conn, &busy);
+            }
+            Admission::Closed => {
+                self.error(out, &conn, id, "shutdown: server is draining, request refused".into());
+            }
+        }
+    }
+
+    /// Pop the next batch (blocking until one is queued, lingering per
+    /// the config) and run it under the panic supervisor: a panicking
+    /// batch answers its in-flight requests with `panic:` errors and
+    /// bumps the restart counter, and the caller goes on to the next
+    /// batch. Flushes at the end. Returns `false` once the queue is
+    /// closed and drained.
+    pub(crate) fn dispatch_next<T: Transport<Conn = C>>(
+        &self,
+        out: &mut T,
+        governor: Option<&mpsc::Sender<GovernorJob>>,
+    ) -> bool {
+        let Some((key, batch)) = self.queue.pop_batch(self.cfg.max_batch, self.cfg.linger) else {
+            return false;
+        };
+        let mut batch = Some(batch);
+        let mut inflight = Vec::new();
+        let mut panicked = None;
+        supervise(
+            || {
+                if let Some(batch) = batch.take() {
+                    self.run_batch(out, key, batch, &mut inflight, governor);
+                }
+            },
+            |msg| {
+                panicked = Some(msg.to_owned());
+                false
+            },
+        );
+        if let Some(msg) = panicked {
+            self.dispatcher_restarts.fetch_add(1, Ordering::SeqCst);
+            for (conn, id) in inflight {
+                self.error(out, &conn, id, format!("panic: dispatcher restarted: {msg}"));
+            }
+        }
+        out.flush();
+        true
+    }
+
+    /// Answer one batch. Requests handed to the forward pass (or the
+    /// poison probe) sit in `inflight` until answered, so a panic
+    /// leaves exactly the unanswered ones there.
+    fn run_batch<T: Transport<Conn = C>>(
+        &self,
+        out: &mut T,
+        key: BatchKey,
+        batch: Vec<Pending<C>>,
+        inflight: &mut Vec<(C, u64)>,
+        governor: Option<&mpsc::Sender<GovernorJob>>,
+    ) {
+        let app = match key {
+            BatchKey::Poison(_) => {
+                inflight.extend(batch.into_iter().map(|p| (p.conn, p.id)));
+                deliberate_panic("injected dispatcher panic (DEBUG_PANIC opcode)");
+            }
+            BatchKey::App(app) => app,
+        };
+        // Deadline pass: drop expired requests before spending kernel
+        // time on them. `now >= expires_at` so a zero deadline is
+        // deterministically expired at dispatch.
+        let now = self.cfg.clock.now_us();
+        let mut samples = Vec::with_capacity(batch.len());
+        for p in batch {
+            if p.expires_at.is_some_and(|t| now >= t) {
+                self.expired.fetch_add(1, Ordering::SeqCst);
+                self.error(out, &p.conn, p.id, "deadline: expired before dispatch".into());
+            } else if let Some(sample) = p.sample {
+                inflight.push((p.conn, p.id));
+                samples.push(sample);
+            }
+        }
+        if samples.is_empty() {
+            return;
+        }
+        let sampling = match (&self.cfg.governor, governor) {
+            (Some(gcfg), Some(_)) => {
+                Some((gcfg, self.batch_seq[app.code() as usize].fetch_add(1, Ordering::SeqCst)))
+            }
+            _ => None,
+        };
+        match forward(&self.registry, app, samples, self.cfg.workers, sampling) {
+            Ok(fwd) => {
+                if let (Some(job), Some(tx)) = (fwd.job, governor) {
+                    let _ = tx.send(job);
+                }
+                for ((conn, id), values) in inflight.drain(..).zip(fwd.outputs) {
+                    self.respond(out, &conn, &Response::Infer { id, values });
+                }
+            }
+            Err(message) => {
+                for (conn, id) in inflight.drain(..) {
+                    self.error(out, &conn, id, message.clone());
+                }
+            }
+        }
+    }
 }
 
 /// Unsent response bytes for one connection.
@@ -212,19 +584,6 @@ impl Conn {
         }
     }
 
-    /// Encode and buffer one response. An unencodable (over-limit)
-    /// response degrades to a structured error frame.
-    fn send(&self, resp: &Response) -> Enqueue {
-        let bytes = match resp.encode() {
-            Ok(b) => b,
-            Err(e) => match (Response::Error { id: resp.id(), message: e }).encode() {
-                Ok(b) => b,
-                Err(_) => return Enqueue::Dropped,
-            },
-        };
-        self.enqueue(&bytes)
-    }
-
     /// Condemn the connection: discard the backlog and shut the socket
     /// down so its reader exits too. Returns `true` on the first
     /// condemnation (idempotent afterwards).
@@ -250,46 +609,42 @@ impl Conn {
     }
 }
 
-/// One validated request waiting for a batch. `sample` is `None` only
-/// for injected poison probes ([`Request::DebugPanic`]).
-struct Pending {
-    id: u64,
-    sample: Option<ServeSample>,
-    conn: Arc<Conn>,
-    /// Absolute expiry reading of the config clock, if any.
-    expires_at: Option<u64>,
+/// The daemon's transport: responses coalesce per connection, and
+/// `flush` hands each connection's bytes to its outbox in one enqueue,
+/// folding slow-client condemnations into the health counters.
+struct Outgoing<'a> {
+    pending: Vec<(Arc<Conn>, Vec<u8>)>,
+    slow_disconnects: &'a AtomicU64,
 }
 
-/// Batch key: real traffic batches per kernel; every poison probe gets
-/// a unique key so it dispatches as a solo batch and can never take
-/// innocent requests down with it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BatchKey {
-    App(ServeApp),
-    Poison(u64),
+impl<'a> Outgoing<'a> {
+    fn new(core: &'a Core<Arc<Conn>>) -> Self {
+        Outgoing { pending: Vec::new(), slow_disconnects: &core.slow_disconnects }
+    }
+}
+
+impl Transport for Outgoing<'_> {
+    type Conn = Arc<Conn>;
+
+    fn send(&mut self, conn: &Arc<Conn>, _resp: &Response, frame: Vec<u8>) {
+        match self.pending.iter_mut().find(|(c, _)| Arc::ptr_eq(c, conn)) {
+            Some((_, bytes)) => bytes.extend_from_slice(&frame),
+            None => self.pending.push((Arc::clone(conn), frame)),
+        }
+    }
+
+    fn flush(&mut self) {
+        for (conn, bytes) in self.pending.drain(..) {
+            if conn.enqueue(&bytes) == Enqueue::Condemned {
+                self.slow_disconnects.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
 struct Shared {
-    registry: Arc<Registry>,
-    queue: BatchQueue<BatchKey, Pending>,
-    cfg: ServerConfig,
-    stop: AtomicBool,
-    /// Per-app dispatched-batch counters (governor sampling keys on
-    /// these, so the sample set depends only on batch arrival order).
-    batch_seq: [AtomicU64; 6],
-    /// Unique keys for poison probes.
-    poison_seq: AtomicU64,
-    shed: AtomicU64,
-    expired: AtomicU64,
-    dispatcher_restarts: AtomicU64,
-    /// `Arc` so the governor thread can bump it from its supervisor.
-    governor_restarts: Arc<AtomicU64>,
-    slow_disconnects: AtomicU64,
-    /// The batch the dispatcher is currently working on; on a
-    /// dispatcher panic the supervisor converts these into `panic:`
-    /// error frames so no request silently vanishes.
-    inflight: Mutex<Vec<(Arc<Conn>, u64)>>,
+    core: Core<Arc<Conn>>,
     /// Every accepted connection, for outbox close at join time.
     /// `join` takes the list and leaves `None`: a reader that registers
     /// after that closes its own outbox on exit.
@@ -298,56 +653,11 @@ struct Shared {
 
 impl Shared {
     fn new(registry: Arc<Registry>, cfg: ServerConfig) -> Self {
-        Shared {
-            registry,
-            queue: BatchQueue::bounded(cfg.queue_cap),
-            cfg,
-            stop: AtomicBool::new(false),
-            batch_seq: Default::default(),
-            poison_seq: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            dispatcher_restarts: AtomicU64::new(0),
-            governor_restarts: Arc::new(AtomicU64::new(0)),
-            slow_disconnects: AtomicU64::new(0),
-            inflight: Mutex::new(Vec::new()),
-            conns: Mutex::new(Some(Vec::new())),
-        }
+        Shared { core: Core::new(registry, cfg), conns: Mutex::new(Some(Vec::new())) }
     }
 
     fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.queue.close();
-    }
-
-    fn stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Enqueue one response, folding a slow-client condemnation into
-    /// the health counters.
-    fn send_counted(&self, conn: &Conn, resp: &Response) {
-        if conn.send(resp) == Enqueue::Condemned {
-            self.slow_disconnects.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    fn health(&self) -> HealthSnapshot {
-        let mut modes = Vec::new();
-        for app in self.registry.apps() {
-            if let Some((_, mode)) = self.registry.resolve_mode(app) {
-                modes.push((app.code(), mode as u8));
-            }
-        }
-        HealthSnapshot {
-            queue_depth: self.queue.len() as u32,
-            shed: self.shed.load(Ordering::SeqCst),
-            expired: self.expired.load(Ordering::SeqCst),
-            dispatcher_restarts: self.dispatcher_restarts.load(Ordering::SeqCst),
-            governor_restarts: self.governor_restarts.load(Ordering::SeqCst),
-            slow_client_disconnects: self.slow_disconnects.load(Ordering::SeqCst),
-            modes,
-        }
+        self.core.request_stop();
     }
 }
 
@@ -383,12 +693,12 @@ pub fn serve(
 
     // The governor thread (if configured) scores sampled batches off
     // the hot path; it exits when the dispatcher drops its sender.
-    let (governor_tx, governor_handle) = match shared.cfg.governor.clone() {
+    let core = &shared.core;
+    let (governor_tx, governor_handle) = match core.cfg.governor.clone() {
         Some(gcfg) => {
-            let registry = Arc::clone(&shared.registry);
-            let workers = shared.cfg.workers;
-            let restarts = Arc::clone(&shared.governor_restarts);
-            let (tx, handle) = governor::spawn(gcfg, registry, workers, restarts)
+            let registry = Arc::clone(&core.registry);
+            let restarts = Arc::clone(&core.governor_restarts);
+            let (tx, handle) = governor::spawn(gcfg, registry, core.cfg.workers, restarts)
                 .map_err(|e| std::io::Error::new(e.kind(), format!("governor log: {e}")))?;
             (Some(tx), Some(handle))
         }
@@ -396,7 +706,10 @@ pub fn serve(
     };
     let dispatcher = {
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || dispatcher_loop(&shared, governor_tx))
+        std::thread::spawn(move || {
+            let mut out = Outgoing::new(&shared.core);
+            while shared.core.dispatch_next(&mut out, governor_tx.as_ref()) {}
+        })
     };
     let accept = {
         let shared = Arc::clone(&shared);
@@ -464,7 +777,7 @@ fn accept_loop(
     listener: TcpListener,
     readers: &Mutex<Vec<std::thread::JoinHandle<()>>>,
 ) {
-    while !shared.stopping() {
+    while !shared.core.stopping() {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
@@ -484,8 +797,8 @@ fn accept_loop(
 /// closed (drain, then exit) or the connection is condemned. A write
 /// that fails — including one that blocks past the configured write
 /// timeout — condemns the connection.
-fn writer_loop(shared: &Shared, conn: &Conn) {
-    let _ = conn.stream.set_write_timeout(Some(shared.cfg.write_timeout));
+fn writer_loop(core: &Core<Arc<Conn>>, conn: &Conn) {
+    let _ = conn.stream.set_write_timeout(Some(core.cfg.write_timeout));
     loop {
         let chunk = {
             let mut o = conn.lock_outbox();
@@ -499,7 +812,7 @@ fn writer_loop(shared: &Shared, conn: &Conn) {
         };
         if (&conn.stream).write_all(&chunk).is_err() {
             if conn.condemn() {
-                shared.slow_disconnects.fetch_add(1, Ordering::SeqCst);
+                core.slow_disconnects.fetch_add(1, Ordering::SeqCst);
             }
             return;
         }
@@ -507,8 +820,9 @@ fn writer_loop(shared: &Shared, conn: &Conn) {
 }
 
 fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
+    let core = &shared.core;
     let conn = match stream.try_clone() {
-        Ok(write_half) => Arc::new(Conn::new(write_half, shared.cfg.write_buf_cap)),
+        Ok(write_half) => Arc::new(Conn::new(write_half, core.cfg.write_buf_cap)),
         Err(_) => return,
     };
     let registered = match &mut *shared.conns.lock().unwrap_or_else(|e| e.into_inner()) {
@@ -521,7 +835,7 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     let writer = {
         let conn = Arc::clone(&conn);
         let shared = Arc::clone(shared);
-        std::thread::spawn(move || writer_loop(&shared, &conn))
+        std::thread::spawn(move || writer_loop(&shared.core, &conn))
     };
     // Short read timeouts let the reader poll the stop flag while idle;
     // arriving bytes wake it immediately.
@@ -529,9 +843,10 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
 
     let mut frames = FrameReader::new();
     let mut events = Vec::new();
+    let mut out = Outgoing::new(core);
     let mut buf = [0u8; 64 * 1024];
     'conn: loop {
-        if shared.stopping() {
+        if core.stopping() {
             break;
         }
         let n = match stream.read(&mut buf) {
@@ -547,7 +862,7 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
         };
         frames.push(&buf[..n], &mut events);
         for event in events.drain(..) {
-            if handle_event(shared, &conn, event) {
+            if core.handle_event(&mut out, &conn, event) {
                 break 'conn; // SHUTDOWN acknowledged
             }
         }
@@ -557,285 +872,10 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     // closes it once the dispatcher has fanned out the drained queue —
     // unless join() had already closed the others before this
     // connection registered.
-    if !shared.stopping() || !registered {
+    if !core.stopping() || !registered {
         conn.close();
     }
     let _ = writer.join();
-}
-
-/// Process one framing event; returns `true` on `SHUTDOWN`.
-fn handle_event(shared: &Shared, conn: &Arc<Conn>, event: FrameEvent) -> bool {
-    let body = match event {
-        FrameEvent::Oversized { advertised } => {
-            shared.send_counted(
-                conn,
-                &Response::Error {
-                    id: 0,
-                    message: format!(
-                        "overflow: frame advertises {advertised} bytes, limit is \
-                         {MAX_FRAME_LEN}; skipped"
-                    ),
-                },
-            );
-            return false;
-        }
-        FrameEvent::Frame(body) => body,
-    };
-    let request = match Request::parse(&body) {
-        Ok(req) => req,
-        Err(e) => {
-            shared.send_counted(
-                conn,
-                &Response::Error { id: 0, message: format!("malformed request: {e}") },
-            );
-            return false;
-        }
-    };
-    match request {
-        Request::Ping { id } => {
-            shared.send_counted(conn, &Response::Pong { id, health: shared.health() });
-        }
-        Request::Infer { kernel, id, values, deadline_us } => {
-            let Some(app) = ServeApp::from_code(kernel) else {
-                shared.send_counted(
-                    conn,
-                    &Response::Error { id, message: format!("unknown kernel code {kernel}") },
-                );
-                return false;
-            };
-            if shared.registry.resolve(app).is_none() {
-                shared.send_counted(
-                    conn,
-                    &Response::Error {
-                        id,
-                        message: format!("no model loaded for kernel `{}`", app.cli_id()),
-                    },
-                );
-                return false;
-            }
-            match app.decode(&values) {
-                Ok(sample) => {
-                    let deadline = deadline_us.or(shared.cfg.default_deadline_us);
-                    let expires_at =
-                        deadline.map(|d| shared.cfg.clock.now_us().saturating_add(d));
-                    let pending =
-                        Pending { id, sample: Some(sample), conn: Arc::clone(conn), expires_at };
-                    admit(shared, conn, id, BatchKey::App(app), pending);
-                }
-                Err(message) => shared.send_counted(conn, &Response::Error { id, message }),
-            }
-        }
-        Request::DebugPanic { id } => {
-            if !shared.cfg.debug_opcodes {
-                shared.send_counted(
-                    conn,
-                    &Response::Error {
-                        id,
-                        message: "debug: DEBUG_PANIC refused (server started without debug \
-                                  opcodes)"
-                            .into(),
-                    },
-                );
-                return false;
-            }
-            let token = shared.poison_seq.fetch_add(1, Ordering::SeqCst);
-            let pending = Pending { id, sample: None, conn: Arc::clone(conn), expires_at: None };
-            admit(shared, conn, id, BatchKey::Poison(token), pending);
-        }
-        Request::Swap { id, path } => match ServingModel::load(Path::new(&path)) {
-            Ok(model) => {
-                let code = model.app().code();
-                shared.registry.swap(model);
-                shared.send_counted(conn, &Response::Swapped { id, kernel: code });
-            }
-            Err(e) => {
-                shared.send_counted(conn, &Response::Error { id, message: e.to_string() })
-            }
-        },
-        Request::Shutdown { id } => {
-            shared.send_counted(conn, &Response::Bye { id });
-            shared.request_stop();
-            return true;
-        }
-    }
-    false
-}
-
-/// Push one pending request through bounded admission, answering the
-/// shed/drain cases with structured frames.
-fn admit(shared: &Shared, conn: &Conn, id: u64, key: BatchKey, pending: Pending) {
-    match shared.queue.push(key, pending) {
-        Admission::Admitted => {}
-        Admission::Busy { depth } => {
-            shared.shed.fetch_add(1, Ordering::SeqCst);
-            shared.send_counted(
-                conn,
-                &Response::Busy {
-                    id,
-                    depth: depth as u32,
-                    retry_after_us: retry_after_hint(depth),
-                },
-            );
-        }
-        Admission::Closed => {
-            shared.send_counted(
-                conn,
-                &Response::Error {
-                    id,
-                    message: "shutdown: server is draining, request refused".into(),
-                },
-            );
-        }
-    }
-}
-
-/// Remember the batch the dispatcher is about to work on, so a panic
-/// mid-batch can be converted into per-request errors.
-fn set_inflight(shared: &Shared, metas: &[(Arc<Conn>, u64)]) {
-    let mut inflight = shared.inflight.lock().unwrap_or_else(|e| e.into_inner());
-    inflight.clear();
-    inflight.extend(metas.iter().map(|(c, id)| (Arc::clone(c), *id)));
-}
-
-fn clear_inflight(shared: &Shared) {
-    shared.inflight.lock().unwrap_or_else(|e| e.into_inner()).clear();
-}
-
-/// The dispatcher under its panic supervisor: a panicking batch is
-/// converted into per-request `panic:` errors, the restart counter is
-/// bumped, and the loop resumes — the daemon never dies with the batch.
-fn dispatcher_loop(shared: &Shared, governor_tx: Option<mpsc::Sender<GovernorJob>>) {
-    supervise(
-        || dispatcher_run(shared, &governor_tx),
-        |msg| {
-            shared.dispatcher_restarts.fetch_add(1, Ordering::SeqCst);
-            let poisoned = {
-                let mut inflight = shared.inflight.lock().unwrap_or_else(|e| e.into_inner());
-                std::mem::take(&mut *inflight)
-            };
-            for (conn, id) in poisoned {
-                shared.send_counted(
-                    &conn,
-                    &Response::Error {
-                        id,
-                        message: format!("panic: dispatcher restarted: {msg}"),
-                    },
-                );
-            }
-            true
-        },
-    );
-}
-
-fn dispatcher_run(shared: &Shared, governor_tx: &Option<mpsc::Sender<GovernorJob>>) {
-    let cfg = &shared.cfg;
-    while let Some((key, batch)) = shared.queue.pop_batch(cfg.max_batch, cfg.linger) {
-        let app = match key {
-            BatchKey::Poison(_) => {
-                // A poison probe is always a solo batch (unique key);
-                // record it as in-flight so the supervisor answers it
-                // with a structured `panic:` error frame.
-                let metas: Vec<(Arc<Conn>, u64)> =
-                    batch.iter().map(|p| (Arc::clone(&p.conn), p.id)).collect();
-                set_inflight(shared, &metas);
-                deliberate_panic("injected dispatcher panic (DEBUG_PANIC opcode)");
-            }
-            BatchKey::App(app) => app,
-        };
-        // Deadline pass: drop expired requests before spending kernel
-        // time on them. `now >= expires_at` so a zero deadline is
-        // deterministically expired at dispatch.
-        let now = cfg.clock.now_us();
-        let mut live = Vec::with_capacity(batch.len());
-        for p in batch {
-            if p.expires_at.is_some_and(|t| now >= t) {
-                shared.expired.fetch_add(1, Ordering::SeqCst);
-                shared.send_counted(
-                    &p.conn,
-                    &Response::Error {
-                        id: p.id,
-                        message: "deadline: expired before dispatch".into(),
-                    },
-                );
-            } else {
-                live.push(p);
-            }
-        }
-        if live.is_empty() {
-            continue;
-        }
-        // Resolve model + runtime mode once per batch: a hot-swap or a
-        // governor step between batches takes effect cleanly; one
-        // during a batch lets it finish on the state it started with.
-        let Some((model, mode)) = shared.registry.resolve_mode(app) else {
-            for p in &live {
-                shared.send_counted(
-                    &p.conn,
-                    &Response::Error {
-                        id: p.id,
-                        message: format!("no model loaded for kernel `{}`", app.cli_id()),
-                    },
-                );
-            }
-            continue;
-        };
-        let mut metas = Vec::with_capacity(live.len());
-        let mut samples = Vec::with_capacity(live.len());
-        for p in live {
-            if let Some(sample) = p.sample {
-                metas.push((p.conn, p.id));
-                samples.push(sample);
-            }
-        }
-        set_inflight(shared, &metas);
-        match model.infer_mode(mode, &samples, cfg.workers) {
-            Ok(outputs) => {
-                if let (Some(gcfg), Some(tx)) = (&cfg.governor, governor_tx) {
-                    let seq =
-                        shared.batch_seq[app.code() as usize].fetch_add(1, Ordering::SeqCst);
-                    if governor::should_sample(gcfg.seed, app, seq, gcfg.sample_rate) {
-                        let _ = tx.send(GovernorJob {
-                            model: Arc::clone(&model),
-                            app,
-                            seq,
-                            mode,
-                            samples: samples.clone(),
-                            outputs: outputs.clone(),
-                        });
-                    }
-                }
-                // Coalesce each connection's responses into one
-                // enqueue; the per-connection writer threads do the
-                // socket I/O, so a stalled peer never blocks this loop.
-                let mut per_conn: Vec<(Arc<Conn>, Vec<u8>)> = Vec::new();
-                for ((conn, id), values) in metas.into_iter().zip(outputs) {
-                    let frame = match (Response::Infer { id, values }).encode() {
-                        Ok(b) => b,
-                        Err(e) => match (Response::Error { id, message: e }).encode() {
-                            Ok(b) => b,
-                            Err(_) => continue,
-                        },
-                    };
-                    match per_conn.iter_mut().find(|(c, _)| Arc::ptr_eq(c, &conn)) {
-                        Some((_, bytes)) => bytes.extend_from_slice(&frame),
-                        None => per_conn.push((conn, frame)),
-                    }
-                }
-                for (conn, bytes) in per_conn {
-                    if conn.enqueue(&bytes) == Enqueue::Condemned {
-                        shared.slow_disconnects.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            }
-            Err(message) => {
-                for (conn, id) in metas {
-                    shared
-                        .send_counted(&conn, &Response::Error { id, message: message.clone() });
-                }
-            }
-        }
-        clear_inflight(shared);
-    }
 }
 
 #[cfg(test)]

@@ -37,8 +37,9 @@ if [[ -n "${engine_panics}" ]]; then
 fi
 
 # Panic-free serving guard: the hardened daemon reports failures as
-# structured error frames (taxonomy prefixes: malformed/overflow/
-# deadline/panic/busy/shutdown/debug/swap), never by unwinding — even
+# structured error frames (taxonomy prefixes: malformed request/
+# overflow/deadline/panic/shutdown/debug/swap/unavailable/inference,
+# plus the BUSY opcode), never by unwinding — even
 # the injected chaos panic goes through lac-rt's deliberate_panic under
 # the supervisor. New unwrap()/panic! in non-test lac-serve code would
 # crash the dispatcher instead of answering the request. Doc-comment
@@ -158,6 +159,15 @@ cargo test -q --offline -p lac-serve --test serving
 echo "== resilience suites (chaos harness, admission, deadlines, supervision)"
 cargo test -q --offline -p lac-serve chaos::
 cargo test -q --offline -p lac-serve --test resilience
+
+# One serving core (DESIGN.md §10): the TCP daemon and the in-process
+# resilience driver run the same admission → batch → dispatch → respond
+# code, so one scripted request sequence must get byte-identical
+# responses from both; and every error frame the daemon can be made to
+# send carries a class DESIGN.md §10 documents.
+echo "== serving core: driver conformance + error taxonomy"
+cargo test -q --offline -p lac-serve --lib chaos::tests::tcp_and_in_process_drivers_answer_byte_identically
+cargo test -q --offline -p lac-serve --test taxonomy
 
 # Governor ownership guard (DESIGN.md §9): runtime serving-mode state
 # has exactly one writer — the QualityGovernor FSM. Registry install
