@@ -19,11 +19,19 @@
 //! multiplier's operand range and intermediate values are re-quantized and
 //! range-fitted between stages by exact power-of-two shifts — the standard
 //! integer-DCT datapath the paper's scaling description implies.
+//!
+//! The approximate branch stacks the image's sixteen 8×8 blocks into one
+//! `[128, 8]` tensor, block-major, and records each stage over the whole
+//! stack: the DCT and IDCT are one [`Var::approx_block_transform`] node
+//! each, and dequantization is elementwise against Q50 tiled once per
+//! image. The output is the `[1024]` stack flattened, blocks in
+//! raster order — bit-identical to running every block through its own
+//! chain of nodes.
 
 use std::sync::Arc;
 
 use lac_hw::{signed_capable, LutMultiplier, Multiplier};
-use lac_tensor::{concat, Graph, Tensor, Var};
+use lac_tensor::{BlockSide, Graph, Tensor, Var};
 
 use crate::kernel::{coeff_upscale, fit_shift, pixel_shift, Kernel, Metric};
 
@@ -63,7 +71,7 @@ pub fn dct_matrix() -> Tensor {
 }
 
 /// The shared 8-bit coefficient cap used in three-stage mode (see
-/// [`JpegApp::scales`]).
+/// [`JpegApp::coeff_scale`]).
 const COEFF_CAP: i64 = 255;
 
 /// Stage layout of a [`JpegApp`].
@@ -111,12 +119,14 @@ pub struct JpegApp {
     mode: JpegMode,
     width: usize,
     height: usize,
+    /// `max|C|` over [`dct_matrix`], which sizes the coefficient scales.
+    dct_max: f64,
 }
 
 impl JpegApp {
     /// Create a JPEG application for 32×32 inputs.
     pub fn new(mode: JpegMode) -> Self {
-        JpegApp { mode, width: 32, height: 32 }
+        JpegApp { mode, width: 32, height: 32, dct_max: dct_matrix().max_abs() }
     }
 
     /// The stage layout.
@@ -131,25 +141,19 @@ impl JpegApp {
         }
     }
 
-    /// Coefficient up-scales for the forward and inverse DCT matrices.
+    /// Coefficient up-scale exponent `s` (coefficients are `C · 2^s`),
+    /// shared by the forward and inverse DCT matrices.
     ///
     /// Single mode adapts to the multiplier's operand range (the paper's
     /// per-multiplier `2^m` scaling); three-stage mode pins the scale to
     /// the shared 8-bit coefficient convention because the same
     /// coefficients must serve whichever multiplier each gate samples.
-    fn scales(&self, mults: &[Arc<dyn Multiplier>]) -> (u32, u32) {
-        let max = dct_matrix().max_abs();
-        match self.mode {
-            JpegMode::Single => {
-                let (_, hi) = mults[0].operand_range();
-                let s = coeff_upscale(max, hi);
-                (s, s)
-            }
-            JpegMode::ThreeStage => {
-                let s = coeff_upscale(max, COEFF_CAP);
-                (s, s)
-            }
-        }
+    fn coeff_scale(&self, mults: &[Arc<dyn Multiplier>]) -> i32 {
+        let hi = match self.mode {
+            JpegMode::Single => mults[0].operand_range().1,
+            JpegMode::ThreeStage => COEFF_CAP,
+        };
+        coeff_upscale(self.dct_max, hi) as i32
     }
 
     /// Coefficient bounds for a stage's multiplier, capped at the shared
@@ -176,74 +180,26 @@ impl JpegApp {
         );
     }
 
-    fn block(&self, img: &GrayImage, by: usize, bx: usize) -> Tensor {
-        let mut t = Tensor::zeros(&[BLOCK, BLOCK]);
-        for y in 0..BLOCK {
-            for x in 0..BLOCK {
-                t.data_mut()[y * BLOCK + x] = img.at(bx * BLOCK + x, by * BLOCK + y);
+    /// The image's 8×8 blocks stacked into `[blocks · 8, 8]`: blocks in
+    /// raster order, each row-major.
+    fn blocks(&self, img: &GrayImage) -> Tensor {
+        let mut data = Vec::with_capacity(self.width * self.height);
+        for by in 0..self.height / BLOCK {
+            for bx in 0..self.width / BLOCK {
+                for y in 0..BLOCK {
+                    data.extend((0..BLOCK).map(|x| img.at(bx * BLOCK + x, by * BLOCK + y)));
+                }
             }
         }
-        t
+        Tensor::from_vec(data, &[self.width * self.height / BLOCK, BLOCK])
     }
 
-    /// Process one block through the approximate three-stage pipeline.
-    ///
-    /// `recip_q` / `q_table` are the Q50 constants, recorded once per
-    /// image by the caller (they are block-invariant leaves).
-    #[allow(clippy::too_many_arguments)]
-    fn forward_block(
-        &self,
-        graph: &Graph,
-        block: Tensor,
-        c_fwd: &Var,
-        c_inv: &Var,
-        recip_q: &Var,
-        q_table: &Var,
-        mults: &[Arc<dyn Multiplier>],
-        s_fwd: u32,
-        s_inv: u32,
-    ) -> Var {
-        let m_dct = &mults[self.stage(0)];
-        let m_deq = &mults[self.stage(1)];
-        let m_idct = &mults[self.stage(2.min(mults.len() - 1))];
-
-        // Stage 1: forward DCT. Pixels pre-shifted into the operand range.
-        let ps = pixel_shift(&**m_dct);
-        let x = graph.constant(block.map(|p| ((p as i64) >> ps) as f64));
-        let (_, hi_dct) = m_dct.operand_range();
-        let t = c_fwd.approx_matmul_scale_round(&x, m_dct, 2f64.powi(ps as i32 - s_fwd as i32));
-        // |C·X| <= 255 * 8 * max|C| ~ 1020; fit for the second product.
-        let f1 = fit_shift(1020.0, hi_dct);
-        let t2 = t.scale_round_ste(2f64.powi(-(f1 as i32)));
-        let y = t2.approx_matmul_scale_round(
-            &c_fwd.transpose(),
-            m_dct,
-            2f64.powi(f1 as i32 - s_fwd as i32),
-        );
-
-        // Stage 2: quantize (exact divide + round, no multiplier), then
-        // dequantize on approximate hardware.
-        let k = y.mul_round_ste(recip_q);
-        let (_, hi_deq) = m_deq.operand_range();
-        // |K| <= 2040 / 10 ~ 204.
-        let f2 = fit_shift(204.0, hi_deq);
-        let k2 = k.scale_round_ste(2f64.powi(-(f2 as i32)));
-        let yd = k2.approx_mul_elem_scale(q_table, m_deq, 2f64.powi(f2 as i32));
-
-        // Stage 3: inverse DCT, X' = Cᵀ·Yd·C.
-        let (_, hi_idct) = m_idct.operand_range();
-        let f3 = fit_shift(2040.0, hi_idct);
-        let yd2 = yd.scale_round_ste(2f64.powi(-(f3 as i32)));
-        let v = c_inv.transpose().approx_matmul_scale_round(
-            &yd2,
-            m_idct,
-            2f64.powi(f3 as i32 - s_inv as i32),
-        );
-        // |Cᵀ·Yd| <= 8 * 0.5 * 2040.
-        let f4 = fit_shift(8160.0, hi_idct);
-        let v2 = v.scale_round_ste(2f64.powi(-(f4 as i32)));
-        v2.approx_matmul_scale_round(c_inv, m_idct, 2f64.powi(f4 as i32 - s_inv as i32))
-            .clamp(0.0, 255.0)
+    /// A `[blocks · 8, 8]` constant holding `f(q)` for the Q50 entry `q`
+    /// at every position of every block.
+    fn q50_tiled(&self, graph: &Graph, f: impl Fn(f64) -> f64) -> Var {
+        let n = self.width * self.height;
+        let data = Q50.iter().cycle().take(n).map(|&q| f(q)).collect();
+        graph.constant(Tensor::from_vec(data, &[n / BLOCK, BLOCK]))
     }
 }
 
@@ -284,12 +240,9 @@ impl Kernel for JpegApp {
 
     fn init_coeffs(&self, mults: &[Arc<dyn Multiplier>]) -> Vec<Tensor> {
         assert_eq!(mults.len(), self.num_stages(), "need one multiplier per stage");
-        let c = dct_matrix();
-        let (s_fwd, s_inv) = self.scales(mults);
-        vec![
-            c.map(|v| (v * 2f64.powi(s_fwd as i32)).round()),
-            c.map(|v| (v * 2f64.powi(s_inv as i32)).round()),
-        ]
+        let s = self.coeff_scale(mults);
+        let c = dct_matrix().map(|v| (v * 2f64.powi(s)).round());
+        vec![c.clone(), c]
     }
 
     fn coeff_bounds(&self, mults: &[Arc<dyn Multiplier>]) -> Vec<(f64, f64)> {
@@ -312,28 +265,49 @@ impl Kernel for JpegApp {
         assert_eq!(mults.len(), self.num_stages(), "need one multiplier per stage");
 
         let bounds = self.coeff_bounds(mults);
-        let (s_fwd, s_inv) = self.scales(mults);
+        let s = self.coeff_scale(mults);
 
         let c_fwd = coeffs[0].quantize_ste(bounds[0].0, bounds[0].1);
         let c_inv = coeffs[1].quantize_ste(bounds[1].0, bounds[1].1);
+        let m_dct = &mults[self.stage(0)];
+        let m_deq = &mults[self.stage(1)];
+        let m_idct = &mults[self.stage(2.min(mults.len() - 1))];
+        let pow2 = |e: i32| 2f64.powi(e);
 
-        // Block-invariant quantization constants, recorded once per image.
-        let recip_q = graph.constant(Tensor::from_vec(
-            Q50.iter().map(|&q| 1.0 / q).collect(),
-            &[BLOCK, BLOCK],
-        ));
-        let q_table = graph.constant(Tensor::from_vec(Q50.to_vec(), &[BLOCK, BLOCK]));
+        // Stage 1: forward DCT, Y = C·X·Cᵀ per block. Pixels pre-shifted
+        // into the operand range; |C·X| <= 255 * 8 * max|C| ~ 1020 is
+        // fitted for the second product.
+        let ps = pixel_shift(&**m_dct) as i32;
+        let x = graph.constant(self.blocks(sample).map(|p| ((p as i64) >> ps) as f64));
+        let f1 = fit_shift(1020.0, m_dct.operand_range().1) as i32;
+        let y = x.approx_block_transform(
+            &c_fwd,
+            BlockSide::Forward,
+            m_dct,
+            [pow2(ps - s), pow2(-f1), pow2(f1 - s)],
+        );
 
-        let mut blocks = Vec::new();
-        for by in 0..self.height / BLOCK {
-            for bx in 0..self.width / BLOCK {
-                let block = self.block(sample, by, bx);
-                blocks.push(self.forward_block(
-                    graph, block, &c_fwd, &c_inv, &recip_q, &q_table, mults, s_fwd, s_inv,
-                ));
-            }
-        }
-        concat(&blocks)
+        // Stage 2: quantize (exact divide + round, no multiplier), then
+        // dequantize on approximate hardware. |K| <= 2040 / 10 ~ 204.
+        let k = y.mul_round_ste(&self.q50_tiled(graph, |q| 1.0 / q));
+        let f2 = fit_shift(204.0, m_deq.operand_range().1) as i32;
+        let yd = k.scale_round_ste(pow2(-f2)).approx_mul_elem_scale(
+            &self.q50_tiled(graph, |q| q),
+            m_deq,
+            pow2(f2),
+        );
+
+        // Stage 3: inverse DCT, X' = Cᵀ·Yd·C per block, with
+        // |Cᵀ·Yd| <= 8 * 0.5 * 2040 fitted for the second product.
+        let hi_idct = m_idct.operand_range().1;
+        let (f3, f4) = (fit_shift(2040.0, hi_idct) as i32, fit_shift(8160.0, hi_idct) as i32);
+        let out = yd.scale_round_ste(pow2(-f3)).approx_block_transform(
+            &c_inv,
+            BlockSide::Inverse,
+            m_idct,
+            [pow2(f3 - s), pow2(-f4), pow2(f4 - s)],
+        );
+        out.clamp(0.0, 255.0).reshape(&[self.width * self.height])
     }
 
     fn reference(&self, sample: &Self::Sample) -> Tensor {
@@ -343,21 +317,19 @@ impl Kernel for JpegApp {
         let c = dct_matrix();
         let ct = c.transpose();
         let mut out = Vec::with_capacity(self.width * self.height);
-        for by in 0..self.height / BLOCK {
-            for bx in 0..self.width / BLOCK {
-                let x = self.block(sample, by, bx);
-                let y = c.matmul(&x).matmul(&ct);
-                let k = Tensor::from_vec(
-                    y.data().iter().zip(Q50.iter()).map(|(&v, &q)| (v / q).round()).collect(),
-                    &[BLOCK, BLOCK],
-                );
-                let yd = Tensor::from_vec(
-                    k.data().iter().zip(Q50.iter()).map(|(&v, &q)| v * q).collect(),
-                    &[BLOCK, BLOCK],
-                );
-                let rec = ct.matmul(&yd).matmul(&c);
-                out.extend(rec.data().iter().map(|&v| v.round().clamp(0.0, 255.0)));
-            }
+        for block in self.blocks(sample).data().chunks(BLOCK * BLOCK) {
+            let x = Tensor::from_vec(block.to_vec(), &[BLOCK, BLOCK]);
+            let y = c.matmul(&x).matmul(&ct);
+            let k = Tensor::from_vec(
+                y.data().iter().zip(Q50.iter()).map(|(&v, &q)| (v / q).round()).collect(),
+                &[BLOCK, BLOCK],
+            );
+            let yd = Tensor::from_vec(
+                k.data().iter().zip(Q50.iter()).map(|(&v, &q)| v * q).collect(),
+                &[BLOCK, BLOCK],
+            );
+            let rec = ct.matmul(&yd).matmul(&c);
+            out.extend(rec.data().iter().map(|&v| v.round().clamp(0.0, 255.0)));
         }
         let n = out.len();
         Tensor::from_vec(out, &[n])
@@ -403,12 +375,7 @@ mod tests {
         let app = JpegApp::new(JpegMode::Single);
         let reference = app.reference(&img);
         // Compare against the raw blocks (the "uncompressed" image).
-        let mut raw = Vec::new();
-        for by in 0..4 {
-            for bx in 0..4 {
-                raw.extend(app.block(&img, by, bx).into_data());
-            }
-        }
+        let raw = app.blocks(&img).into_data();
         let p = psnr_255(reference.data(), &raw);
         assert!((25.0..=60.0).contains(&p), "reference JPEG PSNR {p} out of plausible range");
     }

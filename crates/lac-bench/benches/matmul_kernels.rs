@@ -7,12 +7,17 @@
 //! tabulated 8-bit unit. The `matmul8/*` and `matmul12/*` rows time one
 //! JPEG/DFT-shaped `approx_matmul` forward on the untabulated 16-bit
 //! `mul16s_GAT`, one `multiply_row` call per row of products, over the
-//! unit's full operand range. All paths are bit-identical (see
+//! unit's full operand range. The `jpeg_image/*` rows time forward and
+//! backward of one 32x32 image through `JpegApp` (DCT, dequantize,
+//! IDCT over all sixteen 8x8 blocks) on a tabulated 8-bit unit and on
+//! the untabulated `mul16s_GAT`. All paths are bit-identical (see
 //! `tests/matmul_equivalence`); this suite tracks their relative cost.
 //!
 //! Writes `BENCH_matmul_kernels.json`; see `lac_rt::bench` for the
 //! protocol and `LAC_BENCH_FAST` / `LAC_BENCH_SAMPLES` knobs.
 
+use lac_apps::{JpegApp, JpegMode, Kernel};
+use lac_data::synth_image;
 use lac_hw::{catalog, signed_capable, LutMultiplier};
 use lac_rt::bench::Harness;
 use lac_tensor::{Graph, Tensor};
@@ -142,6 +147,23 @@ fn main() {
                 let a = g.var(lhs.clone());
                 let x = g.var(rhs.clone());
                 black_box(a.approx_matmul(&x, &wide).value())
+            })
+        });
+    }
+
+    // One JPEG image, forward and backward, through the app's tape.
+    let jpeg = JpegApp::new(JpegMode::Single);
+    let jpeg_image = synth_image(32, 32, 1);
+    for name in ["mul8u_FTA", "mul16s_GAT"] {
+        let mults = vec![jpeg.adapt(&catalog::by_name(name).unwrap())];
+        let coeffs = jpeg.init_coeffs(&mults);
+        group.bench_function(format!("jpeg_image/{name}"), |b| {
+            b.iter(|| {
+                let g = Graph::new();
+                let vars: Vec<_> = coeffs.iter().map(|c| g.var(c.clone())).collect();
+                let out = jpeg.forward_approx(&g, &jpeg_image, &vars, &mults);
+                let grads = g.backward(&out.sum());
+                black_box(grads.get(&vars[0]))
             })
         });
     }

@@ -207,6 +207,30 @@ fn approx_matmul_forward(a: &Tensor, b: &Tensor, mult: &dyn Multiplier) -> Tenso
     out
 }
 
+/// Which two-sided product [`Var::approx_block_transform`] applies to
+/// every block `X` with the coefficient matrix `C`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockSide {
+    /// `C·X·Cᵀ`: the forward DCT.
+    Forward,
+    /// `Cᵀ·X·C`: the inverse DCT.
+    Inverse,
+}
+
+/// Fold one block's `k × k` coefficient gradient into `acc` the way
+/// [`Graph::backward`](crate::Graph::backward) accumulates a parent's
+/// contributions: the first is assigned, each later one added in turn.
+/// `transpose` maps a gradient of `Cᵀ` back onto `C`, as a `transpose`
+/// node's backward does.
+fn fold_block_grad(acc: &mut Option<Tensor>, grad: &[f64], k: usize, transpose: bool) {
+    let t = Tensor::from_vec(grad.to_vec(), &[k, k]);
+    let t = if transpose { t.transpose() } else { t };
+    match acc {
+        Some(sum) => sum.accumulate(&t),
+        None => *acc = Some(t),
+    }
+}
+
 impl Var {
     /// 2-D matrix product computed on approximate hardware.
     ///
@@ -285,7 +309,131 @@ impl Var {
             Some(Box::new(move |g: &Tensor| {
                 let scaled = scale.map(|c| g.map(|gv| gv * c));
                 let g = scaled.as_ref().unwrap_or(g);
-                vec![matmul_fast::matmul_abt(g, &b), matmul_fast::matmul_atb(&a, g)]
+                matmul_fast::matmul_grads(&a, &b, g)
+            })),
+        );
+        Var { tape: self.tape.clone(), id }
+    }
+
+    /// Two-sided block transform on approximate hardware: every `k × k`
+    /// block `X` of `self` becomes `C·X·Cᵀ` ([`BlockSide::Forward`], the
+    /// DCT) or `Cᵀ·X·C` ([`BlockSide::Inverse`], the IDCT), with the
+    /// datapath shifts `[s_in, s_mid, s_out]` between the products.
+    ///
+    /// `self` is `[nb · k, k]`: `nb` blocks stacked block-major, each
+    /// block row-major. `coeff` is `C`, `[k, k]`. Writing `L·X·R` for
+    /// either side, a block's output is
+    ///
+    /// ```text
+    /// round(s_out · (round(s_mid · round(s_in · (L ⊛ X))) ⊛ R))
+    /// ```
+    ///
+    /// where `⊛` is [`Var::approx_matmul`]'s product. The whole stack is
+    /// one tape node, bit-identical to the per-block chain
+    /// `approx_matmul_scale_round(s_in)` → `scale_round_ste(s_mid)` →
+    /// `approx_matmul_scale_round(s_out)` that a `transpose` node of `C`
+    /// feeds (the rhs for the forward side, the lhs for the inverse):
+    ///
+    /// * forward, per block, through the same matmul kernels;
+    /// * backward, blocks in descending order, each block's gradients
+    ///   by the same kernels and scale maps in the tape's sequence;
+    /// * the gradient of `C` folds each block's two contributions in the
+    ///   order the tape would reach them — the second product's (`R`)
+    ///   before the first's (`L`), the `Cᵀ` one transposed — with the
+    ///   first contribution assigned rather than added to zero.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lac_hw::catalog;
+    /// use lac_tensor::{BlockSide, Graph, Tensor};
+    ///
+    /// let g = Graph::new();
+    /// // Two 2x2 blocks stacked: [[1, 2], [3, 4]] and the identity.
+    /// let x = g.var(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 1.0, 0.0, 0.0, 1.0], &[4, 2]));
+    /// let c = g.var(Tensor::from_vec(vec![1.0, 1.0, 0.0, 1.0], &[2, 2]));
+    /// let exact = catalog::by_name("exact8u").unwrap();
+    /// let y = x.approx_block_transform(&c, BlockSide::Forward, &exact, [1.0; 3]);
+    /// // C·X·Cᵀ per block.
+    /// assert_eq!(y.value().data(), &[10.0, 6.0, 7.0, 4.0, 2.0, 1.0, 1.0, 1.0]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `coeff` is square `[k, k]` with `k > 0`, `self` is
+    /// `[nb · k, k]`, and both live on the same graph.
+    pub fn approx_block_transform(
+        &self,
+        coeff: &Var,
+        side: BlockSide,
+        mult: &Arc<dyn Multiplier>,
+        [s_in, s_mid, s_out]: [f64; 3],
+    ) -> Var {
+        assert!(
+            self.same_tape(coeff),
+            "approx_block_transform: operands belong to different graphs"
+        );
+        let x = self.value();
+        let c = coeff.value();
+        let (k, kc) = c.dims2("approx_block_transform coefficient");
+        let (rows, cols) = x.dims2("approx_block_transform blocks");
+        assert!(
+            k == kc && k > 0 && cols == k && rows % k == 0,
+            "approx_block_transform: blocks [{rows}, {cols}] do not stack [{k}, {kc}] blocks"
+        );
+        let ct = c.transpose();
+        let (l, r) = match side {
+            BlockSide::Forward => (c, ct),
+            BlockSide::Inverse => (ct, c),
+        };
+        let blk = k * k;
+        let block = |b: &[f64]| Tensor::from_vec(b.to_vec(), &[k, k]);
+        // `mid` keeps each block's rounded first product, the lhs of the
+        // second product, for the backward.
+        let (mut mid, mut out) = (Vec::with_capacity(x.len()), Vec::with_capacity(x.len()));
+        for xb in x.data().chunks(blk) {
+            let t = approx_matmul_forward(&l, &block(xb), &**mult)
+                .map(|v| ((v * s_in).round() * s_mid).round());
+            let y = approx_matmul_forward(&t, &r, &**mult).map(|v| (v * s_out).round());
+            mid.extend_from_slice(t.data());
+            out.extend_from_slice(y.data());
+        }
+
+        let id = self.graph().push(
+            Tensor::from_vec(out, &[rows, k]),
+            vec![self.id, coeff.id],
+            Some(Box::new(move |g: &Tensor| {
+                let dims = (k, k, k);
+                // `C` enters the second product transposed on the forward
+                // side and the first product transposed on the inverse.
+                let r_is_ct = side == BlockSide::Forward;
+                let mut dx = Tensor::zeros(&[rows, k]);
+                let mut dc = None;
+                let (mut gs, mut d_mid) = (vec![0.0; blk], vec![0.0; blk]);
+                let (mut d_l, mut d_r) = (vec![0.0; blk], vec![0.0; blk]);
+                let blocks = x.data().chunks(blk).zip(mid.chunks(blk)).zip(g.data().chunks(blk));
+                for (((xb, mb), gb), dxb) in blocks.zip(dx.data_mut().chunks_mut(blk)).rev() {
+                    // Second product `mid ⊛ R`, under the scale `s_out`.
+                    for (o, &gv) in gs.iter_mut().zip(gb) {
+                        *o = gv * s_out;
+                    }
+                    d_mid.fill(0.0);
+                    matmul_fast::matmul_abt(&gs, r.data(), &mut d_mid, dims);
+                    d_r.fill(0.0);
+                    matmul_fast::matmul_atb(mb, &gs, &mut d_r, dims);
+                    // Straight through the `s_mid` round, then the first
+                    // product `L ⊛ X` under `s_in`: two multiplies, as the
+                    // two tape nodes apply them.
+                    for (o, &dv) in gs.iter_mut().zip(&d_mid) {
+                        *o = dv * s_mid * s_in;
+                    }
+                    d_l.fill(0.0);
+                    matmul_fast::matmul_abt(&gs, xb, &mut d_l, dims);
+                    matmul_fast::matmul_atb(l.data(), &gs, dxb, dims);
+                    fold_block_grad(&mut dc, &d_r, k, r_is_ct);
+                    fold_block_grad(&mut dc, &d_l, k, !r_is_ct);
+                }
+                vec![dx, dc.unwrap_or_else(|| Tensor::zeros(&[k, k]))]
             })),
         );
         Var { tape: self.tape.clone(), id }

@@ -14,6 +14,8 @@
 //! * [`Var::approx_matmul`] / [`Var::approx_conv2d`] /
 //!   [`Var::approx_scale`] — forward on true approximate-hardware models
 //!   from [`lac_hw`], backward with exact-product surrogate gradients;
+//! * [`Var::approx_block_transform`] — a stack of `C·X·Cᵀ` / `Cᵀ·X·C`
+//!   block transforms (the JPEG DCT/IDCT stages) as one tape node;
 //! * [`Adam`] / [`Sgd`] — optimizers over plain tensors;
 //! * [`check_gradients`] — finite-difference gradient verification.
 //!
@@ -64,6 +66,7 @@ pub mod pool;
 mod ste;
 mod tensor;
 
+pub use approx::BlockSide;
 pub use gradcheck::{check_gradients, check_surrogate_gradients};
 pub use graph::{Gradients, Graph, Var};
 pub use ops::concat;

@@ -39,7 +39,9 @@
 //! `Tensor::matmul`'s loop order and zero-skip exactly while indexing the
 //! untransposed operand, so surrogate gradients are bit-identical to the
 //! previous `g.matmul(&b.transpose())` / `a.transpose().matmul(g)` without
-//! materializing either transpose.
+//! materializing either transpose. They work on slices, so one copy of
+//! each serves whole operands (`approx_matmul`) and the blocks of a
+//! stacked operand (`approx_block_transform`) alike.
 
 use std::cell::RefCell;
 
@@ -360,54 +362,59 @@ pub(crate) fn matmul_lut(a: &Tensor, b: &Tensor, lut: DenseLut<'_>) -> Tensor {
     })
 }
 
+/// Gradients `[g · bᵀ, aᵀ · g]` of the product `a · b` (`[m, k]` ×
+/// `[k, n]`) under the upstream gradient `g`, `[m, n]`, by the fused
+/// kernels below.
+pub(crate) fn matmul_grads(a: &Tensor, b: &Tensor, g: &Tensor) -> Vec<Tensor> {
+    let ((m, k), n) = (a.dims2("matmul lhs"), b.dims2("matmul rhs").1);
+    let (mut da, mut db) = (Tensor::zeros(&[m, k]), Tensor::zeros(&[k, n]));
+    matmul_abt(g.data(), b.data(), da.data_mut(), (m, n, k));
+    matmul_atb(a.data(), g.data(), db.data_mut(), (m, k, n));
+    vec![da, db]
+}
+
 /// `g · bᵀ` without materializing `bᵀ`: `g` is `[m, n]`, `b` is `[k, n]`,
-/// output `[m, k]`. Mirrors `Tensor::matmul(g, b.transpose())` — loop
-/// order, zero-skip, and accumulation association included — so gradients
-/// are bit-identical to the transpose-then-matmul reference.
-pub(crate) fn matmul_abt(g: &Tensor, b: &Tensor) -> Tensor {
-    let (m, n) = g.dims2("matmul_abt lhs");
-    let (k, n2) = b.dims2("matmul_abt rhs");
-    assert_eq!(n, n2, "matmul_abt inner dimension mismatch: {n} vs {n2}");
-    let gd = g.data();
-    let bd = b.data();
-    let mut out = Tensor::zeros(&[m, k]);
-    let od = out.data_mut();
+/// and the product is added into `out`, `[m, k]`, which callers pass
+/// zeroed. Mirrors `Tensor::matmul(g, b.transpose())` — loop order,
+/// zero-skip, and accumulation association included — so gradients are
+/// bit-identical to the transpose-then-matmul reference.
+pub(crate) fn matmul_abt(g: &[f64], b: &[f64], out: &mut [f64], (m, n, k): (usize, usize, usize)) {
+    assert!(
+        g.len() == m * n && b.len() == k * n && out.len() == m * k,
+        "matmul_abt: operands do not match {m}x{n} · ({k}x{n})ᵀ"
+    );
     for i in 0..m {
         for p in 0..n {
-            let a = gd[i * n + p];
+            let a = g[i * n + p];
             if a == 0.0 {
                 continue;
             }
             for j in 0..k {
-                od[i * k + j] += a * bd[j * n + p];
+                out[i * k + j] += a * b[j * n + p];
             }
         }
     }
-    out
 }
 
 /// `aᵀ · g` without materializing `aᵀ`: `a` is `[m, k]`, `g` is `[m, n]`,
-/// output `[k, n]`. Mirrors `Tensor::matmul(a.transpose(), g)` exactly.
-pub(crate) fn matmul_atb(a: &Tensor, g: &Tensor) -> Tensor {
-    let (m, k) = a.dims2("matmul_atb lhs");
-    let (m2, n) = g.dims2("matmul_atb rhs");
-    assert_eq!(m, m2, "matmul_atb inner dimension mismatch: {m} vs {m2}");
-    let ad = a.data();
-    let gd = g.data();
-    let mut out = Tensor::zeros(&[k, n]);
-    let od = out.data_mut();
+/// and the product is added into `out`, `[k, n]`, which callers pass
+/// zeroed. Mirrors `Tensor::matmul(a.transpose(), g)` exactly.
+pub(crate) fn matmul_atb(a: &[f64], g: &[f64], out: &mut [f64], (m, k, n): (usize, usize, usize)) {
+    assert!(
+        a.len() == m * k && g.len() == m * n && out.len() == k * n,
+        "matmul_atb: operands do not match ({m}x{k})ᵀ · {m}x{n}"
+    );
     for i in 0..k {
         for p in 0..m {
-            let av = ad[p * k + i];
+            let av = a[p * k + i];
             if av == 0.0 {
                 continue;
             }
             for j in 0..n {
-                od[i * n + j] += av * gd[p * n + j];
+                out[i * n + j] += av * g[p * n + j];
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -622,8 +629,8 @@ mod tests {
             }
             let da_ref = g.matmul(&b.transpose());
             let db_ref = a.transpose().matmul(&g);
-            let da = matmul_abt(&g, &b);
-            let db = matmul_atb(&a, &g);
+            let grads = matmul_grads(&a, &b, &g);
+            let (da, db) = (&grads[0], &grads[1]);
             assert_eq!(da.shape(), da_ref.shape());
             assert_eq!(db.shape(), db_ref.shape());
             for (x, y) in da.data().iter().zip(da_ref.data()) {

@@ -171,10 +171,7 @@ impl Var {
             Box::new(move |g| {
                 // Fused transposed matmuls, bit-identical to transposing
                 // then multiplying (see `matmul_fast`).
-                vec![
-                    crate::matmul_fast::matmul_abt(g, &b),
-                    crate::matmul_fast::matmul_atb(&a, g),
-                ]
+                crate::matmul_fast::matmul_grads(&a, &b, g)
             }),
         )
     }

@@ -123,6 +123,14 @@ for id in matmul_kernels/matmul8/mul16s_GAT matmul_kernels/matmul12/mul16s_GAT; 
     committed_floor results/bench/frozen/BENCH_matmul_kernels.pre-matmul-rows.json "$id" 2 row_call
 done
 
+# Fused-stage floor: forward + backward of one 32x32 JPEG image runs
+# each DCT stage as one tape node over the stacked blocks instead of a
+# node chain per 8x8 block.
+for id in matmul_kernels/jpeg_image/mul8u_FTA matmul_kernels/jpeg_image/mul16s_GAT; do
+    committed_floor results/bench/frozen/BENCH_matmul_kernels.pre-jpeg-stages.json "$id" 1.2 \
+        jpeg_stage
+done
+
 # Serving batching floor: the committed BENCH_serve.json must show that
 # request batching actually pays on the blur kernel at 4 workers. The
 # headline mechanism — a coalesced batch fans out across the worker

@@ -102,6 +102,16 @@ cargo test -q --offline --test matmul_equivalence
 cargo test -q --offline -p lac-tensor --lib matmul_fast::
 cargo test -q --offline --test golden_seed jpeg_train_fixed
 
+# Fused JPEG stage battery (DESIGN.md §7d): each DCT/IDCT stage runs as
+# one approx_block_transform node over the stacked blocks, and must
+# reproduce the per-block tape it replaced bit-for-bit — values, input
+# and coefficient gradients (folded in the tape's order) — for every
+# unit kind; three-stage JPEG on a mixed per-stage plan must reproduce
+# its per-block golden training bits.
+echo "== fused JPEG stage battery (block transform vs per-block tape, three-stage pin)"
+cargo test -q --offline --test block_transform
+cargo test -q --offline --test golden_seed jpeg_three_stage
+
 # Product-row battery (DESIGN.md §7b): units with no dense table
 # (16-bit catalog units, sign-magnitude adapters, fault-injected wide
 # specs) gather conv and scale products from per-tap rows, or fall back

@@ -210,3 +210,46 @@ fn dft_train_fixed_on_wide_unit_matches_per_product_bits() {
         (0x4051a7c2b766eaa2, 0x4051a7c2b766eaa2, 0xc1ae4b030cb93cf8, 0x6a03758b46fa40a5)
     );
 }
+
+/// Three-stage JPEG (`JpegMode::ThreeStage`, the serial layering of
+/// Fig. 12 and the multi-hardware NAS) trained on a mixed per-stage
+/// plan: a 16-bit DRUM unit on the DCT, the untabulated `mul16s_GK2` on
+/// dequantization and the tabulated `mul8u_FTA` on the IDCT. Runs the
+/// engine loop `train_fixed` runs, on a `HardwarePlan::PerStage`.
+/// Constants captured on the per-block tape, before each JPEG stage ran
+/// as one fused node.
+#[test]
+fn jpeg_three_stage_train_fixed_on_mixed_plan_matches_per_block_bits() {
+    use lac::core::{batch_references, quality, HardwarePlan, NullObserver, RunScope, TrainSession};
+
+    let app = JpegApp::new(JpegMode::ThreeStage);
+    let mults: Vec<Arc<dyn Multiplier>> = ["DRUM16-6", "mul16s_GK2", "mul8u_FTA"]
+        .iter()
+        .map(|n| app.adapt(&catalog::by_name(n).unwrap()))
+        .collect();
+    assert!(mults[0].as_lut().is_none() && mults[2].as_lut().is_some(), "plan must mix unit kinds");
+    let plan = HardwarePlan::PerStage(mults.clone());
+    let (train, test) = (images(0..4), images(100..102));
+    let cfg = TrainConfig::new().epochs(4).learning_rate(2.0).minibatch(2).seed(29).threads(2);
+    let (train_refs, test_refs) = (batch_references(&app, &train), batch_references(&app, &test));
+
+    let init = app.init_coeffs(&mults);
+    let before = quality(&app, &init, &mults, &test, &test_refs, 2);
+    let mut session = TrainSession::new(init, cfg.lr);
+    let scope = RunScope::new("fixed", "mixed");
+    let history = session
+        .run(&app, &plan, &train, &train_refs, &cfg, 2, scope, &mut NullObserver)
+        .expect("training");
+    session.consider_final(&app, &plan, &train, &train_refs, 2);
+    let best = session.into_best();
+    let after = quality(&app, &best, &mults, &test, &test_refs, 2);
+    assert_eq!(history.len(), 4);
+    let got = (before.to_bits(), after.to_bits(), hash_f64s(&history), hash_tensors(&best));
+    // The best training-loss iterate scores a little lower on the two
+    // held-out images than the initial coefficients (30.14 -> 29.87 dB);
+    // the pin is on the bits, not on the direction.
+    assert_eq!(
+        got,
+        (0x403e245cf9821802, 0x403ddfdbc82af30a, 0xb9d91018ec9946db, 0x0f9cc8ce21b619d0)
+    );
+}

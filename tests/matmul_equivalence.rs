@@ -229,29 +229,38 @@ fn fault_injected_units_are_bit_identical_at_cnn_shapes() {
 }
 
 /// The fixed-operand cache is per-thread, so worker count must not leak
-/// into results: batch gradients at 1, 2, and 4 threads are bit-identical.
+/// into results: batch gradients at 1, 2, and 4 threads are bit-identical,
+/// for single-unit JPEG and for three-stage JPEG on a mixed plan.
 #[test]
 fn jpeg_batch_grads_bit_identical_across_thread_counts() {
     use lac::apps::{JpegApp, JpegMode, Kernel};
 
-    let app = JpegApp::new(JpegMode::Single);
-    let mult = app.adapt(&catalog::by_name("mul8u_FTA").expect("catalog unit"));
-    let mults = vec![mult];
-    let coeffs = app.init_coeffs(&mults);
-    let images: Vec<_> = (0..4).map(|i| synth_image(32, 32, 100 + i)).collect();
-    let refs = batch_references(&app, &images);
+    let plans: [(JpegMode, &[&str]); 2] = [
+        (JpegMode::Single, &["mul8u_FTA"]),
+        (JpegMode::ThreeStage, &["DRUM16-6", "mul16s_GK2", "mul8u_FTA"]),
+    ];
+    for (mode, names) in plans {
+        let app = JpegApp::new(mode);
+        let mults: Vec<_> = names
+            .iter()
+            .map(|n| app.adapt(&catalog::by_name(n).expect("catalog unit")))
+            .collect();
+        let coeffs = app.init_coeffs(&mults);
+        let images: Vec<_> = (0..4).map(|i| synth_image(32, 32, 100 + i)).collect();
+        let refs = batch_references(&app, &images);
 
-    let (g1, l1) = batch_grads(&app, &coeffs, &mults, &images, &refs, 1);
-    for threads in [2usize, 4] {
-        let (gn, ln) = batch_grads(&app, &coeffs, &mults, &images, &refs, threads);
-        assert_eq!(l1.to_bits(), ln.to_bits(), "loss drifted at {threads} threads");
-        assert_eq!(g1.len(), gn.len());
-        for (a, b) in g1.iter().zip(&gn) {
-            let (ab, bb): (Vec<u64>, Vec<u64>) = (
-                a.data().iter().map(|v| v.to_bits()).collect(),
-                b.data().iter().map(|v| v.to_bits()).collect(),
-            );
-            assert_eq!(ab, bb, "gradients drifted at {threads} threads");
+        let (g1, l1) = batch_grads(&app, &coeffs, &mults, &images, &refs, 1);
+        for threads in [2usize, 4] {
+            let (gn, ln) = batch_grads(&app, &coeffs, &mults, &images, &refs, threads);
+            assert_eq!(l1.to_bits(), ln.to_bits(), "{mode:?}: loss drifted at {threads} threads");
+            assert_eq!(g1.len(), gn.len());
+            for (a, b) in g1.iter().zip(&gn) {
+                let (ab, bb): (Vec<u64>, Vec<u64>) = (
+                    a.data().iter().map(|v| v.to_bits()).collect(),
+                    b.data().iter().map(|v| v.to_bits()).collect(),
+                );
+                assert_eq!(ab, bb, "{mode:?}: gradients drifted at {threads} threads");
+            }
         }
     }
 }
