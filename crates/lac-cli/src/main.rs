@@ -112,8 +112,12 @@ Sweep sizing follows the benchmark env knobs (`LAC_QUICK`, `LAC_TRAIN`,
 `serve` publishes trained checkpoints (written by `train --resume`)
 behind a batching TCP daemon; same-kernel requests coalesce into one
 forward pass of up to `--batch` samples spread over `--workers`
-threads, and a SWAP frame hot-swaps a checkpoint without dropping
-connections. `--slo X` turns on the quality governor: the daemon
+threads (the dispatcher plus `--workers` - 1 persistent workers), and a
+SWAP frame hot-swaps a checkpoint without dropping connections.
+`--linger-us` caps how long a short batch may wait to fill: the daemon
+waits only when its average inter-arrival gap predicts another request
+inside the cap, and only until that predicted arrival, so sparse
+traffic is served at once and 0 never waits. `--slo X` turns on the quality governor: the daemon
 samples `--sample-rate` of live batches, replays them through the
 exact datapath, and steps each app along its `--ladder` (auto = the
 catalog slice around the trained multiplier, most exact first) to hold

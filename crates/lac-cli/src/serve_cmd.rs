@@ -29,11 +29,13 @@ pub struct ServeOpts {
     pub checkpoints: Vec<String>,
     /// TCP port (0 = ephemeral, printed at startup).
     pub port: u16,
-    /// Worker threads per batched forward pass.
+    /// Threads per batched forward pass: the dispatcher plus
+    /// `workers - 1` persistent workers.
     pub workers: usize,
     /// Max requests coalesced into one batch.
     pub batch: usize,
-    /// Linger window in microseconds.
+    /// Linger cap in microseconds: a short batch waits only for an
+    /// arrival predicted inside it.
     pub linger_us: u64,
     /// Quality SLO; setting it turns the governor on.
     pub slo: Option<f64>,
@@ -229,7 +231,7 @@ pub fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let running = serve(registry, cfg, opts.port)
         .map_err(|e| CliError::Runtime(format!("cannot bind port {}: {e}", opts.port)))?;
     println!(
-        "serving on 127.0.0.1:{} (workers {}, batch {}, linger {}us, queue-cap {}{}{}); \
+        "serving on 127.0.0.1:{} (workers {}, batch {}, linger cap {}us, queue-cap {}{}{}); \
          send a SHUTDOWN frame to stop",
         running.port(),
         opts.workers,

@@ -41,6 +41,7 @@
 //! * [`supervise`] — a catch-unwind restart loop for long-running
 //!   service threads, with a structured `on_panic` decision point.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -5,10 +5,26 @@
 //! pops *batches*. A batch is the head run of consecutive same-key
 //! items, capped at `max_batch` — a pure function of the queue's
 //! arrival order, so batch composition is reproducible from a recorded
-//! arrival order alone, independent of thread scheduling. After the
-//! first item of a batch the dispatcher may *linger* briefly to let the
-//! run fill up; lingering only ever adds items that arrive at the head
-//! of the queue, never reorders.
+//! arrival order alone, independent of thread scheduling. Lingering
+//! only ever adds items that arrive at the head of the queue, never
+//! reorders.
+//!
+//! # Linger is a cap, not a wait
+//!
+//! Batching is *work-conserving*: a short batch waits for more
+//! same-key work only when an arrival is due. The queue stamps every
+//! admitted arrival with its [`Clock`] and keeps one queue-wide EWMA of
+//! the inter-arrival gaps (integer µs, α = 1/8). After taking the head
+//! run, the dispatcher waits only while the batch is short, the queue
+//! head is empty, the queue is open, and the predicted next arrival
+//! (`last_arrival + ewma_gap`) falls before `first_pop + linger`. It
+//! waits until that predicted instant, not to the end of the cap; an
+//! arrival it catches extends the batch and is followed by a fresh
+//! prediction, and the first predicted instant that passes with no
+//! arrival dispatches the batch. Sparse traffic (gaps above the cap)
+//! therefore dispatches at once, and a linger of zero never waits. The
+//! decision is `Arrivals::linger_until`, a pure function of clock
+//! readings.
 //!
 //! The key is generic (`K: Copy + PartialEq`): the server batches on a
 //! composite of the kernel and a poison marker, so fault-injection
@@ -19,12 +35,14 @@
 //! [`Admission::Busy`] instead of growing without limit — the caller
 //! turns that into a `BUSY` shed frame. Response bytes do not depend on
 //! batch composition (per-sample outputs are batch-invariant — see
-//! `lac_apps::serving::infer_batch`), so the linger window trades
-//! latency for throughput without touching determinism.
+//! `lac_apps::serving::infer_batch`), so lingering trades latency for
+//! throughput without touching determinism.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
+
+use lac_rt::clock::{Clock, MonotonicClock};
 
 /// Outcome of a [`BatchQueue::push`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,8 +58,50 @@ pub enum Admission {
     Closed,
 }
 
+/// Arrival history behind the linger decision: the last admitted
+/// arrival's clock reading and an EWMA of the gaps between arrivals.
+#[derive(Debug, Default)]
+pub(crate) struct Arrivals {
+    last: Option<u64>,
+    ewma_gap: Option<u64>,
+}
+
+impl Arrivals {
+    /// Record an arrival at clock reading `now_us`. The first gap seeds
+    /// the EWMA; later gaps move it by one eighth of the difference.
+    pub(crate) fn stamp(&mut self, now_us: u64) {
+        if let Some(last) = self.last {
+            let gap = now_us.saturating_sub(last);
+            self.ewma_gap = Some(match self.ewma_gap {
+                Some(ewma) => ewma.saturating_mul(7).saturating_add(gap) / 8,
+                None => gap,
+            });
+        }
+        self.last = Some(now_us);
+    }
+
+    /// The linger decision for a short batch whose first item was
+    /// popped at `first_pop_us`, asked at `now_us`: `Some(t)` waits
+    /// until clock reading `t` for the predicted next arrival; `None`
+    /// dispatches now. Waits only when the prediction is still ahead
+    /// of `now_us` and before the cap `first_pop_us + linger_us`, so a
+    /// wait never passes the cap and a zero linger never waits. Nothing
+    /// is predicted before two arrivals have been seen.
+    pub(crate) fn linger_until(
+        &self,
+        now_us: u64,
+        first_pop_us: u64,
+        linger_us: u64,
+    ) -> Option<u64> {
+        let predicted = self.last?.saturating_add(self.ewma_gap?);
+        let cap = first_pop_us.saturating_add(linger_us);
+        (predicted > now_us && predicted < cap).then_some(predicted)
+    }
+}
+
 struct State<K, T> {
     queue: VecDeque<(K, T)>,
+    arrivals: Arrivals,
     closed: bool,
 }
 
@@ -50,6 +110,7 @@ pub struct BatchQueue<K, T> {
     state: Mutex<State<K, T>>,
     cv: Condvar,
     cap: usize,
+    clock: Arc<dyn Clock>,
 }
 
 impl<K: Copy + PartialEq, T> Default for BatchQueue<K, T> {
@@ -65,19 +126,25 @@ impl<K, T> std::fmt::Debug for BatchQueue<K, T> {
 }
 
 impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
-    /// An empty, open, unbounded queue.
+    /// An empty, open, unbounded queue on the real monotonic clock.
     pub fn new() -> Self {
-        Self::bounded(usize::MAX)
+        Self::bounded(usize::MAX, Arc::new(MonotonicClock::new()))
     }
 
     /// An empty, open queue that refuses pushes beyond `cap` queued
-    /// items. A cap of 0 refuses everything — useful for forcing the
-    /// shed path in tests.
-    pub fn bounded(cap: usize) -> Self {
+    /// items and stamps arrivals and linger decisions with `clock`. A
+    /// cap of 0 refuses everything — useful for forcing the shed path
+    /// in tests.
+    pub fn bounded(cap: usize, clock: Arc<dyn Clock>) -> Self {
         BatchQueue {
-            state: Mutex::new(State { queue: VecDeque::new(), closed: false }),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                arrivals: Arrivals::default(),
+                closed: false,
+            }),
             cv: Condvar::new(),
             cap,
+            clock,
         }
     }
 
@@ -88,6 +155,7 @@ impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
     }
 
     /// Try to append one item, reporting the admission decision.
+    /// Admitted items are stamped as arrivals.
     pub fn push(&self, key: K, item: T) -> Admission {
         let mut s = self.lock();
         if s.closed {
@@ -96,6 +164,7 @@ impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
         if s.queue.len() >= self.cap {
             return Admission::Busy { depth: s.queue.len() };
         }
+        s.arrivals.stamp(self.clock.now_us());
         s.queue.push_back((key, item));
         self.cv.notify_one();
         Admission::Admitted
@@ -120,13 +189,14 @@ impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
     /// Pop the next batch: the head run of consecutive same-key items,
     /// at most `max_batch` of them.
     ///
-    /// Blocks until at least one item is available. If the run is
-    /// shorter than `max_batch`, waits up to `linger` for it to fill —
-    /// new same-key arrivals extend the batch; a different key at the
-    /// head ends it. Returns `None` once the queue is closed *and*
-    /// drained.
+    /// Blocks until at least one item is available. A short run waits
+    /// only for a predicted same-key arrival that falls within `linger`
+    /// of the first pop (see the [module docs](self)); new same-key
+    /// arrivals extend the batch, a different key at the head ends it.
+    /// Returns `None` once the queue is closed *and* drained.
     pub fn pop_batch(&self, max_batch: usize, linger: Duration) -> Option<(K, Vec<T>)> {
         let max_batch = max_batch.max(1);
+        let linger_us = u64::try_from(linger.as_micros()).unwrap_or(u64::MAX);
         let mut s = self.lock();
         let (key, first) = loop {
             if let Some(head) = s.queue.pop_front() {
@@ -139,7 +209,7 @@ impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
         };
 
         let mut batch = vec![first];
-        let deadline = Instant::now() + linger;
+        let first_pop = self.clock.now_us();
         loop {
             // Extend with the head run.
             while batch.len() < max_batch {
@@ -152,25 +222,21 @@ impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
                     _ => break,
                 }
             }
-            // Full, mixed head, closed, or no linger budget: dispatch.
-            if batch.len() >= max_batch
-                || s.queue.front().is_some()
-                || s.closed
-                || linger.is_zero()
-            {
+            // Full, mixed head, or closed: dispatch.
+            if batch.len() >= max_batch || s.queue.front().is_some() || s.closed {
                 break;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
+            let now = self.clock.now_us();
+            let Some(until) = s.arrivals.linger_until(now, first_pop, linger_us) else {
+                break; // no arrival predicted inside the cap
+            };
             let (guard, timeout) = self
                 .cv
-                .wait_timeout(s, deadline - now)
+                .wait_timeout(s, Duration::from_micros(until - now))
                 .unwrap_or_else(|e| e.into_inner());
             s = guard;
             if timeout.timed_out() && s.queue.is_empty() {
-                break;
+                break; // the predicted instant passed with no arrival
             }
         }
         Some((key, batch))
@@ -181,7 +247,8 @@ impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
 mod tests {
     use super::*;
     use lac_apps::serving::ServeApp;
-    use std::sync::Arc;
+    use lac_rt::clock::MockClock;
+    use lac_rt::rng::{RngExt, SeedableRng, StdRng};
 
     const NO_LINGER: Duration = Duration::ZERO;
 
@@ -206,7 +273,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_sheds_at_cap_and_reports_depth() {
-        let q = BatchQueue::bounded(2);
+        let (q, _) = mock_queue(2);
         assert_eq!(q.push(ServeApp::Blur, 0), Admission::Admitted);
         assert_eq!(q.push(ServeApp::Blur, 1), Admission::Admitted);
         assert_eq!(q.push(ServeApp::Blur, 2), Admission::Busy { depth: 2 });
@@ -219,7 +286,7 @@ mod tests {
 
     #[test]
     fn zero_cap_refuses_everything() {
-        let q: BatchQueue<ServeApp, u32> = BatchQueue::bounded(0);
+        let (q, _) = mock_queue::<u32>(0);
         assert_eq!(q.push(ServeApp::Blur, 1), Admission::Busy { depth: 0 });
         assert!(q.is_empty());
     }
@@ -247,20 +314,169 @@ mod tests {
         assert_eq!(q.pop_batch(8, NO_LINGER), None);
     }
 
+    /// A queue on a mock clock, so arrival stamps and linger decisions
+    /// read scripted time.
+    fn mock_queue<T>(cap: usize) -> (BatchQueue<ServeApp, T>, Arc<MockClock>) {
+        let clock = Arc::new(MockClock::new(0));
+        (BatchQueue::bounded(cap, clock.clone()), clock)
+    }
+
+    /// Arrival history stamped at each reading of `stamps`.
+    fn arrivals(stamps: &[u64]) -> Arrivals {
+        let mut a = Arrivals::default();
+        for &t in stamps {
+            a.stamp(t);
+        }
+        a
+    }
+
     #[test]
-    fn linger_fills_a_batch_from_late_arrivals() {
-        let q = Arc::new(BatchQueue::new());
+    fn ewma_seeds_on_the_first_gap_and_moves_by_an_eighth() {
+        assert_eq!(arrivals(&[]).linger_until(0, 0, 1_000), None);
+        let one = arrivals(&[50]);
+        assert_eq!(one.linger_until(50, 50, 1_000), None, "one arrival predicts nothing");
+        // Gaps 80 then 160: 80 seeds the EWMA, 160 moves it to 90.
+        let a = arrivals(&[0, 80, 240]);
+        assert_eq!(a.linger_until(240, 240, 1_000), Some(330));
+    }
+
+    #[test]
+    fn sparse_arrivals_dispatch_without_waiting() {
+        // 1 ms gaps against a 200 µs cap: the next arrival is never due
+        // inside the cap, so a lone request dispatches at once.
+        let a = arrivals(&[0, 1_000, 2_000, 3_000]);
+        for pop_delay in [0, 50, 199] {
+            let first_pop = 3_000 + pop_delay;
+            assert_eq!(a.linger_until(first_pop, first_pop, 200), None);
+        }
+
+        let (q, clock) = mock_queue(usize::MAX);
+        for i in 0..3 {
+            let _ = q.push(ServeApp::Blur, i);
+            clock.advance(1_000);
+        }
+        let linger = Duration::from_micros(200);
+        assert_eq!(q.pop_batch(16, linger), Some((ServeApp::Blur, vec![0, 1, 2])));
+    }
+
+    #[test]
+    fn dense_arrivals_fill_up_to_max_batch() {
+        // 10 µs gaps: a short batch would wait for the next arrival, but
+        // a full one dispatches and leaves the rest queued.
+        let (q, clock) = mock_queue(usize::MAX);
+        for i in 0..20 {
+            clock.advance(10);
+            let _ = q.push(ServeApp::Blur, i);
+        }
+        let linger = Duration::from_micros(200);
+        assert_eq!(q.pop_batch(16, linger), Some((ServeApp::Blur, (0..16).collect())));
+        let stamps: Vec<u64> = (1..=20).map(|i| i * 10).collect();
+        assert_eq!(arrivals(&stamps).linger_until(200, 200, 200), Some(210));
+        // The short remainder waits 10 µs for an arrival that never
+        // comes, then dispatches what it has.
+        assert_eq!(q.pop_batch(16, linger), Some((ServeApp::Blur, vec![16, 17, 18, 19])));
+    }
+
+    #[test]
+    fn closed_loop_waits_at_most_one_predicted_gap() {
+        // Two connections with one request each in flight: both arrive
+        // δ apart, the batch is answered, and neither sends again until
+        // its response. A wait after the second arrival therefore never
+        // catches anything: it must end one predicted gap after that
+        // arrival, inside the cap, and then dispatch.
+        const LINGER: u64 = 200;
+        const DELTA: u64 = 15;
+        const SERVICE: u64 = 60;
+        let mut a = Arrivals::default();
+        let mut t = 0u64;
+        let mut waits = 0;
+        for _ in 0..50 {
+            a.stamp(t);
+            let first_pop = t;
+            a.stamp(t + DELTA);
+            let caught = t + DELTA;
+            let mut dispatch = caught;
+            if let Some(until) = a.linger_until(caught, first_pop, LINGER) {
+                let gap = until - caught;
+                assert!(gap > 0 && until < first_pop + LINGER, "wait {gap} µs past the cap");
+                assert_eq!(a.linger_until(until, first_pop, LINGER), None, "waited a second gap");
+                dispatch = until;
+                waits += 1;
+            }
+            t = dispatch + SERVICE;
+        }
+        assert!(waits > 0, "the pattern never predicted an arrival inside the cap");
+    }
+
+    #[test]
+    fn waits_never_pass_the_cap() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for _ in 0..10_000 {
+            let mut t = 0u64;
+            let mut a = Arrivals::default();
+            for _ in 0..rng.random_range(0..6usize) {
+                t += rng.random_range(0..500u64);
+                a.stamp(t);
+            }
+            let first_pop = t + rng.random_range(0..300u64);
+            let now = first_pop + rng.random_range(0..300u64);
+            let linger = rng.random_range(0..400u64);
+            if let Some(until) = a.linger_until(now, first_pop, linger) {
+                assert!(now < until && until < first_pop + linger, "{a:?} at {now}");
+            }
+            assert_eq!(a.linger_until(now, first_pop, 0), None, "zero linger waited: {a:?}");
+        }
+    }
+
+    #[test]
+    fn zero_linger_never_waits() {
+        // Back-to-back arrivals predict the next one immediately, yet a
+        // zero linger dispatches the short batch as it stands.
+        let a = arrivals(&[100, 101, 102]);
+        assert_eq!(a.linger_until(102, 102, 0), None);
+        let (q, clock) = mock_queue(usize::MAX);
         let _ = q.push(ServeApp::Blur, 0);
+        clock.advance(1);
+        let _ = q.push(ServeApp::Blur, 1);
+        assert_eq!(q.pop_batch(8, NO_LINGER), Some((ServeApp::Blur, vec![0, 1])));
+    }
+
+    #[test]
+    fn different_key_head_ends_the_batch() {
+        // Dense arrivals predict more blur work inside a 5 s cap, but a
+        // jpeg request at the head ends the blur batch at once.
+        let (q, clock) = mock_queue(usize::MAX);
+        for (i, app) in [ServeApp::Blur, ServeApp::Blur, ServeApp::Jpeg].into_iter().enumerate() {
+            let _ = q.push(app, i);
+            clock.advance(10);
+        }
+        let linger = Duration::from_secs(5);
+        assert_eq!(q.pop_batch(8, linger), Some((ServeApp::Blur, vec![0, 1])));
+        assert_eq!(q.pop_batch(1, linger), Some((ServeApp::Jpeg, vec![2])));
+    }
+
+    #[test]
+    fn linger_catches_a_predicted_arrival() {
+        // A 10 s gap predicts the next arrival 10 s out on the mock
+        // clock, inside a 60 s cap: the popper waits for it, and the
+        // producer pushes only once the popper holds the first two.
+        let (q, clock) = mock_queue(usize::MAX);
+        let q = Arc::new(q);
+        let _ = q.push(ServeApp::Blur, 0);
+        clock.advance(10_000_000);
+        let _ = q.push(ServeApp::Blur, 1);
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                let _ = q.push(ServeApp::Blur, 1);
+                while !q.is_empty() {
+                    std::thread::yield_now();
+                }
+                let _ = q.push(ServeApp::Blur, 2);
             })
         };
-        let (_, batch) = q.pop_batch(2, Duration::from_secs(5)).unwrap();
+        let batch = q.pop_batch(3, Duration::from_secs(60));
         producer.join().unwrap();
-        assert_eq!(batch, vec![0, 1], "linger should have caught the late arrival");
+        assert_eq!(batch, Some((ServeApp::Blur, vec![0, 1, 2])));
     }
 
     #[test]

@@ -899,6 +899,33 @@ mod tests {
         assert_eq!(one, four);
     }
 
+    /// Each cell's core owns its dispatch workers: dropping the driver
+    /// joins them, so a sweep of cells leaks no threads.
+    #[test]
+    fn per_cell_cores_leak_no_threads() {
+        let registry = Arc::new(Registry::new());
+        registry.swap(ServingModel::untrained(ServeApp::Blur, "mul8u_FTA").unwrap());
+        let cfg = ServerConfig {
+            workers: 4,
+            max_batch: 8,
+            linger: Duration::ZERO,
+            ..ServerConfig::default()
+        };
+        let mut io = InProcess::new(registry, cfg, 1);
+        for id in 0..8 {
+            let values = payload(ServeApp::Blur, 1, id);
+            let request =
+                Request::Infer { kernel: ServeApp::Blur.code(), id, values, deadline_us: None };
+            io.feed(0, &request.encode().unwrap(), false);
+        }
+        assert!(io.dispatch());
+        assert_eq!(io.wire.completed, 8);
+        assert_eq!(io.core.pool().live_threads(), 3);
+        let workers = io.core.pool().watch();
+        drop(io);
+        assert!(workers.upgrade().is_none(), "a dispatch worker outlived its cell");
+    }
+
     #[test]
     fn heavy_cell_sheds_deterministically() {
         let cells = resilience_cells(2);

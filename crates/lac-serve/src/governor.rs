@@ -59,6 +59,7 @@ use lac_metrics::{mean_relative_error, ssim, ImageView, RollingWindow};
 use lac_rt::hash::{fnv1a_64, fnv1a_64_hex};
 use lac_rt::json::Value;
 
+use crate::pool::WorkerPool;
 use crate::registry::Registry;
 use crate::server::forward;
 
@@ -560,6 +561,7 @@ pub fn run_closed_loop(cfg: &ClosedLoopConfig) -> Result<ClosedLoopReport, Strin
         GovernorSink::Memory(Vec::new()),
     );
 
+    let pool = WorkerPool::new(cfg.threads);
     let (fault_start, fault_end) = cfg.fault_window;
     let mut mode_timeline = Vec::with_capacity(cfg.batches as usize);
     // (seq, mode, quality) for every sampled batch.
@@ -576,7 +578,7 @@ pub fn run_closed_loop(cfg: &ClosedLoopConfig) -> Result<ClosedLoopReport, Strin
             let n = seq * cfg.batch_size as u64 + k as u64;
             samples.push(cfg.app.decode(&crate::loadgen::payload(cfg.app, cfg.traffic_seed, n))?);
         }
-        let fwd = forward(&registry, cfg.app, samples, cfg.threads, Some((&cfg.governor, seq)))?;
+        let fwd = forward(&registry, cfg.app, samples, &pool, Some((&cfg.governor, seq)))?;
         mode_timeline.push((seq, fwd.mode));
         if let Some(job) = fwd.job {
             let obs = governor.observe(&job, cfg.threads)?;

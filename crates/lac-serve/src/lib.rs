@@ -7,7 +7,8 @@
 //! ([`batch`]): pending same-kernel requests coalesce into one batched
 //! forward pass, amortizing graph setup, buffer-pool reuse and LUT-row
 //! tabulation across the batch, with a configurable max batch size and
-//! linger window. Checkpoints hot-swap atomically ([`registry`]):
+//! a linger cap that a short batch waits under only when an arrival is
+//! predicted inside it. Checkpoints hot-swap atomically ([`registry`]):
 //! in-flight batches finish on the model they started with and no
 //! connection is dropped. A seeded load generator ([`loadgen`])
 //! produces the `BENCH_serve.json` latency/throughput benchmark. A
@@ -62,6 +63,7 @@
 //! server.join();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -70,6 +72,7 @@ pub mod chaos;
 pub mod client;
 pub mod governor;
 pub mod loadgen;
+mod pool;
 pub mod protocol;
 pub mod registry;
 pub mod server;

@@ -254,12 +254,14 @@ pub struct SweepConfig {
     pub conns: usize,
     /// Pipelining window per connection.
     pub window: usize,
-    /// Dispatcher linger in microseconds (see [`ServerConfig`]).
+    /// Dispatcher linger cap in microseconds (see
+    /// [`ServerConfig::linger`]).
     ///
     /// Defaults to 0: the sweep drives saturated pipelined load, so the
-    /// batch queue is always deep and a linger can only stall the
-    /// dispatcher. Lingering trades latency for batch fill under
-    /// *sparse* arrivals, which is not what this grid measures.
+    /// batch queue is always deep and a short batch would never have a
+    /// reason to wait. The cap matters only when arrivals are spaced
+    /// closely enough to predict one inside it, which is not what this
+    /// grid measures.
     pub linger_us: u64,
     /// Payload seed.
     pub seed: u64,

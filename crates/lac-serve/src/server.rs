@@ -12,7 +12,8 @@
 //!                            │  head run of one key, ≤ max_batch
 //!                            ▼
 //!        dispatcher ── Core::dispatch_next, one supervised batch ──▶
-//!        deadline pass → forward() on the lac_rt::par pool (cfg.workers)
+//!        deadline pass → forward(): chunk 0 on the dispatcher, the rest
+//!        on cfg.workers − 1 long-lived pool threads (crate::pool)
 //!        → responses coalesced per connection (bounded outbox + writer)
 //! ```
 //!
@@ -28,11 +29,15 @@
 //! Readers do all per-request validation (framing, opcodes, payload
 //! decoding), answering malformed requests with error frames so only
 //! valid samples reach the queue. The dispatcher pops deterministic
-//! head-run batches, drops expired requests with `deadline:` errors
+//! head-run batches — lingering for more same-key work only while an
+//! arrival is predicted inside [`ServerConfig::linger`] (see
+//! [`crate::batch`]) — drops expired requests with `deadline:` errors
 //! before spending kernel time, resolves the model `Arc` once per batch
 //! (so a concurrent hot-swap never splits a batch across models), runs
-//! the batched forward pass across the worker pool, and answers every
-//! request in batch order.
+//! the batched forward pass across the core's persistent worker threads,
+//! and answers every request in batch order. The worker threads start
+//! with the core and are joined by [`RunningServer::join`] or when the
+//! core is dropped.
 //!
 //! # Resilience
 //!
@@ -52,7 +57,9 @@
 //!   [`lac_rt::supervise::supervise`]: a panic converts the batch's
 //!   in-flight requests into per-request `panic:` error frames, bumps a
 //!   restart counter, and the dispatcher goes on to the next batch (the
-//!   governor thread is supervised the same way). Injected panics
+//!   governor thread is supervised the same way). A panic on a pool
+//!   worker is caught there and re-raised on the dispatcher, so it is
+//!   answered the same way and the worker thread survives. Injected panics
 //!   ([`Request::DebugPanic`], gated by
 //!   [`ServerConfig::debug_opcodes`]) are dispatched as solo poison
 //!   batches, so they can never take innocent requests down with them.
@@ -84,6 +91,7 @@ use lac_rt::supervise::{deliberate_panic, supervise};
 
 use crate::batch::{Admission, BatchQueue};
 use crate::governor::{self, should_sample, GovernorConfig, GovernorJob};
+use crate::pool::WorkerPool;
 use crate::protocol::{FrameEvent, FrameReader, Request, Response, MAX_FRAME_LEN};
 use crate::registry::Registry;
 
@@ -96,11 +104,16 @@ const RETRY_HINT_PER_QUEUED_US: u64 = 100;
 /// Serving knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads a batched forward pass is spread across.
+    /// Threads a batched forward pass is spread across: the dispatcher
+    /// plus `workers − 1` long-lived pool threads started with the
+    /// server (none for 1).
     pub workers: usize,
     /// Most requests coalesced into one batch.
     pub max_batch: usize,
-    /// How long a partial batch waits for the head run to fill.
+    /// Cap on how long a short batch may wait for its head run to
+    /// fill. The dispatcher waits only while the queue's inter-arrival
+    /// EWMA predicts a same-key arrival before the cap, and only until
+    /// that predicted instant; zero never waits.
     pub linger: Duration,
     /// Quality-governor knobs; `None` serves every batch at the
     /// selector's (initially trained) mode with no sampling thread.
@@ -122,9 +135,9 @@ pub struct ServerConfig {
     /// Honor [`Request::DebugPanic`] fault injection. Off by default;
     /// the chaos harness and resilience tests switch it on.
     pub debug_opcodes: bool,
-    /// Time source for deadline stamping and expiry. Defaults to the
-    /// real monotonic clock; tests and the chaos harness install a
-    /// [`lac_rt::clock::MockClock`].
+    /// Time source for deadline stamping and expiry, arrival stamps and
+    /// linger decisions. Defaults to the real monotonic clock; tests and
+    /// the chaos harness install a [`lac_rt::clock::MockClock`].
     pub clock: Arc<dyn Clock>,
 }
 
@@ -193,7 +206,7 @@ pub(crate) struct Forward {
 }
 
 /// The forward step every driver shares: resolve `app`'s live
-/// `(model, mode)` once, run the batch at that rung, and — when
+/// `(model, mode)` once, run the batch at that rung on `pool`, and — when
 /// `sampling` names governor knobs and this batch's per-app sequence
 /// number and the seeded hash picks it — package the batch as a
 /// [`GovernorJob`].
@@ -201,15 +214,15 @@ pub(crate) fn forward(
     registry: &Registry,
     app: ServeApp,
     samples: Vec<ServeSample>,
-    workers: usize,
+    pool: &WorkerPool,
     sampling: Option<(&GovernorConfig, u64)>,
 ) -> Result<Forward, String> {
     // Resolve once per batch: a hot-swap or a governor step between
     // batches takes effect cleanly; one during a batch lets it finish
     // on the state it started with.
     let (model, mode) = registry.resolve_mode(app).ok_or_else(|| no_model(app))?;
-    let outputs =
-        model.infer_mode(mode, &samples, workers).map_err(|e| format!("inference: {e}"))?;
+    let (samples, outputs) =
+        pool.infer(&model, mode, samples).map_err(|e| format!("inference: {e}"))?;
     let job = sampling
         .filter(|(g, seq)| should_sample(g.seed, app, *seq, g.sample_rate))
         .map(|(_, seq)| GovernorJob { model, app, seq, mode, samples, outputs: outputs.clone() });
@@ -222,6 +235,7 @@ pub(crate) fn forward(
 pub(crate) struct Core<C> {
     registry: Arc<Registry>,
     queue: BatchQueue<BatchKey, Pending<C>>,
+    pool: WorkerPool,
     cfg: ServerConfig,
     stop: AtomicBool,
     /// Per-app dispatched-batch counters (governor sampling keys on
@@ -241,7 +255,8 @@ impl<C: Clone> Core<C> {
     pub(crate) fn new(registry: Arc<Registry>, cfg: ServerConfig) -> Self {
         Core {
             registry,
-            queue: BatchQueue::bounded(cfg.queue_cap),
+            queue: BatchQueue::bounded(cfg.queue_cap, Arc::clone(&cfg.clock)),
+            pool: WorkerPool::new(cfg.workers),
             cfg,
             stop: AtomicBool::new(false),
             batch_seq: Default::default(),
@@ -266,6 +281,11 @@ impl<C: Clone> Core<C> {
     /// Whether no request is waiting for a batch.
     pub(crate) fn is_idle(&self) -> bool {
         self.queue.is_empty()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn pool(&self) -> &WorkerPool {
+        &self.pool
     }
 
     pub(crate) fn health(&self) -> HealthSnapshot {
@@ -494,7 +514,7 @@ impl<C: Clone> Core<C> {
             }
             _ => None,
         };
-        match forward(&self.registry, app, samples, self.cfg.workers, sampling) {
+        match forward(&self.registry, app, samples, &self.pool, sampling) {
             Ok(fwd) => {
                 if let (Some(job), Some(tx)) = (fwd.job, governor) {
                     let _ = tx.send(job);
@@ -748,6 +768,7 @@ impl RunningServer {
         if let Some(h) = self.dispatcher.take() {
             let _ = h.join();
         }
+        self.shared.core.pool.shutdown();
         // The dispatcher owned the governor's sender; with it gone the
         // governor drains its queue and exits.
         if let Some(h) = self.governor.take() {
@@ -881,6 +902,92 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lac_data::GrayImage;
+
+    /// Records every response with its connection.
+    #[derive(Default)]
+    struct Log(Vec<(usize, Response)>);
+
+    impl Transport for Log {
+        type Conn = usize;
+        fn send(&mut self, conn: &usize, resp: &Response, _frame: Vec<u8>) {
+            self.0.push((*conn, resp.clone()));
+        }
+        fn flush(&mut self) {}
+    }
+
+    fn dft_core(workers: usize) -> (Core<usize>, Arc<ServingModel>) {
+        let registry = Arc::new(Registry::new());
+        registry.swap(ServingModel::untrained(ServeApp::Dft, "mul8u_FTA").unwrap());
+        let (model, _) = registry.resolve_mode(ServeApp::Dft).unwrap();
+        let cfg =
+            ServerConfig { workers, max_batch: 4, linger: Duration::ZERO, ..Default::default() };
+        (Core::new(registry, cfg), model)
+    }
+
+    fn queue(core: &Core<usize>, first_id: u64, samples: &[ServeSample]) {
+        for (id, sample) in (first_id..).zip(samples) {
+            let pending = Pending { id, sample: Some(sample.clone()), conn: 0, expires_at: None };
+            assert_eq!(core.queue.push(BatchKey::App(ServeApp::Dft), pending), Admission::Admitted);
+        }
+    }
+
+    /// A panic inside a pool worker's chunk is the batch's panic: every
+    /// request of that batch gets a `panic:` frame, the restart counter
+    /// moves once, and the same worker threads serve the next batch.
+    #[test]
+    fn worker_chunk_panic_answers_its_batch_and_the_pool_serves_on() {
+        let (core, model) = dft_core(2);
+        assert_eq!(core.pool().live_threads(), 1);
+        let good: Vec<ServeSample> = (0..4)
+            .map(|n| ServeApp::Dft.decode(&crate::loadgen::payload(ServeApp::Dft, 3, n)).unwrap())
+            .collect();
+        // A 4×4 image cannot go through the 32×32 DFT; with four samples
+        // on two workers it lands in chunk 1, on the pool thread.
+        let poison = ServeSample::Image(GrayImage::from_pixels(4, 4, vec![0.0; 16]));
+        queue(&core, 0, &[good[0].clone(), good[1].clone(), good[2].clone(), poison]);
+        let mut log = Log::default();
+        assert!(core.dispatch_next(&mut log, None));
+        assert_eq!(log.0.len(), 4);
+        for (i, (_, resp)) in log.0.iter().enumerate() {
+            match resp {
+                Response::Error { id, message } => {
+                    assert_eq!(*id, i as u64);
+                    assert!(message.starts_with("panic: dispatcher restarted: "), "{message}");
+                }
+                other => panic!("expected a panic frame, got {other:?}"),
+            }
+        }
+        assert_eq!(core.health().dispatcher_restarts, 1);
+        assert_eq!(core.pool().live_threads(), 1, "the worker thread survives its panic");
+
+        queue(&core, 4, &good);
+        let mut log = Log::default();
+        assert!(core.dispatch_next(&mut log, None));
+        let expected = model.infer(&good, 1).unwrap();
+        let served: Vec<(u64, Vec<f64>)> = log
+            .0
+            .into_iter()
+            .map(|(_, resp)| match resp {
+                Response::Infer { id, values } => (id, values),
+                other => panic!("expected an inference frame, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(served, (4..).zip(expected).collect::<Vec<_>>());
+        assert_eq!(core.health().dispatcher_restarts, 1);
+    }
+
+    /// `join` stops the pool: once it returns, no worker thread runs.
+    #[test]
+    fn join_leaves_no_pool_thread_running() {
+        let (registry, cfg) = (Arc::new(Registry::new()), ServerConfig::default());
+        let server = serve(registry, cfg, 0).unwrap();
+        let shared = Arc::clone(&server.shared);
+        assert_eq!(shared.core.pool().live_threads(), 3);
+        server.shutdown();
+        server.join();
+        assert_eq!(shared.core.pool().live_threads(), 0);
+    }
 
     /// The interleaving behind a `join()` hang: `join()` takes the
     /// connection list before a just-accepted reader registers. That

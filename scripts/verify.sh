@@ -179,6 +179,18 @@ echo "== serving core: driver conformance + error taxonomy"
 cargo test -q --offline -p lac-serve --lib chaos::tests::tcp_and_in_process_drivers_answer_byte_identically
 cargo test -q --offline -p lac-serve --test taxonomy
 
+# Work-conserving dispatch (DESIGN.md §8): the linger policy on a mock
+# clock (sparse arrivals never wait, dense ones fill to max_batch, the
+# closed loop waits at most one predicted gap, a wait never passes the
+# cap, zero linger never waits, a different key ends the batch), and the
+# persistent dispatch workers (a worker-chunk panic answers exactly its
+# batch and the pool serves on; join and per-cell core drops leave no
+# worker thread running).
+echo "== work-conserving dispatch: linger policy + persistent workers"
+cargo test -q --offline -p lac-serve --lib batch::
+cargo test -q --offline -p lac-serve --lib server::tests
+cargo test -q --offline -p lac-serve --lib chaos::tests::per_cell_cores_leak_no_threads
+
 # Governor ownership guard (DESIGN.md §9): runtime serving-mode state
 # has exactly one writer — the QualityGovernor FSM. Registry install
 # paths use the distinct initialize()/clamp_to() entry points; any
@@ -193,6 +205,17 @@ done)
 if [[ -n "${mode_writers}" ]]; then
     echo "verify: FAIL — set_mode( outside crates/lac-serve/src/governor.rs (only the QualityGovernor mutates serving mode state):" >&2
     echo "${mode_writers}" >&2
+    exit 1
+fi
+
+# Serving clock guard (DESIGN.md §10): the batcher and the serving
+# core read time only through ServerConfig::clock, so linger decisions
+# and deadlines follow a MockClock in tests and the chaos harness. A
+# direct Instant::now in either file would put a second, unmockable
+# time source on the dispatch path.
+echo "== serving clock guard: no Instant::now in lac-serve batch.rs/server.rs"
+if grep -n "Instant::now" crates/lac-serve/src/batch.rs crates/lac-serve/src/server.rs; then
+    echo "verify: FAIL — Instant::now in crates/lac-serve/src/{batch,server}.rs (read ServerConfig::clock instead)" >&2
     exit 1
 fi
 
