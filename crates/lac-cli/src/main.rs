@@ -115,11 +115,13 @@ forward pass of up to `--batch` samples spread over `--workers`
 threads (the dispatcher plus `--workers` - 1 persistent workers), and a
 SWAP frame hot-swaps a checkpoint without dropping connections.
 `--linger-us` caps how long a short batch may wait to fill: the daemon
-waits only when its average inter-arrival gap predicts another request
-inside the cap, and only until that predicted arrival, so sparse
-traffic is served at once and 0 never waits. `--slo X` turns on the quality governor: the daemon
-samples `--sample-rate` of live batches, replays them through the
-exact datapath, and steps each app along its `--ladder` (auto = the
+does not wait when every connection is waiting for its answers (as
+many in flight as it has ever had), and otherwise waits only when its
+average inter-arrival gap predicts another request inside the cap, and
+only until that predicted arrival, so sparse and closed-loop traffic
+is served at once and 0 never waits. `--slo X` turns on the quality
+governor: the daemon samples `--sample-rate` of live batches, replays
+them through the exact datapath, and steps each app along its `--ladder` (auto = the
 catalog slice around the trained multiplier, most exact first) to hold
 the SLO at minimum area; `--governor-log` streams JSONL telemetry.
 `--queue-cap` bounds admission (over-cap requests are shed with a BUSY

@@ -34,8 +34,8 @@ pub struct ServeOpts {
     pub workers: usize,
     /// Max requests coalesced into one batch.
     pub batch: usize,
-    /// Linger cap in microseconds: a short batch waits only for an
-    /// arrival predicted inside it.
+    /// Linger cap in microseconds: a short batch waits only while some
+    /// connection may still send and an arrival is predicted inside it.
     pub linger_us: u64,
     /// Quality SLO; setting it turns the governor on.
     pub slo: Option<f64>,

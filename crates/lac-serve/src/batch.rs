@@ -12,19 +12,40 @@
 //! # Linger is a cap, not a wait
 //!
 //! Batching is *work-conserving*: a short batch waits for more
-//! same-key work only when an arrival is due. The queue stamps every
-//! admitted arrival with its [`Clock`] and keeps one queue-wide EWMA of
-//! the inter-arrival gaps (integer µs, α = 1/8). After taking the head
-//! run, the dispatcher waits only while the batch is short, the queue
-//! head is empty, the queue is open, and the predicted next arrival
+//! same-key work only when an arrival is possible and due. Two pieces
+//! of queue state decide it, both kept under the queue's lock.
+//!
+//! **The in-flight ledger.** Every push names its *source* (the
+//! connection it came from). Per source the queue counts `outstanding`
+//! admitted requests not yet [released](BatchQueue::release) and the
+//! `window`, the most it has ever had outstanding. A source is
+//! *blocked* when `outstanding ≥ window ≥ 1`: a client that has never
+//! sent more than `window` ahead cannot send again until it is
+//! answered. After taking the head run, the dispatcher dispatches at
+//! once when every live source is blocked, since no arrival can come.
+//! A source enters the ledger with its first admitted request (so a
+//! connection that only pings is never one) and leaves it when
+//! [closed](BatchQueue::close_source). A pipelining client shows a
+//! window of two or more the first time it sends ahead, so open-loop
+//! traffic keeps the arrival rule below. The dispatcher must release a
+//! batch's slots before its answers reach the transport, or a client
+//! that resends on reading its answer is seen with two outstanding and
+//! its window grows.
+//!
+//! **The arrival rule.** The queue stamps every admitted arrival with
+//! its [`Clock`] and keeps one queue-wide EWMA of the inter-arrival
+//! gaps (integer µs, α = 1/8). When some source is not blocked, the
+//! dispatcher waits only while the batch is short, the queue head is
+//! empty, the queue is open, and the predicted next arrival
 //! (`last_arrival + ewma_gap`) falls before `first_pop + linger`. It
 //! waits until that predicted instant, not to the end of the cap; an
 //! arrival it catches extends the batch and is followed by a fresh
-//! prediction, and the first predicted instant that passes with no
+//! decision, and the first predicted instant that passes with no
 //! arrival dispatches the batch. Sparse traffic (gaps above the cap)
-//! therefore dispatches at once, and a linger of zero never waits. The
-//! decision is `Arrivals::linger_until`, a pure function of clock
-//! readings.
+//! therefore dispatches at once, and a linger of zero never waits.
+//!
+//! Both rules are pure functions of queue state (`Arrivals::linger_until`
+//! and `Ledger::all_blocked`), tested on a mock clock.
 //!
 //! The key is generic (`K: Copy + PartialEq`): the server batches on a
 //! composite of the kernel and a poison marker, so fault-injection
@@ -38,7 +59,7 @@
 //! `lac_apps::serving::infer_batch`), so lingering trades latency for
 //! throughput without touching determinism.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -99,9 +120,70 @@ impl Arrivals {
     }
 }
 
+/// One source's in-flight counts.
+#[derive(Debug, Default)]
+struct InFlight {
+    /// Admitted requests not yet released.
+    outstanding: usize,
+    /// The most this source has ever had outstanding.
+    window: usize,
+    /// The connection is gone; the entry stays only until its
+    /// outstanding requests are released.
+    closed: bool,
+}
+
+/// The per-source in-flight ledger behind the blocked-source rule (see
+/// the [module docs](self)).
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    sources: HashMap<u64, InFlight>,
+}
+
+impl Ledger {
+    /// Count one admitted request from `source`.
+    pub(crate) fn admit(&mut self, source: u64) {
+        let f = self.sources.entry(source).or_default();
+        f.outstanding += 1;
+        f.window = f.window.max(f.outstanding);
+    }
+
+    /// Free the slot of one answered request from `source`.
+    pub(crate) fn release(&mut self, source: u64) {
+        if let Some(f) = self.sources.get_mut(&source) {
+            f.outstanding = f.outstanding.saturating_sub(1);
+            if f.closed && f.outstanding == 0 {
+                self.sources.remove(&source);
+            }
+        }
+    }
+
+    /// `source` will send nothing more: it leaves the source set, and
+    /// its entry goes once its outstanding requests are released.
+    pub(crate) fn close(&mut self, source: u64) {
+        if let Some(f) = self.sources.get_mut(&source) {
+            f.closed = true;
+            if f.outstanding == 0 {
+                self.sources.remove(&source);
+            }
+        }
+    }
+
+    /// Whether every live source is blocked (`outstanding ≥ window`),
+    /// so no new request can arrive.
+    pub(crate) fn all_blocked(&self) -> bool {
+        self.sources.values().filter(|f| !f.closed).all(|f| f.outstanding >= f.window)
+    }
+
+    /// Admitted requests not yet released, over every source.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.sources.values().map(|f| f.outstanding).sum()
+    }
+}
+
 struct State<K, T> {
     queue: VecDeque<(K, T)>,
     arrivals: Arrivals,
+    ledger: Ledger,
     closed: bool,
 }
 
@@ -140,6 +222,7 @@ impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 arrivals: Arrivals::default(),
+                ledger: Ledger::default(),
                 closed: false,
             }),
             cv: Condvar::new(),
@@ -154,9 +237,11 @@ impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Try to append one item, reporting the admission decision.
-    /// Admitted items are stamped as arrivals.
-    pub fn push(&self, key: K, item: T) -> Admission {
+    /// Try to append one item from connection `source`, reporting the
+    /// admission decision. Admitted items are stamped as arrivals and
+    /// take one of `source`'s in-flight slots until
+    /// [`release`](Self::release); refused ones take nothing.
+    pub fn push(&self, key: K, source: u64, item: T) -> Admission {
         let mut s = self.lock();
         if s.closed {
             return Admission::Closed;
@@ -165,9 +250,31 @@ impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
             return Admission::Busy { depth: s.queue.len() };
         }
         s.arrivals.stamp(self.clock.now_us());
+        s.ledger.admit(source);
         s.queue.push_back((key, item));
         self.cv.notify_one();
         Admission::Admitted
+    }
+
+    /// Free the in-flight slots of answered items, one per entry of
+    /// `sources`. Call it before the answers reach their connections.
+    pub fn release(&self, sources: &[u64]) {
+        let mut s = self.lock();
+        for &source in sources {
+            s.ledger.release(source);
+        }
+    }
+
+    /// Connection `source` is gone: it no longer counts as a possible
+    /// sender when a short batch decides whether to wait.
+    pub fn close_source(&self, source: u64) {
+        self.lock().ledger.close(source);
+        self.cv.notify_all();
+    }
+
+    /// Admitted items not yet released, over every source.
+    pub fn in_flight(&self) -> usize {
+        self.lock().ledger.in_flight()
     }
 
     /// Close the queue: wakes all poppers; pending items still drain.
@@ -189,10 +296,12 @@ impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
     /// Pop the next batch: the head run of consecutive same-key items,
     /// at most `max_batch` of them.
     ///
-    /// Blocks until at least one item is available. A short run waits
-    /// only for a predicted same-key arrival that falls within `linger`
-    /// of the first pop (see the [module docs](self)); new same-key
-    /// arrivals extend the batch, a different key at the head ends it.
+    /// Blocks until at least one item is available. A short run
+    /// dispatches at once when every live source is blocked, and
+    /// otherwise waits only for a predicted same-key arrival that falls
+    /// within `linger` of the first pop (see the [module docs](self));
+    /// new same-key arrivals extend the batch, a different key at the
+    /// head ends it.
     /// Returns `None` once the queue is closed *and* drained.
     pub fn pop_batch(&self, max_batch: usize, linger: Duration) -> Option<(K, Vec<T>)> {
         let max_batch = max_batch.max(1);
@@ -227,8 +336,9 @@ impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
                 break;
             }
             let now = self.clock.now_us();
-            let Some(until) = s.arrivals.linger_until(now, first_pop, linger_us) else {
-                break; // no arrival predicted inside the cap
+            let wait = s.arrivals.linger_until(now, first_pop, linger_us);
+            let Some(until) = wait.filter(|_| !s.ledger.all_blocked()) else {
+                break; // no arrival possible, or none predicted inside the cap
             };
             let (guard, timeout) = self
                 .cv
@@ -240,6 +350,12 @@ impl<K: Copy + PartialEq, T> BatchQueue<K, T> {
             }
         }
         Some((key, batch))
+    }
+
+    /// The learned window of `source`, while it is in the ledger.
+    #[cfg(test)]
+    pub(crate) fn window(&self, source: u64) -> Option<usize> {
+        self.lock().ledger.sources.get(&source).map(|f| f.window)
     }
 }
 
@@ -256,10 +372,10 @@ mod tests {
     fn pops_head_run_up_to_max_batch() {
         let q = BatchQueue::new();
         for i in 0..5 {
-            assert_eq!(q.push(ServeApp::Blur, i), Admission::Admitted);
+            assert_eq!(q.push(ServeApp::Blur, 0, i), Admission::Admitted);
         }
-        assert_eq!(q.push(ServeApp::Jpeg, 5), Admission::Admitted);
-        assert_eq!(q.push(ServeApp::Blur, 6), Admission::Admitted);
+        assert_eq!(q.push(ServeApp::Jpeg, 0, 5), Admission::Admitted);
+        assert_eq!(q.push(ServeApp::Blur, 0, 6), Admission::Admitted);
 
         let (app, batch) = q.pop_batch(3, NO_LINGER).unwrap();
         assert_eq!((app, batch), (ServeApp::Blur, vec![0, 1, 2]));
@@ -274,20 +390,20 @@ mod tests {
     #[test]
     fn bounded_queue_sheds_at_cap_and_reports_depth() {
         let (q, _) = mock_queue(2);
-        assert_eq!(q.push(ServeApp::Blur, 0), Admission::Admitted);
-        assert_eq!(q.push(ServeApp::Blur, 1), Admission::Admitted);
-        assert_eq!(q.push(ServeApp::Blur, 2), Admission::Busy { depth: 2 });
+        assert_eq!(q.push(ServeApp::Blur, 0, 0), Admission::Admitted);
+        assert_eq!(q.push(ServeApp::Blur, 0, 1), Admission::Admitted);
+        assert_eq!(q.push(ServeApp::Blur, 0, 2), Admission::Busy { depth: 2 });
         assert_eq!(q.len(), 2, "refused items are not queued");
         // Draining one batch frees capacity again.
         let (_, batch) = q.pop_batch(8, NO_LINGER).unwrap();
         assert_eq!(batch, vec![0, 1]);
-        assert_eq!(q.push(ServeApp::Blur, 3), Admission::Admitted);
+        assert_eq!(q.push(ServeApp::Blur, 0, 3), Admission::Admitted);
     }
 
     #[test]
     fn zero_cap_refuses_everything() {
         let (q, _) = mock_queue::<u32>(0);
-        assert_eq!(q.push(ServeApp::Blur, 1), Admission::Busy { depth: 0 });
+        assert_eq!(q.push(ServeApp::Blur, 0, 1), Admission::Busy { depth: 0 });
         assert!(q.is_empty());
     }
 
@@ -296,9 +412,9 @@ mod tests {
         // The server keys batches on (kernel, poison marker); distinct
         // keys never share a batch even with identical payload types.
         let q: BatchQueue<(u8, bool), u32> = BatchQueue::new();
-        let _ = q.push((0, false), 1);
-        let _ = q.push((0, true), 2);
-        let _ = q.push((0, false), 3);
+        let _ = q.push((0, false), 0, 1);
+        let _ = q.push((0, true), 0, 2);
+        let _ = q.push((0, false), 0, 3);
         assert_eq!(q.pop_batch(8, NO_LINGER), Some(((0, false), vec![1])));
         assert_eq!(q.pop_batch(8, NO_LINGER), Some(((0, true), vec![2])));
         assert_eq!(q.pop_batch(8, NO_LINGER), Some(((0, false), vec![3])));
@@ -307,9 +423,9 @@ mod tests {
     #[test]
     fn close_drains_then_ends() {
         let q = BatchQueue::new();
-        assert_eq!(q.push(ServeApp::Dft, 1), Admission::Admitted);
+        assert_eq!(q.push(ServeApp::Dft, 0, 1), Admission::Admitted);
         q.close();
-        assert_eq!(q.push(ServeApp::Dft, 2), Admission::Closed);
+        assert_eq!(q.push(ServeApp::Dft, 0, 2), Admission::Closed);
         assert_eq!(q.pop_batch(8, NO_LINGER), Some((ServeApp::Dft, vec![1])));
         assert_eq!(q.pop_batch(8, NO_LINGER), None);
     }
@@ -352,11 +468,19 @@ mod tests {
 
         let (q, clock) = mock_queue(usize::MAX);
         for i in 0..3 {
-            let _ = q.push(ServeApp::Blur, i);
+            let _ = q.push(ServeApp::Blur, 0, i);
             clock.advance(1_000);
         }
         let linger = Duration::from_micros(200);
         assert_eq!(q.pop_batch(16, linger), Some((ServeApp::Blur, vec![0, 1, 2])));
+    }
+
+    /// Give `q` a source that has had one request answered: it may
+    /// send again at any moment, so it keeps the arrival rule in force.
+    fn idle_source<T>(q: &BatchQueue<ServeApp, T>, source: u64) {
+        let mut s = q.lock();
+        s.ledger.admit(source);
+        s.ledger.release(source);
     }
 
     #[test]
@@ -364,9 +488,10 @@ mod tests {
         // 10 µs gaps: a short batch would wait for the next arrival, but
         // a full one dispatches and leaves the rest queued.
         let (q, clock) = mock_queue(usize::MAX);
+        idle_source(&q, 9);
         for i in 0..20 {
             clock.advance(10);
-            let _ = q.push(ServeApp::Blur, i);
+            let _ = q.push(ServeApp::Blur, 0, i);
         }
         let linger = Duration::from_micros(200);
         assert_eq!(q.pop_batch(16, linger), Some((ServeApp::Blur, (0..16).collect())));
@@ -435,9 +560,9 @@ mod tests {
         let a = arrivals(&[100, 101, 102]);
         assert_eq!(a.linger_until(102, 102, 0), None);
         let (q, clock) = mock_queue(usize::MAX);
-        let _ = q.push(ServeApp::Blur, 0);
+        let _ = q.push(ServeApp::Blur, 0, 0);
         clock.advance(1);
-        let _ = q.push(ServeApp::Blur, 1);
+        let _ = q.push(ServeApp::Blur, 0, 1);
         assert_eq!(q.pop_batch(8, NO_LINGER), Some((ServeApp::Blur, vec![0, 1])));
     }
 
@@ -447,7 +572,7 @@ mod tests {
         // jpeg request at the head ends the blur batch at once.
         let (q, clock) = mock_queue(usize::MAX);
         for (i, app) in [ServeApp::Blur, ServeApp::Blur, ServeApp::Jpeg].into_iter().enumerate() {
-            let _ = q.push(app, i);
+            let _ = q.push(app, 0, i);
             clock.advance(10);
         }
         let linger = Duration::from_secs(5);
@@ -455,28 +580,142 @@ mod tests {
         assert_eq!(q.pop_batch(1, linger), Some((ServeApp::Jpeg, vec![2])));
     }
 
+    /// Sources 1 and 2 each with one request queued 10 s apart on the
+    /// mock clock: the EWMA predicts a third arrival 10 s out, inside a
+    /// 60 s cap.
+    fn long_prediction() -> (Arc<BatchQueue<ServeApp, u32>>, Arc<MockClock>) {
+        let (q, clock) = mock_queue(usize::MAX);
+        let _ = q.push(ServeApp::Blur, 1, 0);
+        clock.advance(10_000_000);
+        let _ = q.push(ServeApp::Blur, 2, 1);
+        (Arc::new(q), clock)
+    }
+
+    /// Pop a batch of up to three on another thread, failing if it takes
+    /// longer than `watchdog` of real time.
+    fn pop_within(
+        q: &Arc<BatchQueue<ServeApp, u32>>,
+        watchdog: Duration,
+    ) -> Option<(ServeApp, Vec<u32>)> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let q = Arc::clone(q);
+        std::thread::spawn(move || {
+            let _ = tx.send(q.pop_batch(3, Duration::from_secs(60)));
+        });
+        rx.recv_timeout(watchdog).expect("pop_batch waited past the watchdog")
+    }
+
+    #[test]
+    fn blocked_sources_dispatch_at_once() {
+        // Both sources wait for their answers, so the predicted arrival
+        // cannot come: the batch goes at once instead of after 10 s.
+        let (q, _clock) = long_prediction();
+        assert_eq!(pop_within(&q, Duration::from_secs(5)), Some((ServeApp::Blur, vec![0, 1])));
+    }
+
     #[test]
     fn linger_catches_a_predicted_arrival() {
-        // A 10 s gap predicts the next arrival 10 s out on the mock
-        // clock, inside a 60 s cap: the popper waits for it, and the
-        // producer pushes only once the popper holds the first two.
-        let (q, clock) = mock_queue(usize::MAX);
-        let q = Arc::new(q);
-        let _ = q.push(ServeApp::Blur, 0);
-        clock.advance(10_000_000);
-        let _ = q.push(ServeApp::Blur, 1);
+        // Source 3 has been answered and may send again, so the popper
+        // waits for the prediction; the producer pushes from source 3
+        // only once the popper holds the first two.
+        let (q, _clock) = long_prediction();
+        idle_source(&q, 3);
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 while !q.is_empty() {
                     std::thread::yield_now();
                 }
-                let _ = q.push(ServeApp::Blur, 2);
+                let _ = q.push(ServeApp::Blur, 3, 2);
             })
         };
-        let batch = q.pop_batch(3, Duration::from_secs(60));
+        let batch = pop_within(&q, Duration::from_secs(30));
         producer.join().unwrap();
         assert_eq!(batch, Some((ServeApp::Blur, vec![0, 1, 2])));
+    }
+
+    #[test]
+    fn closed_loop_sources_never_wait() {
+        // The closed loop of `closed_loop_waits_at_most_one_predicted_gap`
+        // with its two connections in the ledger: at every decision both
+        // wait for their answers, so no round waits, although the EWMA
+        // alone predicts an arrival inside the cap in some of them.
+        const LINGER: u64 = 200;
+        const DELTA: u64 = 15;
+        const SERVICE: u64 = 60;
+        let (mut a, mut ledger) = (Arrivals::default(), Ledger::default());
+        let mut ewma_waits = 0;
+        let mut t = 0u64;
+        for _ in 0..50 {
+            for (source, at) in [(1, t), (2, t + DELTA)] {
+                a.stamp(at);
+                ledger.admit(source);
+            }
+            if a.linger_until(t + DELTA, t, LINGER).is_some() {
+                ewma_waits += 1;
+            }
+            assert!(ledger.all_blocked(), "a closed loop waited: {ledger:?}");
+            ledger.release(1);
+            ledger.release(2);
+            assert!(!ledger.all_blocked(), "answered sources may send again");
+            t += DELTA + SERVICE;
+        }
+        assert!(ewma_waits > 0, "the pattern never tested the ledger against a prediction");
+        assert_eq!(ledger.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_source_that_sent_ahead_keeps_ewma_waits() {
+        let mut ledger = Ledger::default();
+        ledger.admit(1);
+        ledger.admit(2);
+        ledger.admit(2);
+        ledger.release(2);
+        // Source 2 once had two outstanding: with one, it may send again.
+        assert!(!ledger.all_blocked(), "{ledger:?}");
+        ledger.admit(2);
+        assert!(ledger.all_blocked(), "{ledger:?}");
+    }
+
+    #[test]
+    fn refused_pushes_take_no_slot() {
+        let (q, _) = mock_queue(1);
+        assert_eq!(q.push(ServeApp::Blur, 1, 0), Admission::Admitted);
+        assert_eq!(q.push(ServeApp::Blur, 2, 1), Admission::Busy { depth: 1 });
+        q.close();
+        assert_eq!(q.push(ServeApp::Blur, 3, 2), Admission::Closed);
+        assert_eq!((q.window(1), q.window(2), q.window(3)), (Some(1), None, None));
+        assert_eq!(q.in_flight(), 1);
+        assert!(q.lock().ledger.all_blocked(), "shed and refused senders are not sources");
+    }
+
+    #[test]
+    fn closing_a_source_removes_it_from_the_source_set() {
+        let mut ledger = Ledger::default();
+        ledger.admit(1);
+        ledger.admit(2);
+        ledger.release(2);
+        assert!(!ledger.all_blocked());
+        ledger.close(2);
+        assert!(ledger.all_blocked(), "a closed connection cannot send");
+        // A connection closed with a request in flight keeps its slot
+        // until the answer releases it.
+        ledger.close(1);
+        assert_eq!(ledger.in_flight(), 1);
+        ledger.release(1);
+        assert_eq!(ledger.in_flight(), 0);
+        assert!(ledger.sources.is_empty(), "{ledger:?}");
+    }
+
+    #[test]
+    fn a_ping_only_connection_is_not_a_source() {
+        // PING is answered on the reader and never pushed, so its
+        // connection never enters the ledger; closing it changes nothing.
+        let mut ledger = Ledger::default();
+        ledger.admit(1);
+        ledger.close(7);
+        assert!(ledger.all_blocked(), "{ledger:?}");
+        assert!(Ledger::default().all_blocked(), "no source can send");
     }
 
     #[test]
@@ -487,7 +726,7 @@ mod tests {
             std::thread::spawn(move || q.pop_batch(4, NO_LINGER))
         };
         std::thread::sleep(Duration::from_millis(5));
-        let _ = q.push(ServeApp::InverseK2j, 9);
+        let _ = q.push(ServeApp::InverseK2j, 0, 9);
         assert_eq!(popper.join().unwrap(), Some((ServeApp::InverseK2j, vec![9])));
     }
 

@@ -423,6 +423,7 @@ impl Harness {
                     if !*dropped {
                         *dropped = true;
                         self.dropped_conns += 1;
+                        self.io.core.disconnect(&c);
                     }
                 }
             }
@@ -490,6 +491,26 @@ impl Harness {
 /// so the report — fingerprint included — is byte-identical across
 /// machines, `--jobs`, and worker counts.
 pub fn run_resilience(cfg: &ResilienceConfig) -> Result<ResilienceReport, String> {
+    let sim = simulate(cfg)?;
+    let health = sim.io.core.health();
+    let wire = sim.io.wire;
+    Ok(ResilienceReport {
+        offered: sim.offered,
+        completed: wire.completed,
+        shed: health.shed,
+        expired: health.expired,
+        restarts: health.dispatcher_restarts,
+        dropped_conns: sim.dropped_conns,
+        dropped_deliveries: wire.dropped_deliveries,
+        batches: sim.batches,
+        recovery_batches: sim.recovery_batches,
+        taxonomy: wire.taxonomy,
+        fingerprint: fnv1a_64_hex(&wire.delivered),
+    })
+}
+
+/// Run one cell's tick loop, then drain its queue.
+fn simulate(cfg: &ResilienceConfig) -> Result<Harness, String> {
     let registry = Arc::new(Registry::new());
     registry.swap(ServingModel::untrained(cfg.app, &cfg.spec).map_err(|e| e.to_string())?);
     let clock = Arc::new(MockClock::new(0));
@@ -554,22 +575,7 @@ pub fn run_resilience(cfg: &ResilienceConfig) -> Result<ResilienceReport, String
     }
     // Drain whatever is still queued, as the daemon does on shutdown.
     while sim.serve_batch() {}
-
-    let health = sim.io.core.health();
-    let wire = sim.io.wire;
-    Ok(ResilienceReport {
-        offered: sim.offered,
-        completed: wire.completed,
-        shed: health.shed,
-        expired: health.expired,
-        restarts: health.dispatcher_restarts,
-        dropped_conns: sim.dropped_conns,
-        dropped_deliveries: wire.dropped_deliveries,
-        batches: sim.batches,
-        recovery_batches: sim.recovery_batches,
-        taxonomy: wire.taxonomy,
-        fingerprint: fnv1a_64_hex(&wire.delivered),
-    })
+    Ok(sim)
 }
 
 /// The storm plan used by the committed sweep: every fault kind at
@@ -924,6 +930,25 @@ mod tests {
         let workers = io.core.pool().watch();
         drop(io);
         assert!(workers.upgrade().is_none(), "a dispatch worker outlived its cell");
+    }
+
+    /// Every admitted request gives its in-flight slot back: once each
+    /// sweep cell drains, shed, expired, panicked and dropped-connection
+    /// traffic included, the ledger holds nothing.
+    #[test]
+    fn every_cell_drains_its_in_flight_ledger() {
+        let mut classes = BTreeMap::new();
+        let mut dropped = 0;
+        for (id, cfg) in resilience_cells(2) {
+            let sim = simulate(&cfg).unwrap();
+            assert_eq!(sim.io.core.in_flight(), 0, "{id} leaked an in-flight slot");
+            classes.extend(sim.io.wire.taxonomy);
+            dropped += sim.dropped_conns;
+        }
+        for class in ["busy", "deadline", "panic"] {
+            assert!(classes.contains_key(class), "no cell answered {class}: {classes:?}");
+        }
+        assert!(dropped > 0, "no cell dropped a connection");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! ([`batch`]): pending same-kernel requests coalesce into one batched
 //! forward pass, amortizing graph setup, buffer-pool reuse and LUT-row
 //! tabulation across the batch, with a configurable max batch size and
-//! a linger cap that a short batch waits under only when an arrival is
-//! predicted inside it. Checkpoints hot-swap atomically ([`registry`]):
+//! a linger cap that a short batch waits under only when some
+//! connection may still send and an arrival is predicted inside it.
+//! Checkpoints hot-swap atomically ([`registry`]):
 //! in-flight batches finish on the model they started with and no
 //! connection is dropped. A seeded load generator ([`loadgen`])
 //! produces the `BENCH_serve.json` latency/throughput benchmark. A

@@ -29,9 +29,9 @@
 //! Readers do all per-request validation (framing, opcodes, payload
 //! decoding), answering malformed requests with error frames so only
 //! valid samples reach the queue. The dispatcher pops deterministic
-//! head-run batches — lingering for more same-key work only while an
-//! arrival is predicted inside [`ServerConfig::linger`] (see
-//! [`crate::batch`]) — drops expired requests with `deadline:` errors
+//! head-run batches — lingering for more same-key work only while some
+//! connection may still send and an arrival is predicted inside
+//! [`ServerConfig::linger`] (see [`crate::batch`]) — drops expired requests with `deadline:` errors
 //! before spending kernel time, resolves the model `Arc` once per batch
 //! (so a concurrent hot-swap never splits a batch across models), runs
 //! the batched forward pass across the core's persistent worker threads,
@@ -111,9 +111,11 @@ pub struct ServerConfig {
     /// Most requests coalesced into one batch.
     pub max_batch: usize,
     /// Cap on how long a short batch may wait for its head run to
-    /// fill. The dispatcher waits only while the queue's inter-arrival
-    /// EWMA predicts a same-key arrival before the cap, and only until
-    /// that predicted instant; zero never waits.
+    /// fill. The dispatcher does not wait when every connection with a
+    /// request in flight is waiting for its answers (each has as many
+    /// outstanding as it has ever had); otherwise it waits only while
+    /// the queue's inter-arrival EWMA predicts a same-key arrival before
+    /// the cap, and only until that predicted instant. Zero never waits.
     pub linger: Duration,
     /// Quality-governor knobs; `None` serves every batch at the
     /// selector's (initially trained) mode with no sampling thread.
@@ -155,6 +157,20 @@ impl Default for ServerConfig {
             debug_opcodes: false,
             clock: Arc::new(MonotonicClock::new()),
         }
+    }
+}
+
+/// A driver's connection handle. The core clones it into each pending
+/// request and names the connection by [`source`](Connection::source)
+/// in the queue's in-flight ledger.
+pub(crate) trait Connection: Clone {
+    /// An id no other live connection of the same core shares.
+    fn source(&self) -> u64;
+}
+
+impl Connection for usize {
+    fn source(&self) -> u64 {
+        *self as u64
     }
 }
 
@@ -251,7 +267,7 @@ pub(crate) struct Core<C> {
     slow_disconnects: AtomicU64,
 }
 
-impl<C: Clone> Core<C> {
+impl<C: Connection> Core<C> {
     pub(crate) fn new(registry: Arc<Registry>, cfg: ServerConfig) -> Self {
         Core {
             registry,
@@ -281,6 +297,17 @@ impl<C: Clone> Core<C> {
     /// Whether no request is waiting for a batch.
     pub(crate) fn is_idle(&self) -> bool {
         self.queue.is_empty()
+    }
+
+    /// `conn` is gone: it no longer counts as a connection that may
+    /// send while a short batch decides whether to wait.
+    pub(crate) fn disconnect(&self, conn: &C) {
+        self.queue.close_source(conn.source());
+    }
+
+    /// Admitted requests not yet answered.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.queue.in_flight()
     }
 
     #[cfg(test)]
@@ -421,7 +448,7 @@ impl<C: Clone> Core<C> {
     /// shed/drain cases with structured frames.
     fn admit<T: Transport<Conn = C>>(&self, out: &mut T, key: BatchKey, pending: Pending<C>) {
         let (conn, id) = (pending.conn.clone(), pending.id);
-        match self.queue.push(key, pending) {
+        match self.queue.push(key, conn.source(), pending) {
             Admission::Admitted => {}
             Admission::Busy { depth } => {
                 self.shed.fetch_add(1, Ordering::SeqCst);
@@ -439,8 +466,10 @@ impl<C: Clone> Core<C> {
     /// the config) and run it under the panic supervisor: a panicking
     /// batch answers its in-flight requests with `panic:` errors and
     /// bumps the restart counter, and the caller goes on to the next
-    /// batch. Flushes at the end. Returns `false` once the queue is
-    /// closed and drained.
+    /// batch. Every popped request is answered here (response,
+    /// `deadline:`, forward error or `panic:` frame), so the batch's
+    /// in-flight slots are released together, then the answers are
+    /// flushed. Returns `false` once the queue is closed and drained.
     pub(crate) fn dispatch_next<T: Transport<Conn = C>>(
         &self,
         out: &mut T,
@@ -449,6 +478,7 @@ impl<C: Clone> Core<C> {
         let Some((key, batch)) = self.queue.pop_batch(self.cfg.max_batch, self.cfg.linger) else {
             return false;
         };
+        let sources: Vec<u64> = batch.iter().map(|p| p.conn.source()).collect();
         let mut batch = Some(batch);
         let mut inflight = Vec::new();
         let mut panicked = None;
@@ -469,6 +499,10 @@ impl<C: Clone> Core<C> {
                 self.error(out, &conn, id, format!("panic: dispatcher restarted: {msg}"));
             }
         }
+        // Release before the flush hands the answers over: a client that
+        // resends on reading its answer must find its slot free, or its
+        // window grows to two and its connection never counts as blocked.
+        self.queue.release(&sources);
         out.flush();
         true
     }
@@ -557,6 +591,8 @@ enum Enqueue {
 /// writer thread, so neither readers nor the dispatcher ever block on a
 /// slow peer's socket.
 struct Conn {
+    /// The connection's source id in the in-flight ledger.
+    id: u64,
     stream: TcpStream,
     outbox: Mutex<Outbox>,
     cv: Condvar,
@@ -569,9 +605,16 @@ impl std::fmt::Debug for Conn {
     }
 }
 
+impl Connection for Arc<Conn> {
+    fn source(&self) -> u64 {
+        self.id
+    }
+}
+
 impl Conn {
-    fn new(stream: TcpStream, cap: usize) -> Self {
+    fn new(id: u64, stream: TcpStream, cap: usize) -> Self {
         Conn {
+            id,
             stream,
             outbox: Mutex::new(Outbox { buf: Vec::new(), closed: false, dead: false }),
             cv: Condvar::new(),
@@ -669,11 +712,17 @@ struct Shared {
     /// `join` takes the list and leaves `None`: a reader that registers
     /// after that closes its own outbox on exit.
     conns: Mutex<Option<Vec<Weak<Conn>>>>,
+    /// Source id of the next accepted connection.
+    next_conn: AtomicU64,
 }
 
 impl Shared {
     fn new(registry: Arc<Registry>, cfg: ServerConfig) -> Self {
-        Shared { core: Core::new(registry, cfg), conns: Mutex::new(Some(Vec::new())) }
+        Shared {
+            core: Core::new(registry, cfg),
+            conns: Mutex::new(Some(Vec::new())),
+            next_conn: AtomicU64::new(0),
+        }
     }
 
     fn request_stop(&self) {
@@ -751,6 +800,12 @@ impl RunningServer {
     /// The bound port.
     pub fn port(&self) -> u16 {
         self.port
+    }
+
+    /// Requests admitted and not yet answered, over every connection.
+    /// Zero whenever every response has been handed to its connection.
+    pub fn in_flight(&self) -> usize {
+        self.shared.core.in_flight()
     }
 
     /// Ask the server to stop: no new connections, queued requests
@@ -842,8 +897,9 @@ fn writer_loop(core: &Core<Arc<Conn>>, conn: &Conn) {
 
 fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     let core = &shared.core;
+    let id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
     let conn = match stream.try_clone() {
-        Ok(write_half) => Arc::new(Conn::new(write_half, core.cfg.write_buf_cap)),
+        Ok(write_half) => Arc::new(Conn::new(id, write_half, core.cfg.write_buf_cap)),
         Err(_) => return,
     };
     let registered = match &mut *shared.conns.lock().unwrap_or_else(|e| e.into_inner()) {
@@ -888,6 +944,7 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
             }
         }
     }
+    core.disconnect(&conn);
     // Peer gone (EOF/error/condemned): drain what is buffered and let
     // the writer exit. On server stop the outbox stays open — join()
     // closes it once the dispatcher has fanned out the drained queue —
@@ -928,7 +985,8 @@ mod tests {
     fn queue(core: &Core<usize>, first_id: u64, samples: &[ServeSample]) {
         for (id, sample) in (first_id..).zip(samples) {
             let pending = Pending { id, sample: Some(sample.clone()), conn: 0, expires_at: None };
-            assert_eq!(core.queue.push(BatchKey::App(ServeApp::Dft), pending), Admission::Admitted);
+            let key = BatchKey::App(ServeApp::Dft);
+            assert_eq!(core.queue.push(key, 0, pending), Admission::Admitted);
         }
     }
 
@@ -975,6 +1033,218 @@ mod tests {
             .collect();
         assert_eq!(served, (4..).zip(expected).collect::<Vec<_>>());
         assert_eq!(core.health().dispatcher_restarts, 1);
+    }
+
+    /// Feed one request frame from `conn` through the core.
+    fn feed(core: &Core<usize>, log: &mut Log, conn: usize, request: &Request) {
+        let frame = FrameEvent::Frame(request.encode().unwrap()[4..].to_vec());
+        core.handle_event(log, &conn, frame);
+    }
+
+    /// Only admitted requests take an in-flight slot, and every answer
+    /// path gives it back: response, `deadline:`, `panic:` and forward
+    /// error. Pings, malformed frames, `BUSY` sheds and draining
+    /// refusals never enter the ledger.
+    #[test]
+    fn ledger_counts_admitted_requests_and_balances_on_every_answer_path() {
+        let registry = Arc::new(Registry::new());
+        registry.swap(ServingModel::untrained(ServeApp::Dft, "mul8u_FTA").unwrap());
+        registry.swap(ServingModel::untrained(ServeApp::InverseK2j, "DRUM16-4").unwrap());
+        let cfg = ServerConfig {
+            workers: 1,
+            queue_cap: 2,
+            debug_opcodes: true,
+            linger: Duration::ZERO,
+            ..Default::default()
+        };
+        let core = Core::new(registry, cfg);
+        let mut log = Log::default();
+        let infer = |id, deadline_us| Request::Infer {
+            kernel: ServeApp::Dft.code(),
+            id,
+            values: crate::loadgen::payload(ServeApp::Dft, 3, id),
+            deadline_us,
+        };
+        feed(&core, &mut log, 5, &Request::Ping { id: 0 });
+        core.handle_event(&mut log, &6, FrameEvent::Frame(vec![0xEE; 9]));
+        let unknown = Request::Infer { kernel: 42, id: 1, values: vec![0.0], deadline_us: None };
+        feed(&core, &mut log, 6, &unknown);
+        assert_eq!((core.queue.window(5), core.queue.window(6)), (None, None));
+
+        // Connection 1 fills the queue; its third request is shed.
+        for id in 10..13 {
+            feed(&core, &mut log, 1, &infer(id, None));
+        }
+        assert_eq!((core.queue.window(1), core.in_flight()), (Some(2), 2));
+        assert!(core.dispatch_next(&mut log, None));
+        assert_eq!(core.in_flight(), 0);
+
+        feed(&core, &mut log, 2, &infer(20, Some(0)));
+        feed(&core, &mut log, 2, &Request::DebugPanic { id: 21 });
+        assert_eq!((core.queue.window(2), core.in_flight()), (Some(2), 2));
+        assert!(core.dispatch_next(&mut log, None));
+        assert!(core.dispatch_next(&mut log, None));
+        assert_eq!(core.in_flight(), 0);
+
+        // An image under the ik key fails the forward pass itself.
+        let image = ServeApp::Dft.decode(&crate::loadgen::payload(ServeApp::Dft, 3, 0)).unwrap();
+        let pending = Pending { id: 30, sample: Some(image), conn: 3, expires_at: None };
+        let key = BatchKey::App(ServeApp::InverseK2j);
+        assert_eq!(core.queue.push(key, 3, pending), Admission::Admitted);
+        assert!(core.dispatch_next(&mut log, None));
+        assert_eq!(core.in_flight(), 0);
+
+        core.request_stop();
+        feed(&core, &mut log, 4, &infer(40, None));
+        assert_eq!((core.queue.window(4), core.in_flight()), (None, 0));
+
+        let classes: Vec<(u64, String)> = log
+            .0
+            .iter()
+            .filter_map(|(_, resp)| match resp {
+                Response::Error { id, message } => Some((*id, class_of(message))),
+                Response::Busy { id, .. } => Some((*id, "busy".into())),
+                _ => None,
+            })
+            .collect();
+        let want = [
+            (0, "malformed request"),
+            (1, "malformed request"),
+            (12, "busy"),
+            (20, "deadline"),
+            (21, "panic"),
+            (30, "inference"),
+            (40, "shutdown"),
+        ];
+        let want: Vec<(u64, String)> = want.iter().map(|(id, c)| (*id, c.to_string())).collect();
+        assert_eq!(classes, want);
+    }
+
+    fn class_of(message: &str) -> String {
+        message.split_once(':').map_or(message, |(class, _)| class).to_owned()
+    }
+
+    /// Poll `done` every millisecond, 30 000 times at most.
+    fn eventually(mut done: impl FnMut() -> bool) -> bool {
+        (0..30_000).any(|_| {
+            std::thread::sleep(Duration::from_millis(1));
+            done()
+        })
+    }
+
+    /// A client that never reads is condemned with requests still in
+    /// flight; the dispatcher answers them into the void, and the
+    /// ledger ends empty, the closed connection's entry gone with them.
+    #[test]
+    fn a_condemned_slow_client_leaves_no_slot_in_flight() {
+        let registry = Arc::new(Registry::new());
+        registry.swap(ServingModel::untrained(ServeApp::Blur, "mul8u_FTA").unwrap());
+        let cfg =
+            ServerConfig { workers: 1, max_batch: 2, write_buf_cap: 64, ..Default::default() };
+        let server = serve(registry, cfg, 0).unwrap();
+        let mut client = crate::client::Client::connect(server.port()).unwrap();
+        for id in 0..8 {
+            let values = crate::loadgen::payload(ServeApp::Blur, 1, id);
+            let request =
+                Request::Infer { kernel: ServeApp::Blur.code(), id, values, deadline_us: None };
+            // Sends after the condemnation meet a shut socket.
+            let _ = client.send(&request);
+        }
+        let core = &server.shared.core;
+        assert!(
+            eventually(|| core.health().slow_client_disconnects >= 1
+                && core.in_flight() == 0
+                && core.queue.window(0).is_none()),
+            "in flight {}, window {:?}",
+            core.in_flight(),
+            core.queue.window(0)
+        );
+        drop(client);
+        server.shutdown();
+        server.join();
+    }
+
+    /// A closed loop over loopback: the client resends the moment it
+    /// reads each answer. The batch's slots are released before its
+    /// answers are flushed, so the connection never shows two in flight
+    /// and its learned window stays 1.
+    #[test]
+    fn release_precedes_flush_so_a_closed_loop_keeps_window_one() {
+        let registry = Arc::new(Registry::new());
+        registry.swap(ServingModel::untrained(ServeApp::InverseK2j, "DRUM16-4").unwrap());
+        let server = serve(registry, ServerConfig { workers: 1, ..Default::default() }, 0).unwrap();
+        let mut client = crate::client::Client::connect(server.port()).unwrap();
+        for id in 0..500 {
+            let values = crate::loadgen::payload(ServeApp::InverseK2j, 1, id);
+            let request = Request::Infer {
+                kernel: ServeApp::InverseK2j.code(),
+                id,
+                values,
+                deadline_us: None,
+            };
+            match client.round_trip(&request).unwrap() {
+                Response::Infer { id: got, .. } => assert_eq!(got, id),
+                other => panic!("expected an inference frame, got {other:?}"),
+            }
+        }
+        assert_eq!(server.shared.core.queue.window(0), Some(1));
+        assert_eq!(server.in_flight(), 0);
+        drop(client);
+        server.shutdown();
+        server.join();
+    }
+
+    /// A transport whose clients read each answer on the flush that
+    /// delivers it and send their next request at once, from inside
+    /// that flush.
+    struct Resend<'a> {
+        core: &'a Core<usize>,
+        answered: Vec<(usize, u64)>,
+    }
+
+    impl Transport for Resend<'_> {
+        type Conn = usize;
+        fn send(&mut self, conn: &usize, resp: &Response, _frame: Vec<u8>) {
+            if let Response::Infer { id, .. } = resp {
+                self.answered.push((*conn, *id));
+            }
+        }
+        fn flush(&mut self) {
+            for (conn, id) in std::mem::take(&mut self.answered) {
+                let values = crate::loadgen::payload(ServeApp::Dft, 1, id + 2);
+                let next = Request::Infer {
+                    kernel: ServeApp::Dft.code(),
+                    id: id + 2,
+                    values,
+                    deadline_us: None,
+                };
+                feed(self.core, &mut Log::default(), conn, &next);
+            }
+        }
+    }
+
+    /// The ordering the blocked-source rule rests on, without a socket
+    /// race: a batch's slots are free before its flush, so a client that
+    /// resends during the flush is still seen with one in flight.
+    #[test]
+    fn a_resend_during_the_flush_finds_its_slot_free() {
+        let (core, _) = dft_core(1);
+        for conn in 0..2 {
+            let values = crate::loadgen::payload(ServeApp::Dft, 1, conn as u64);
+            let first = Request::Infer {
+                kernel: ServeApp::Dft.code(),
+                id: conn as u64,
+                values,
+                deadline_us: None,
+            };
+            feed(&core, &mut Log::default(), conn, &first);
+        }
+        let mut out = Resend { core: &core, answered: Vec::new() };
+        for _ in 0..10 {
+            assert!(core.dispatch_next(&mut out, None));
+            assert_eq!((core.queue.window(0), core.queue.window(1)), (Some(1), Some(1)));
+        }
+        assert_eq!(core.in_flight(), 2, "each client has its next request in flight");
     }
 
     /// `join` stops the pool: once it returns, no worker thread runs.

@@ -131,6 +131,9 @@ fn responses_are_identical_for_any_workers_and_batch() {
                 other => panic!("w{workers}/b{max_batch}: unexpected {other:?}"),
             }
         }
+        // Slots are released before answers are sent, so a drained
+        // connection has nothing left in flight.
+        assert_eq!(server.in_flight(), 0, "w{workers}/b{max_batch}: leaked an in-flight slot");
         server.shutdown();
         server.join();
 
