@@ -60,7 +60,7 @@ pub use drum::DrumMultiplier;
 pub use etm::EtmMultiplier;
 pub use kulkarni::KulkarniMultiplier;
 pub use ladder::ModeLadder;
-pub use lut::{DenseLut, LutMultiplier, MAX_LUT_BITS};
+pub use lut::{operand_offset, round_half_away, DenseLut, LutMultiplier, MAX_LUT_BITS};
 pub use mitchell::{MitchellMultiplier, SsmMultiplier};
 pub use error_map::ErrorMap;
 pub use netlist::NetlistMultiplier;

@@ -89,10 +89,10 @@ impl<'a> DenseLut<'a> {
     }
 
     /// Quantize an operand (round to nearest, clamp into range) and return
-    /// its **column** offset.
+    /// its **column** offset: [`operand_offset`] over the table's range.
     #[inline(always)]
     pub fn col(&self, v: f64) -> usize {
-        ((v.round() as i64).clamp(self.lo, self.hi) - self.lo) as usize
+        operand_offset(v, self.lo, self.hi)
     }
 
     /// The product at a pre-quantized `(row, col)` index pair, as the `f64`
@@ -120,6 +120,46 @@ impl<'a> DenseLut<'a> {
     pub fn side(&self) -> usize {
         self.side
     }
+}
+
+/// `f64::round`, bit for bit, without the call: round to nearest with
+/// ties away from zero, keeping the sign of `v` (so `-0.3` gives `-0.0`).
+///
+/// On the baseline x86-64 target `f64::round` is an out-of-line libm
+/// call; every operand quantization and datapath shift of the training
+/// hot path rounds, so the datapath uses this instead. For `|v| < 2^52`
+/// adding and subtracting `2^52` rounds `|v|` to an integer with ties to
+/// even, and the one case that differs from `f64::round` — a tie that
+/// went down — is moved up. `|v| ≥ 2^52` (integral already) and `±inf`
+/// are returned as they are. A NaN fails `a >= 2^52` and takes the
+/// arithmetic path, whose adds hand it back quiet with its payload (the
+/// x86-64 rule for a NaN operand), and `copysign` restores its sign: the
+/// bits `f64::round` returns. The body is branch-free, so loops over it
+/// vectorize.
+#[inline(always)]
+pub fn round_half_away(v: f64) -> f64 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let a = v.abs();
+    let r = (a + TWO_52) - TWO_52;
+    // For `a < 2^52`, `a - r` is exact (Sterbenz), so it is 0.5 only on a
+    // tie rounded down.
+    let r = if a - r == 0.5 { r + 1.0 } else { r };
+    if a >= TWO_52 {
+        v
+    } else {
+        r.copysign(v)
+    }
+}
+
+/// The datapath's one operand quantizer: round `v` to nearest
+/// ([`round_half_away`]), clamp into `[lo, hi]`, and return the offset
+/// from `lo` — the column of `v` in a product table or row covering
+/// `lo..=hi`. `DenseLut::col` and the tap-wise ops' product rows both
+/// quantize through it, so a table read sees the operand `multiply`
+/// would after its own clamp.
+#[inline(always)]
+pub fn operand_offset(v: f64, lo: i64, hi: i64) -> usize {
+    ((round_half_away(v) as i64).clamp(lo, hi) - lo) as usize
 }
 
 /// Allocate a fresh process-unique identity token for a product table.

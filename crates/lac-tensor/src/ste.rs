@@ -9,6 +9,8 @@
 //! integer range, so Adam cannot push coefficients ever further out of
 //! range.
 
+use lac_hw::round_half_away;
+
 use crate::graph::Var;
 use crate::tensor::Tensor;
 
@@ -42,7 +44,7 @@ impl Var {
     pub fn quantize_ste(&self, lo: f64, hi: f64) -> Var {
         assert!(lo <= hi, "quantize_ste bounds inverted: [{lo}, {hi}]");
         let a = self.value();
-        let value = a.map(|v| v.round().clamp(lo, hi));
+        let value = a.map(|v| round_half_away(v).clamp(lo, hi));
         let graph = self.graph();
         let id = graph.push(
             value,
@@ -66,7 +68,7 @@ impl Var {
     /// (no range clipping). Used for intermediate datapath values that are
     /// re-quantized between stages.
     pub fn round_ste(&self) -> Var {
-        let value = self.value().map(f64::round);
+        let value = self.value().map(round_half_away);
         let graph = self.graph();
         let id = graph.push(
             value,
@@ -81,7 +83,7 @@ impl Var {
     /// instead of two. Forward values and the straight-through gradient
     /// `g · c` are bit-identical to the unfused pair.
     pub fn scale_round_ste(&self, c: f64) -> Var {
-        let value = self.value().map(|v| (v * c).round());
+        let value = self.value().map(|v| round_half_away(v * c));
         let graph = self.graph();
         let id = graph.push(
             value,
@@ -103,7 +105,7 @@ impl Var {
         assert!(self.same_tape(other), "mul_round_ste: operands belong to different graphs");
         let a = self.value();
         let b = other.value();
-        let value = a.zip_map(&b, |x, y| (x * y).round());
+        let value = a.zip_map(&b, |x, y| round_half_away(x * y));
         let graph = self.graph();
         let id = graph.push(
             value,

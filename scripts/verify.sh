@@ -114,6 +114,24 @@ echo "== fused JPEG stage battery (block transform vs per-block tape, three-stag
 cargo test -q --offline --test block_transform
 cargo test -q --offline --test golden_seed jpeg_three_stage
 
+# Inline-round guard (DESIGN.md §7b): the training datapath rounds
+# through lac_hw::round_half_away, bit-identical to f64::round (checked
+# on a boundary table and random bit patterns) but inlined — f64::round
+# is an out-of-line libm call on the baseline x86-64 target. A
+# `.round()` or `f64::round` in the non-test code of the hot-path files
+# would bring the call back. Comment lines and test modules (from a
+# column-0 `#[cfg(test)]` line down) are exempt.
+echo "== inline-round guard: no f64::round in lut.rs/approx.rs/ste.rs/matmul_fast.rs non-test code"
+cargo test -q --offline -p lac-hw --test rounding
+round_calls=$(for f in crates/lac-hw/src/lut.rs crates/lac-tensor/src/{approx,ste,matmul_fast}.rs; do
+    awk '/^[[:space:]]*\/\//{next} /^#\[cfg\(test\)\]/{exit} /\.round\(\)|f64::round/{print FILENAME": "$0}' "$f"
+done)
+if [[ -n "${round_calls}" ]]; then
+    echo "verify: FAIL — f64::round in hot-path non-test code (use lac_hw::round_half_away):" >&2
+    echo "${round_calls}" >&2
+    exit 1
+fi
+
 # Product-row battery (DESIGN.md §7b): units with no dense table
 # (16-bit catalog units, sign-magnitude adapters, fault-injected wide
 # specs) gather conv and scale products from per-tap rows, or fall back
