@@ -283,6 +283,28 @@ impl FilterApp {
         out.clamp(0.0, 255.0)
     }
 
+    /// [`FilterApp::forward_approx_batch`] as an inference pass, split
+    /// back into one output per sample: `graph` is reset, then `coeffs`
+    /// are recorded as constants, so the pass records no backward
+    /// closure. Each output is bit-identical to [`Kernel::infer`] on
+    /// that sample alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the conditions of [`FilterApp::forward_approx_batch`].
+    pub fn infer_stacked(
+        &self,
+        graph: &Graph,
+        samples: &[GrayImage],
+        coeffs: &[Tensor],
+        mults: &[Arc<dyn Multiplier>],
+    ) -> Vec<Vec<f64>> {
+        graph.reset();
+        let leaves: Vec<Var> = coeffs.iter().map(|c| graph.constant(c.clone())).collect();
+        let stacked = self.forward_approx_batch(graph, samples, &leaves, mults).value();
+        stacked.data().chunks(self.height * self.width).map(<[f64]>::to_vec).collect()
+    }
+
     fn check_sample(&self, img: &GrayImage) {
         assert_eq!(
             (img.width(), img.height()),

@@ -175,6 +175,21 @@ pub trait Kernel {
         mults: &[Arc<dyn Multiplier>],
     ) -> Var;
 
+    /// The approximate branch's output for one sample as an inference
+    /// pass: `graph` is reset, then `coeffs` are recorded as constants, so
+    /// the pass records no backward closure.
+    fn infer(
+        &self,
+        graph: &Graph,
+        sample: &Self::Sample,
+        coeffs: &[Tensor],
+        mults: &[Arc<dyn Multiplier>],
+    ) -> Vec<f64> {
+        graph.reset();
+        let leaves: Vec<Var> = coeffs.iter().map(|c| graph.constant(c.clone())).collect();
+        self.forward_approx(graph, sample, &leaves, mults).value().into_data()
+    }
+
     /// The accurate branch: reference output for one sample, computed with
     /// the original coefficients and exact arithmetic.
     fn reference(&self, sample: &Self::Sample) -> Tensor;

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use lac_data::{inverse_kinematics, GrayImage, IkSample, LINK1, LINK2};
 use lac_hw::Multiplier;
-use lac_tensor::{pool, Graph, Tensor, Var};
+use lac_tensor::{pool, Graph, Tensor};
 
 use crate::dft::DftApp;
 use crate::filters::{FilterApp, FilterKind, StageMode};
@@ -328,14 +328,7 @@ fn filter_outputs(
     const MAX_STACK: usize = 8;
     let chunk = images.len().div_ceil(threads.max(1)).min(MAX_STACK);
     let per_chunk = lac_rt::par::chunk_map(&images, chunk, threads, |chunk| {
-        pool::scope(|| {
-            let graph = Graph::new();
-            let vars: Vec<Var> = coeffs.iter().map(|c| graph.var(c.clone())).collect();
-            let stacked =
-                app.forward_approx_batch(&graph, chunk, &vars, mults).value().into_data();
-            let band = stacked.len() / chunk.len();
-            stacked.chunks(band).map(<[f64]>::to_vec).collect::<Vec<_>>()
-        })
+        pool::scope(|| app.infer_stacked(&Graph::new(), chunk, coeffs, mults))
     });
     Ok(per_chunk.into_iter().flatten().collect())
 }
@@ -377,11 +370,7 @@ fn outputs<K: Kernel + Sync>(
             let graph = Graph::new();
             chunk
                 .iter()
-                .map(|sample| {
-                    graph.reset();
-                    let vars: Vec<Var> = coeffs.iter().map(|c| graph.var(c.clone())).collect();
-                    kernel.forward_approx(&graph, sample, &vars, mults).value().into_data()
-                })
+                .map(|sample| kernel.infer(&graph, sample, coeffs, mults))
                 .collect::<Vec<_>>()
         })
     });

@@ -37,7 +37,7 @@ use lac_tensor::{Adam, Tensor};
 
 use crate::config::TrainConfig;
 use crate::constraints::{accuracy_hinge, hinge_area};
-use crate::eval::batch_grads;
+use crate::eval::{batch_grads, batch_loss};
 use crate::nas::multi::MultiObjective;
 
 pub use checkpoint::SessionCheckpoint;
@@ -486,7 +486,7 @@ impl TrainSession {
         threads: usize,
     ) {
         let mults = plan.materialize(kernel.num_stages());
-        let (_, loss) = batch_grads(kernel, &self.coeffs, &mults, samples, references, threads);
+        let loss = batch_loss(kernel, &self.coeffs, &mults, samples, references, threads);
         if loss < self.best_loss {
             self.best_loss = loss;
             self.best_coeffs = self.coeffs.clone();
@@ -568,7 +568,7 @@ mod tests {
         // The checkpoint differs from the moving iterate in general; it
         // must reproduce the best loss exactly.
         let mults = plan.materialize(1);
-        let (_, check) = batch_grads(&app, session.best_coeffs(), &mults, &samples, &refs, 2);
+        let check = batch_loss(&app, session.best_coeffs(), &mults, &samples, &refs, 2);
         assert_eq!(check.to_bits(), session.best_loss().to_bits());
     }
 

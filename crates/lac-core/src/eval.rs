@@ -1,5 +1,5 @@
-//! Parallel batch evaluation of kernels: outputs, quality scores, and
-//! accumulated training gradients.
+//! Parallel batch evaluation of kernels: outputs, quality scores,
+//! training losses, and accumulated training gradients.
 //!
 //! Each worker thread builds its own autodiff graphs for a chunk of
 //! samples — the Rust equivalent of the paper's "parallel versions of the
@@ -26,6 +26,14 @@
 //! next, and one [`Graph`] per chunk is recycled across samples with
 //! [`Graph::reset`] — after the chunk's first sample the steady state
 //! performs no tape or buffer allocation.
+//!
+//! # Gradients only where needed
+//!
+//! Samples, references and quantization tables enter every graph as
+//! constants, so backward passes compute coefficient gradients only.
+//! [`batch_outputs`] and [`batch_loss`] record the coefficients as
+//! constants too ([`Kernel::infer`]): their graphs hold no backward
+//! closure at all.
 
 use std::sync::Arc;
 
@@ -50,7 +58,8 @@ pub fn batch_references<K: Kernel + Sync>(kernel: &K, samples: &[K::Sample]) -> 
     samples.iter().map(|s| kernel.reference(s).into_data()).collect()
 }
 
-/// Approximate-branch outputs for every sample, in order.
+/// Approximate-branch outputs for every sample, in order: an inference
+/// pass ([`Kernel::infer`]) that records no backward closure.
 pub fn batch_outputs<K: Kernel + Sync>(
     kernel: &K,
     coeffs: &[Tensor],
@@ -63,11 +72,7 @@ pub fn batch_outputs<K: Kernel + Sync>(
             let graph = Graph::new();
             chunk
                 .iter()
-                .map(|sample| {
-                    graph.reset();
-                    let vars: Vec<Var> = coeffs.iter().map(|c| graph.var(c.clone())).collect();
-                    kernel.forward_approx(&graph, sample, &vars, mults).value().into_data()
-                })
+                .map(|sample| kernel.infer(&graph, sample, coeffs, mults))
                 .collect::<Vec<_>>()
         })
     });
@@ -129,50 +134,99 @@ pub fn batch_grads_with_chunk<K: Kernel + Sync>(
     threads: usize,
     chunk: usize,
 ) -> (Vec<Tensor>, f64) {
-    assert_eq!(samples.len(), references.len(), "samples/references length mismatch");
-    assert!(!samples.is_empty(), "empty training batch");
-
-    let pairs: Vec<(&K::Sample, &Vec<f64>)> = samples.iter().zip(references.iter()).collect();
-    // Per-sample results, not per-chunk subtotals: see the module docs.
-    let per_chunk: Vec<Vec<(Vec<Tensor>, f64)>> =
-        lac_rt::par::chunk_map(&pairs, chunk, threads, |chunk| {
-            pool::scope(|| {
-                let graph = Graph::new();
-                chunk
-                    .iter()
-                    .map(|(sample, reference)| {
-                        graph.reset();
-                        let vars: Vec<Var> =
-                            coeffs.iter().map(|c| graph.var(c.clone())).collect();
-                        let out = kernel.forward_approx(&graph, sample, &vars, mults);
-                        let len = reference.len();
-                        let target =
-                            graph.constant(Tensor::from_vec((*reference).clone(), &[len]));
-                        // Outputs may carry structured shapes; compare in
-                        // a 1-D view of identical row-major order.
-                        let loss = out.reshape(&[len]).mse_loss(&target);
-                        let g = graph.backward(&loss);
-                        (vars.iter().map(|v| g.get(v)).collect::<Vec<_>>(), loss.item())
-                    })
-                    .collect::<Vec<_>>()
-            })
-        });
+    let results = per_sample(samples, references, threads, chunk, |graph, sample, reference| {
+        let vars: Vec<Var> = coeffs.iter().map(|c| graph.var(c.clone())).collect();
+        let loss = sample_loss(kernel, graph, sample, &vars, mults, reference);
+        let g = graph.backward(&loss);
+        (vars.iter().map(|v| g.get(v)).collect::<Vec<_>>(), loss.item())
+    });
 
     // Strict left fold over samples in sample order: deterministic for
     // any worker count and any chunk size.
     let mut grads: Vec<Tensor> = coeffs.iter().map(|c| Tensor::zeros(c.shape())).collect();
-    let mut loss = 0.0;
-    for (sample_grads, sample_loss) in per_chunk.into_iter().flatten() {
-        for (acc, g) in grads.iter_mut().zip(&sample_grads) {
+    for (sample_grads, _) in &results {
+        for (acc, g) in grads.iter_mut().zip(sample_grads) {
             acc.accumulate(g);
         }
-        loss += sample_loss;
     }
     let n = samples.len() as f64;
     for g in &mut grads {
         *g = g.map(|v| v / n);
     }
-    (grads, loss / n)
+    (grads, mean_loss(results.iter().map(|(_, loss)| *loss)))
+}
+
+/// The loss of [`batch_grads`] alone, bit-identical to it: the same
+/// per-sample MSE and the same strict left fold, with the coefficients
+/// recorded as constants so no graph holds a backward closure. For
+/// scoring an iterate without stepping it.
+///
+/// # Panics
+///
+/// Panics if `samples` and `references` differ in length or are empty.
+pub fn batch_loss<K: Kernel + Sync>(
+    kernel: &K,
+    coeffs: &[Tensor],
+    mults: &[Arc<dyn Multiplier>],
+    samples: &[K::Sample],
+    references: &[Vec<f64>],
+    threads: usize,
+) -> f64 {
+    let losses = per_sample(samples, references, threads, EVAL_CHUNK, |graph, sample, reference| {
+        let leaves: Vec<Var> = coeffs.iter().map(|c| graph.constant(c.clone())).collect();
+        sample_loss(kernel, graph, sample, &leaves, mults, reference).item()
+    });
+    mean_loss(losses.into_iter())
+}
+
+/// One sample's training loss: the mean squared error between the
+/// approximate branch over the coefficient leaves and the sample's
+/// reference. Outputs may carry structured shapes; the loss compares
+/// them in row-major order, reading the reference in place.
+fn sample_loss<K: Kernel>(
+    kernel: &K,
+    graph: &Graph,
+    sample: &K::Sample,
+    leaves: &[Var],
+    mults: &[Arc<dyn Multiplier>],
+    reference: &[f64],
+) -> Var {
+    kernel.forward_approx(graph, sample, leaves, mults).mse_loss_to(reference)
+}
+
+/// Mean of per-sample losses by a strict left fold in sample order.
+fn mean_loss(losses: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = losses.len() as f64;
+    losses.fold(0.0, |acc, loss| acc + loss) / n
+}
+
+/// `f(graph, sample, reference)` for every sample, in sample order. Each
+/// chunk of `chunk` samples runs in one buffer-pool scope on one graph,
+/// reset before every sample. Results are per sample, never per-chunk
+/// subtotals: see the module docs.
+fn per_sample<S: Sync, T: Send>(
+    samples: &[S],
+    references: &[Vec<f64>],
+    threads: usize,
+    chunk: usize,
+    f: impl Fn(&Graph, &S, &[f64]) -> T + Sync,
+) -> Vec<T> {
+    assert_eq!(samples.len(), references.len(), "samples/references length mismatch");
+    assert!(!samples.is_empty(), "empty training batch");
+    let pairs: Vec<(&S, &Vec<f64>)> = samples.iter().zip(references).collect();
+    let per_chunk = lac_rt::par::chunk_map(&pairs, chunk, threads, |chunk| {
+        pool::scope(|| {
+            let graph = Graph::new();
+            chunk
+                .iter()
+                .map(|(sample, reference)| {
+                    graph.reset();
+                    f(&graph, sample, reference)
+                })
+                .collect::<Vec<_>>()
+        })
+    });
+    per_chunk.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -244,7 +298,7 @@ mod tests {
         let coeffs = app.init_coeffs(&mults);
         let samples: Vec<GrayImage> = (0..3).map(|i| synth_image(32, 32, i)).collect();
         let refs = batch_references(&app, &samples);
-        let (_, loss) = batch_grads(&app, &coeffs, &mults, &samples, &refs, 2);
+        let loss = batch_loss(&app, &coeffs, &mults, &samples, &refs, 2);
         assert_eq!(loss, 0.0);
         let q = quality(&app, &coeffs, &mults, &samples, &refs, 2);
         assert!((q - 1.0).abs() < 1e-12, "SSIM {q}");
@@ -258,6 +312,82 @@ mod tests {
         assert!(loss > 0.0);
         // At least one coefficient must receive a nonzero gradient.
         assert!(grads.iter().any(|g| g.max_abs() > 0.0));
+    }
+
+    #[test]
+    fn batch_loss_matches_batch_grads_bit_for_bit() {
+        let (app, mults, coeffs, samples) = setup();
+        let refs = batch_references(&app, &samples);
+        let (_, want) = batch_grads(&app, &coeffs, &mults, &samples, &refs, 1);
+        assert!(want > 0.0);
+        for threads in [1, 3] {
+            let got = batch_loss(&app, &coeffs, &mults, &samples, &refs, threads);
+            assert_eq!(got.to_bits(), want.to_bits(), "loss differs at {threads} threads");
+        }
+    }
+
+    /// `infer` on `sample` records nodes but no backward closure, and
+    /// answers what `batch_outputs` and the serving path answer; the same
+    /// forward over var leaves does record closures.
+    fn assert_inference_records_no_closure<K: Kernel + Sync>(
+        kernel: &K,
+        sample: &K::Sample,
+        coeffs: &[Tensor],
+        mults: &[Arc<dyn Multiplier>],
+        served: &[f64],
+    ) {
+        let name = kernel.name().to_string();
+        let graph = Graph::new();
+        let out = kernel.infer(&graph, sample, coeffs, mults);
+        assert!(!graph.is_empty(), "{name}: nothing recorded");
+        assert_eq!(graph.backward_closures(), 0, "{name}: inference recorded closures");
+        assert_eq!(out, served, "{name}: serving output differs");
+        let batch = batch_outputs(kernel, coeffs, mults, std::slice::from_ref(sample), 1);
+        assert_eq!(out, batch[0], "{name}: batch_outputs differs");
+        graph.reset();
+        let vars: Vec<Var> = coeffs.iter().map(|c| graph.var(c.clone())).collect();
+        kernel.forward_approx(&graph, sample, &vars, mults);
+        assert!(graph.backward_closures() > 0, "{name}: training records no closure");
+    }
+
+    #[test]
+    fn inference_paths_record_no_backward_closures() {
+        use lac_apps::{infer_batch, AppKernel, ServeApp, ServeSample};
+
+        let image = synth_image(32, 32, 5);
+        for app in ServeApp::ALL {
+            let kernel = app.build();
+            let mults = vec![kernel.adapt(&catalog::by_name("mul8u_FTA").unwrap())];
+            let coeffs = kernel.init_coeffs(&mults);
+            let payload = match app {
+                ServeApp::InverseK2j => vec![0.5, 0.3],
+                _ => image.pixels().to_vec(),
+            };
+            let sample = app.decode(&payload).unwrap();
+            let one = std::slice::from_ref(&sample);
+            let served = infer_batch(&kernel, &coeffs, &mults, one, 1).unwrap();
+            match (&kernel, &sample) {
+                (AppKernel::Filter(k), ServeSample::Image(img)) => {
+                    assert_inference_records_no_closure(k, img, &coeffs, &mults, &served[0]);
+                    // The serving filter path: one stacked pass per chunk.
+                    let graph = Graph::new();
+                    let pair = [image.clone(), img.clone()];
+                    let stacked = k.infer_stacked(&graph, &pair, &coeffs, &mults);
+                    assert_eq!(graph.backward_closures(), 0, "{}: stacked pass", k.name());
+                    assert_eq!(stacked[1], served[0], "{}: stacked band", k.name());
+                }
+                (AppKernel::Jpeg(k), ServeSample::Image(img)) => {
+                    assert_inference_records_no_closure(k, img, &coeffs, &mults, &served[0]);
+                }
+                (AppKernel::Dft(k), ServeSample::Image(img)) => {
+                    assert_inference_records_no_closure(k, img, &coeffs, &mults, &served[0]);
+                }
+                (AppKernel::InverseK2j(k), ServeSample::Ik(ik)) => {
+                    assert_inference_records_no_closure(k, ik, &coeffs, &mults, &served[0]);
+                }
+                _ => panic!("{}: sample kind does not match the kernel", app.cli_id()),
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use lac_hw::{operand_offset, round_half_away, Multiplier};
 
 use crate::graph::Var;
 use crate::matmul_fast::{self, Fixed};
-use crate::ops::{conv2d_backward, ConvShape};
+use crate::ops::{conv_rule, matmul_rule, product_rule, ConvShape};
 use crate::tensor::Tensor;
 
 fn approx_product(mult: &dyn Multiplier, a: f64, b: f64) -> f64 {
@@ -299,23 +299,19 @@ impl Var {
         scale: Option<f64>,
     ) -> Var {
         assert!(self.same_tape(other), "{op}: operands belong to different graphs");
-        let a = self.value();
-        let b = other.value();
-        let product = approx_matmul_forward(&a, &b, mult, Fixed::Either);
+        let product =
+            self.with_values(other, |a, b| approx_matmul_forward(a, b, mult, Fixed::Either));
         let value = match scale {
             Some(c) => product.map(|v| round_half_away(v * c)),
             None => product,
         };
-        let id = self.graph().push(
-            value,
-            vec![self.id, other.id],
-            Some(Box::new(move |g: &Tensor| {
+        self.record_binary(other, value, |na, nb| {
+            let rule = matmul_rule(self, other, na, nb);
+            move |g: &Tensor| {
                 let scaled = scale.map(|c| g.map(|gv| gv * c));
-                let g = scaled.as_ref().unwrap_or(g);
-                matmul_fast::matmul_grads(&a, &b, g)
-            })),
-        );
-        Var { tape: self.tape.clone(), id }
+                rule(scaled.as_ref().unwrap_or(g))
+            }
+        })
     }
 
     /// Two-sided block transform on approximate hardware: every `k × k`
@@ -379,89 +375,103 @@ impl Var {
             self.same_tape(coeff),
             "approx_block_transform: operands belong to different graphs"
         );
-        let x = self.value();
-        let c = coeff.value();
-        let (k, kc) = c.dims2("approx_block_transform coefficient");
-        let (rows, cols) = x.dims2("approx_block_transform blocks");
-        assert!(
-            k == kc && k > 0 && cols == k && rows % k == 0,
-            "approx_block_transform: blocks [{rows}, {cols}] do not stack [{k}, {kc}] blocks"
-        );
-        let ct = c.transpose();
-        let (l, r) = match side {
-            BlockSide::Forward => (c, ct),
-            BlockSide::Inverse => (ct, c),
-        };
-        let (blk, nb) = (k * k, rows / k);
-        // First product for every block at once: the blocks side by side,
-        // `[k, nb·k]` (row `i` of block `b` at columns `b·k..(b+1)·k`),
-        // under `L` as one `[k, k] × [k, nb·k]` product. Only the
-        // coefficient side of either product is a cache candidate: the
-        // image side changes from call to call.
-        let mut side_by_side = Vec::with_capacity(x.len());
-        for i in 0..k {
-            for xb in x.data().chunks(blk) {
-                side_by_side.extend_from_slice(&xb[i * k..(i + 1) * k]);
+        let (out, mid, ct) = self.with_values(coeff, |x, c| {
+            let (k, kc) = c.dims2("approx_block_transform coefficient");
+            let (rows, cols) = x.dims2("approx_block_transform blocks");
+            assert!(
+                k == kc && k > 0 && cols == k && rows % k == 0,
+                "approx_block_transform: blocks [{rows}, {cols}] do not stack [{k}, {kc}] blocks"
+            );
+            let ct = c.transpose();
+            let (l, r) = match side {
+                BlockSide::Forward => (c, &ct),
+                BlockSide::Inverse => (&ct, c),
+            };
+            let (blk, nb) = (k * k, rows / k);
+            // First product for every block at once: the blocks side by
+            // side, `[k, nb·k]` (row `i` of block `b` at columns
+            // `b·k..(b+1)·k`), under `L` as one `[k, k] × [k, nb·k]`
+            // product. Only the coefficient side of either product is a
+            // cache candidate: the image side changes from call to call.
+            let mut side_by_side = Vec::with_capacity(x.len());
+            for i in 0..k {
+                for xb in x.data().chunks(blk) {
+                    side_by_side.extend_from_slice(&xb[i * k..(i + 1) * k]);
+                }
             }
-        }
-        let side_by_side = Tensor::from_vec(side_by_side, &[k, nb * k]);
-        let t = approx_matmul_forward(&l, &side_by_side, &**mult, Fixed::Lhs);
-        // `mid`: the rounded first products restacked block-major,
-        // `[nb·k, k]` — the lhs of the second product, one `× R` for the
-        // whole stack, and kept for the backward.
-        let mut mid = Vec::with_capacity(x.len());
-        for b in 0..nb {
-            for row in t.data().chunks(nb * k) {
-                mid.extend(
-                    row[b * k..(b + 1) * k]
-                        .iter()
-                        .map(|&v| round_half_away(round_half_away(v * s_in) * s_mid)),
-                );
+            let side_by_side = Tensor::from_vec(side_by_side, &[k, nb * k]);
+            let t = approx_matmul_forward(l, &side_by_side, &**mult, Fixed::Lhs);
+            // `mid`: the rounded first products restacked block-major,
+            // `[nb·k, k]` — the lhs of the second product, one `× R` for
+            // the whole stack, and kept for the coefficient gradient.
+            let mut mid = Vec::with_capacity(x.len());
+            for b in 0..nb {
+                for row in t.data().chunks(nb * k) {
+                    mid.extend(
+                        row[b * k..(b + 1) * k]
+                            .iter()
+                            .map(|&v| round_half_away(round_half_away(v * s_in) * s_mid)),
+                    );
+                }
             }
-        }
-        let mid = Tensor::from_vec(mid, &[rows, k]);
-        let out =
-            approx_matmul_forward(&mid, &r, &**mult, Fixed::Rhs).map(|v| round_half_away(v * s_out));
+            let mid = Tensor::from_vec(mid, &[rows, k]);
+            let out = approx_matmul_forward(&mid, r, &**mult, Fixed::Rhs)
+                .map(|v| round_half_away(v * s_out));
+            (out, mid, ct)
+        });
 
-        let id = self.graph().push(
-            out,
-            vec![self.id, coeff.id],
-            Some(Box::new(move |g: &Tensor| {
-                let dims = (k, k, k);
+        self.record_binary(coeff, out, |nx, nc| {
+            let c = coeff.value();
+            let k = ct.shape()[0];
+            let (l, r) = match side {
+                BlockSide::Forward => (c, ct),
+                BlockSide::Inverse => (ct, c),
+            };
+            // `dx` reads `L`; the gradient of `C` reads the blocks and
+            // `mid`. Both read `R`, through `d_mid`.
+            let l = nx.then_some(l);
+            let x_mid = nc.then(|| (self.value(), mid));
+            move |g: &Tensor| {
+                let (blk, dims) = (k * k, (k, k, k));
                 // `C` enters the second product transposed on the forward
                 // side and the first product transposed on the inverse.
                 let r_is_ct = side == BlockSide::Forward;
-                let mut dx = Tensor::zeros(&[rows, k]);
+                let mut dx = l.as_ref().map(|_| Tensor::zeros(g.shape()));
                 let mut dc = None;
                 let (mut gs, mut d_mid) = (vec![0.0; blk], vec![0.0; blk]);
                 let (mut d_l, mut d_r) = (vec![0.0; blk], vec![0.0; blk]);
-                let blocks =
-                    x.data().chunks(blk).zip(mid.data().chunks(blk)).zip(g.data().chunks(blk));
-                for (((xb, mb), gb), dxb) in blocks.zip(dx.data_mut().chunks_mut(blk)).rev() {
+                for b in (0..g.len() / blk).rev() {
+                    let at = b * blk..(b + 1) * blk;
                     // Second product `mid ⊛ R`, under the scale `s_out`.
-                    for (o, &gv) in gs.iter_mut().zip(gb) {
+                    for (o, &gv) in gs.iter_mut().zip(&g.data()[at.clone()]) {
                         *o = gv * s_out;
                     }
                     d_mid.fill(0.0);
                     matmul_fast::matmul_abt(&gs, r.data(), &mut d_mid, dims);
-                    d_r.fill(0.0);
-                    matmul_fast::matmul_atb(mb, &gs, &mut d_r, dims);
+                    if let Some((_, mid)) = &x_mid {
+                        d_r.fill(0.0);
+                        matmul_fast::matmul_atb(&mid.data()[at.clone()], &gs, &mut d_r, dims);
+                    }
                     // Straight through the `s_mid` round, then the first
                     // product `L ⊛ X` under `s_in`: two multiplies, as the
                     // two tape nodes apply them.
                     for (o, &dv) in gs.iter_mut().zip(&d_mid) {
                         *o = dv * s_mid * s_in;
                     }
-                    d_l.fill(0.0);
-                    matmul_fast::matmul_abt(&gs, xb, &mut d_l, dims);
-                    matmul_fast::matmul_atb(l.data(), &gs, dxb, dims);
-                    fold_block_grad(&mut dc, &d_r, k, r_is_ct);
-                    fold_block_grad(&mut dc, &d_l, k, !r_is_ct);
+                    if let (Some(l), Some(dx)) = (&l, &mut dx) {
+                        let dxb = &mut dx.data_mut()[at.clone()];
+                        matmul_fast::matmul_atb(l.data(), &gs, dxb, dims);
+                    }
+                    if let Some((x, _)) = &x_mid {
+                        d_l.fill(0.0);
+                        matmul_fast::matmul_abt(&gs, &x.data()[at], &mut d_l, dims);
+                        fold_block_grad(&mut dc, &d_r, k, r_is_ct);
+                        fold_block_grad(&mut dc, &d_l, k, !r_is_ct);
+                    }
                 }
-                vec![dx, dc.unwrap_or_else(|| Tensor::zeros(&[k, k]))]
-            })),
-        );
-        Var { tape: self.tape.clone(), id }
+                [dx, nc.then(|| dc.unwrap_or_else(|| Tensor::zeros(&[k, k])))]
+            }
+        })
     }
 
     /// Same-padded 2-D convolution computed on approximate hardware.
@@ -477,20 +487,11 @@ impl Var {
     /// [`Var::conv2d`](crate::graph::Var::conv2d).
     pub fn approx_conv2d(&self, kernel: &Var, mult: &Arc<dyn Multiplier>) -> Var {
         assert!(self.same_tape(kernel), "approx_conv2d: operands belong to different graphs");
-        let x = self.value();
-        let k = kernel.value();
-        let value = approx_conv2d_bands(&x, &k, x.dims2("conv2d image").0, &**mult);
-
-        let graph = self.graph();
-        let id = graph.push(
-            value,
-            vec![self.id, kernel.id],
-            Some(Box::new(move |g: &Tensor| {
-                let (dx, dk) = conv2d_backward(&x, &k, g);
-                vec![dx, dk]
-            })),
-        );
-        Var { tape: self.tape.clone(), id }
+        let (value, s) = self.with_values(kernel, |x, k| {
+            let (h, w) = x.dims2("conv2d image");
+            (approx_conv2d_bands(x, k, h, &**mult), ConvShape::new(h, w, k))
+        });
+        self.record_binary(kernel, value, |nx, nk| conv_rule(self, kernel, s, nx, nk))
     }
 
     /// Batched approximate convolution over images stacked vertically.
@@ -527,38 +528,15 @@ impl Var {
             "approx_conv2d_stacked: operands belong to different graphs"
         );
         assert!(img_h > 0, "approx_conv2d_stacked: img_h must be positive");
-        let x = self.value();
-        let k = kernel.value();
-        let (h, w) = x.dims2("conv2d stacked image");
-        assert!(
-            h % img_h == 0,
-            "approx_conv2d_stacked: stacked height {h} is not a multiple of img_h {img_h}"
-        );
-
-        let out = approx_conv2d_bands(&x, &k, img_h, &**mult);
-
-        let graph = self.graph();
-        let id = graph.push(
-            out,
-            vec![self.id, kernel.id],
-            Some(Box::new(move |g: &Tensor| {
-                let s = ConvShape::new(img_h, w, &k);
-                let mut dx = Tensor::zeros(&[h, w]);
-                let mut dk = Tensor::zeros(&[s.kh, s.kw]);
-                let mut band_dk = vec![0.0; s.kh * s.kw];
-                let band_len = img_h * w;
-                let bands = x.data().chunks(band_len).zip(g.data().chunks(band_len));
-                for ((img, grad), bdx) in bands.zip(dx.data_mut().chunks_mut(band_len)) {
-                    band_dk.fill(0.0);
-                    s.backward(img, k.data(), grad, bdx, &mut band_dk);
-                    for (acc, d) in dk.data_mut().iter_mut().zip(&band_dk) {
-                        *acc += d;
-                    }
-                }
-                vec![dx, dk]
-            })),
-        );
-        Var { tape: self.tape.clone(), id }
+        let (out, s) = self.with_values(kernel, |x, k| {
+            let (h, w) = x.dims2("conv2d stacked image");
+            assert!(
+                h % img_h == 0,
+                "approx_conv2d_stacked: stacked height {h} is not a multiple of img_h {img_h}"
+            );
+            (approx_conv2d_bands(x, k, img_h, &**mult), ConvShape::new(img_h, w, k))
+        });
+        self.record_binary(kernel, out, |nx, nk| conv_rule(self, kernel, s, nx, nk))
     }
 
     /// Multiply every element of `self` by the scalar coefficient `coeff`
@@ -575,32 +553,31 @@ impl Var {
     /// belong to different graphs.
     pub fn approx_scale(&self, coeff: &Var, mult: &Arc<dyn Multiplier>) -> Var {
         assert!(self.same_tape(coeff), "approx_scale: operands belong to different graphs");
-        let x = self.value();
-        let c = coeff.value();
-        assert_eq!(c.len(), 1, "approx_scale coefficient must be a single element");
-        let cv = c.data()[0];
-        let value = match ProductRows::new(&**mult, &[cv], x.data(), x.len()) {
+        let cv = coeff.with_value(|c| {
+            assert_eq!(c.len(), 1, "approx_scale coefficient must be a single element");
+            c.data()[0]
+        });
+        let value = self.with_value(|x| match ProductRows::new(&**mult, &[cv], x.data(), x.len()) {
             Some(rows) => {
                 let row = &rows.table[rows.taps[0]..];
                 x.map(|v| row[rows.col(v)] as f64)
             }
             None => x.map(|v| approx_product(&**mult, cv, v)),
-        };
-
-        let graph = self.graph();
-        let id = graph.push(
-            value,
-            vec![self.id, coeff.id],
-            Some(Box::new(move |g: &Tensor| {
-                let dx = g.map(|gv| gv * cv);
-                let dc = Tensor::from_vec(
-                    vec![g.data().iter().zip(x.data()).map(|(&gv, &xv)| gv * xv).sum()],
-                    c.shape(),
-                );
-                vec![dx, dc]
-            })),
-        );
-        Var { tape: self.tape.clone(), id }
+        });
+        self.record_binary(coeff, value, |nx, nc| {
+            // `dc` reads the pixels; `dx` only the scalar `cv`.
+            let x_shape = nc.then(|| (self.value(), coeff.shape()));
+            move |g: &Tensor| {
+                let dx = nx.then(|| g.map(|gv| gv * cv));
+                let dc = x_shape.map(|(x, shape)| {
+                    Tensor::from_vec(
+                        vec![g.data().iter().zip(x.data()).map(|(&gv, &xv)| gv * xv).sum()],
+                        &shape,
+                    )
+                });
+                [dx, dc]
+            }
+        })
     }
 }
 
@@ -643,26 +620,21 @@ impl Var {
         scale: Option<f64>,
     ) -> Var {
         assert!(self.same_tape(other), "{op}: operands belong to different graphs");
-        let a = self.value();
-        let b = other.value();
-        let product = match mult.as_lut() {
-            Some(lut) => a.zip_map(&b, |x, y| lut.product(lut.row(x), lut.col(y))),
-            None => a.zip_map(&b, |x, y| approx_product(mult, x, y)),
-        };
+        let product = self.with_values(other, |a, b| match mult.as_lut() {
+            Some(lut) => a.zip_map(b, |x, y| lut.product(lut.row(x), lut.col(y))),
+            None => a.zip_map(b, |x, y| approx_product(mult, x, y)),
+        });
         let value = match scale {
             Some(c) => product.map(|v| v * c),
             None => product,
         };
-        let id = self.graph().push(
-            value,
-            vec![self.id, other.id],
-            Some(Box::new(move |g: &Tensor| {
+        self.record_binary(other, value, |na, nb| {
+            let rule = product_rule(self, other, na, nb);
+            move |g: &Tensor| {
                 let scaled = scale.map(|c| g.map(|gv| gv * c));
-                let g = scaled.as_ref().unwrap_or(g);
-                vec![g.zip_map(&b, |gv, bv| gv * bv), g.zip_map(&a, |gv, av| gv * av)]
-            })),
-        );
-        Var { tape: self.tape.clone(), id }
+                rule(scaled.as_ref().unwrap_or(g))
+            }
+        })
     }
 }
 

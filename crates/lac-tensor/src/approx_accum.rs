@@ -20,7 +20,7 @@ use lac_hw::adders::Adder;
 use lac_hw::Multiplier;
 
 use crate::graph::Var;
-use crate::ops::{conv2d_backward, ConvShape};
+use crate::ops::{conv_rule, ConvShape};
 use crate::tensor::Tensor;
 
 /// Add two signed values on an unsigned adder model using sign-magnitude
@@ -57,32 +57,21 @@ impl Var {
             self.same_tape(kernel),
             "approx_conv2d_accum: operands belong to different graphs"
         );
-        let x = self.value();
-        let k = kernel.value();
-        let (h, w) = x.dims2("approx_conv2d_accum image");
-        let s = ConvShape::new(h, w, &k);
-
-        // Per output, partial products join the running sum in row-major
-        // tap order — the order the adder tree sees them.
-        let mut acc = vec![0i64; h * w];
-        s.rows(0..s.kh * s.kw, |t, pixels, outs| {
-            let tap = k.data()[t].round() as i64;
-            for (a, &pixel) in acc[outs].iter_mut().zip(&x.data()[pixels]) {
-                *a = approx_add_signed(&**adder, *a, mult.multiply(tap, pixel.round() as i64));
-            }
+        let (out, s) = self.with_values(kernel, |x, k| {
+            let (h, w) = x.dims2("approx_conv2d_accum image");
+            let s = ConvShape::new(h, w, k);
+            // Per output, partial products join the running sum in
+            // row-major tap order — the order the adder tree sees them.
+            let mut acc = vec![0i64; h * w];
+            s.rows(0..s.kh * s.kw, |t, pixels, outs| {
+                let tap = k.data()[t].round() as i64;
+                for (a, &pixel) in acc[outs].iter_mut().zip(&x.data()[pixels]) {
+                    *a = approx_add_signed(&**adder, *a, mult.multiply(tap, pixel.round() as i64));
+                }
+            });
+            (Tensor::from_vec(acc.into_iter().map(|a| a as f64).collect(), &[h, w]), s)
         });
-        let out = Tensor::from_vec(acc.into_iter().map(|a| a as f64).collect(), &[h, w]);
-
-        let graph = self.graph();
-        let id = graph.push(
-            out,
-            vec![self.id, kernel.id],
-            Some(Box::new(move |g: &Tensor| {
-                let (dx, dk) = conv2d_backward(&x, &k, g);
-                vec![dx, dk]
-            })),
-        );
-        Var { tape: self.tape.clone(), id }
+        self.record_binary(kernel, out, |nx, nk| conv_rule(self, kernel, s, nx, nk))
     }
 }
 

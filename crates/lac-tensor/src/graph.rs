@@ -2,10 +2,25 @@
 //!
 //! A [`Graph`] records every operation applied to its [`Var`] handles;
 //! [`Graph::backward`] replays the tape in reverse, producing gradients
-//! for every recorded node. Training code keeps parameters as plain
+//! for the nodes that need them. Training code keeps parameters as plain
 //! [`Tensor`]s, builds a fresh graph per step, and reads gradients out of
 //! the returned [`Gradients`] map — the same discipline as a define-by-run
 //! framework like the PyTorch setup the LAC paper trains with.
+//!
+//! # What needs a gradient
+//!
+//! Every node carries a `needs_grad` flag, fixed when it is recorded:
+//! [`Graph::var`] leaves need a gradient, [`Graph::constant`] leaves do
+//! not, and an op node needs one iff at least one of its parents does
+//! (`requires_grad` in PyTorch terms). Only a node that needs a gradient
+//! stores a backward closure, and an op builds that closure — copying the
+//! inputs its backward reads — only then; otherwise the op computes its
+//! value from borrowed inputs and records nothing else. Within a closure,
+//! the gradient of an operand that needs none is never computed, and
+//! [`Graph::backward`] never sends a gradient to such a parent, so
+//! [`Gradients::get`] of a constant is zeros. A graph built from
+//! constants alone (an inference pass) records no closure at all;
+//! [`Graph::backward_closures`] counts them.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -13,12 +28,14 @@ use std::rc::Rc;
 use crate::tensor::Tensor;
 
 /// Backward closure: maps the gradient flowing into a node to the gradient
-/// contributions of each parent, aligned with the node's parent list.
-pub(crate) type BackwardFn = Box<dyn FnOnce(&Tensor) -> Vec<Tensor>>;
+/// contributions of its parents, aligned with the node's parent list —
+/// `None` for a parent that needs no gradient.
+pub(crate) type BackwardFn = Box<dyn FnOnce(&Tensor) -> Vec<Option<Tensor>>>;
 
 pub(crate) struct Node {
     pub(crate) value: Tensor,
     pub(crate) parents: Vec<usize>,
+    pub(crate) needs_grad: bool,
     pub(crate) backward: Option<BackwardFn>,
 }
 
@@ -62,28 +79,41 @@ impl Graph {
         Graph { tape: Rc::new(RefCell::new(Tape::default())) }
     }
 
-    /// Record a leaf holding `value` (an input or a parameter snapshot).
+    /// Record a leaf that needs a gradient (a parameter snapshot).
     pub fn var(&self, value: Tensor) -> Var {
-        let id = self.push(value, vec![], None);
-        Var { tape: Rc::clone(&self.tape), id }
+        self.leaf(value, true)
     }
 
-    /// Record a constant: identical to [`Graph::var`] today, kept separate
-    /// so intent is visible at call sites (constants never receive useful
-    /// gradients).
+    /// Record a leaf that needs no gradient: an input, a target or a
+    /// fixed table — data, never differentiated.
+    ///
+    /// Ops whose operands are all constants record their value and no
+    /// backward closure; an op mixing a constant with a [`Graph::var`]
+    /// skips the constant's side of its backward. [`Gradients::get`] of
+    /// a constant is zeros.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lac_tensor::{Graph, Tensor};
+    ///
+    /// let g = Graph::new();
+    /// let x = g.constant(Tensor::from_vec(vec![2.0, 3.0], &[2]));
+    /// let w = g.var(Tensor::from_vec(vec![0.5, -1.0], &[2]));
+    /// let y = x.square(); // constant-only: no closure
+    /// assert_eq!(g.backward_closures(), 0);
+    /// let grads = g.backward(&y.mul(&w).sum());
+    /// assert_eq!(grads.get(&w).data(), &[4.0, 9.0]);
+    /// assert_eq!(grads.get(&x).data(), &[0.0, 0.0]);
+    /// ```
     pub fn constant(&self, value: Tensor) -> Var {
-        self.var(value)
+        self.leaf(value, false)
     }
 
-    pub(crate) fn push(
-        &self,
-        value: Tensor,
-        parents: Vec<usize>,
-        backward: Option<BackwardFn>,
-    ) -> usize {
+    fn leaf(&self, value: Tensor, needs_grad: bool) -> Var {
         let mut tape = self.tape.borrow_mut();
-        tape.nodes.push(Node { value, parents, backward });
-        tape.nodes.len() - 1
+        tape.nodes.push(Node { value, parents: Vec::new(), needs_grad, backward: None });
+        Var { tape: Rc::clone(&self.tape), id: tape.nodes.len() - 1 }
     }
 
     /// Clear the tape for reuse, keeping the node list's capacity.
@@ -109,9 +139,18 @@ impl Graph {
         self.len() == 0
     }
 
+    /// Number of recorded nodes holding a backward closure not yet
+    /// consumed by [`Graph::backward`]: the op nodes that need a
+    /// gradient. Zero for a graph built from constants alone.
+    pub fn backward_closures(&self) -> usize {
+        self.tape.borrow().nodes.iter().filter(|n| n.backward.is_some()).count()
+    }
+
     /// Run the backward pass from `loss`, consuming the tape's closures.
     ///
-    /// Returns the gradient of `loss` with respect to every recorded node.
+    /// Returns the gradient of `loss` with respect to every recorded node
+    /// that needs one; nodes that need none (constants and ops over
+    /// constants only) are skipped and read as zeros.
     /// A second call on the same graph yields zero gradients because the
     /// closures have been consumed — build a fresh graph per step instead.
     ///
@@ -126,7 +165,7 @@ impl Graph {
         let mut tape = self.tape.borrow_mut();
         let n = tape.nodes.len();
         let mut grads: Vec<Option<Tensor>> = vec![None; n];
-        grads[loss.id] = Some(Tensor::ones(loss_shape(&tape.nodes[loss.id].value)).clone());
+        grads[loss.id] = Some(Tensor::ones(tape.nodes[loss.id].value.shape()));
 
         for id in (0..n).rev() {
             if grads[id].is_none() {
@@ -148,6 +187,7 @@ impl Graph {
                 parents.len()
             );
             for (pid, pgrad) in parents.into_iter().zip(parent_grads) {
+                let Some(pgrad) = pgrad.filter(|_| tape.nodes[pid].needs_grad) else { continue };
                 match &mut grads[pid] {
                     Some(existing) => existing.accumulate(&pgrad),
                     slot @ None => *slot = Some(pgrad),
@@ -156,10 +196,6 @@ impl Graph {
         }
         Gradients { grads, tape: Rc::clone(&self.tape) }
     }
-}
-
-fn loss_shape(value: &Tensor) -> &[usize] {
-    value.shape()
 }
 
 /// A handle to a node in a [`Graph`].
@@ -199,12 +235,79 @@ impl Var {
         self.tape.borrow().nodes[self.id].value.item()
     }
 
+    /// Whether this node needs a gradient: a [`Graph::var`] leaf, or an
+    /// op with at least one parent that needs one.
+    pub(crate) fn needs_grad(&self) -> bool {
+        self.tape.borrow().nodes[self.id].needs_grad
+    }
+
+    /// Run `f` on this node's value, borrowed from the tape: the forward
+    /// read of an op, without [`Var::value`]'s copy. `f` must not record
+    /// on the tape.
+    pub(crate) fn with_value<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
+        f(&self.tape.borrow().nodes[self.id].value)
+    }
+
+    /// [`Var::with_value`] on the values of `self` and `other` at once.
+    pub(crate) fn with_values<R>(&self, other: &Var, f: impl FnOnce(&Tensor, &Tensor) -> R) -> R {
+        self.with_value(|a| other.with_value(|b| f(a, b)))
+    }
+
     pub(crate) fn same_tape(&self, other: &Var) -> bool {
         Rc::ptr_eq(&self.tape, &other.tape)
     }
 
-    pub(crate) fn graph(&self) -> Graph {
-        Graph { tape: Rc::clone(&self.tape) }
+    /// Record an op node holding `value` over the nodes `parents` of
+    /// this tape. A `backward` closure — which an op builds only when
+    /// some parent needs a gradient, copying the inputs it reads then and
+    /// never before — makes the node need a gradient; without one the
+    /// node keeps neither closure nor parent list.
+    pub(crate) fn record(
+        &self,
+        parents: &[usize],
+        value: Tensor,
+        backward: Option<BackwardFn>,
+    ) -> Var {
+        let parents = if backward.is_some() { parents.to_vec() } else { Vec::new() };
+        let needs_grad = backward.is_some();
+        let mut tape = self.tape.borrow_mut();
+        tape.nodes.push(Node { value, parents, needs_grad, backward });
+        Var { tape: Rc::clone(&self.tape), id: tape.nodes.len() - 1 }
+    }
+
+    /// [`Var::record`] for a one-input op: `backward` builds the map from
+    /// the node's gradient to this input's, called only when this input
+    /// needs a gradient.
+    pub(crate) fn record_unary<F>(&self, value: Tensor, backward: impl FnOnce() -> F) -> Var
+    where
+        F: FnOnce(&Tensor) -> Tensor + 'static,
+    {
+        let closure = self.needs_grad().then(|| {
+            let f = backward();
+            Box::new(move |g: &Tensor| vec![Some(f(g))]) as BackwardFn
+        });
+        self.record(&[self.id], value, closure)
+    }
+
+    /// [`Var::record`] for a two-input op `self ∘ other`: `backward`
+    /// receives whether `self` and `other` need a gradient — called only
+    /// when one does — and builds the map to their two gradients, `None`
+    /// where one is not needed.
+    pub(crate) fn record_binary<F>(
+        &self,
+        other: &Var,
+        value: Tensor,
+        backward: impl FnOnce(bool, bool) -> F,
+    ) -> Var
+    where
+        F: FnOnce(&Tensor) -> [Option<Tensor>; 2] + 'static,
+    {
+        let (na, nb) = (self.needs_grad(), other.needs_grad());
+        let closure = (na || nb).then(|| {
+            let f = backward(na, nb);
+            Box::new(move |g: &Tensor| Vec::from(f(g))) as BackwardFn
+        });
+        self.record(&[self.id, other.id], value, closure)
     }
 }
 
@@ -226,7 +329,8 @@ impl std::fmt::Debug for Gradients {
 
 impl Gradients {
     /// Gradient of the loss with respect to `var`, zero-filled when the
-    /// loss does not depend on it.
+    /// loss does not depend on it or `var` needs no gradient (a
+    /// [`Graph::constant`], or an op over constants only).
     ///
     /// # Panics
     ///
@@ -305,6 +409,45 @@ mod tests {
                 None => first = Some(got),
             }
         }
+    }
+
+    #[test]
+    fn constant_only_subgraph_records_no_closure() {
+        let g = Graph::new();
+        let x = g.constant(Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]));
+        let t = g.constant(Tensor::from_vec(vec![0.5, 0.5, 0.5], &[3]));
+        let y = x.square().mul(&t).add_scalar(1.0).clamp(0.0, 4.0).sum();
+        assert_eq!(g.backward_closures(), 0);
+        assert!(!y.needs_grad());
+        assert_eq!(y.item(), 1.5 + 3.0 + 4.0);
+        // One var operand makes its op, and every op downstream, record.
+        let w = g.var(Tensor::scalar(2.0));
+        let z = y.reshape(&[1]).mul(&w.reshape(&[1])).sum();
+        assert!(z.needs_grad());
+        // `w`'s reshape, the product and the sum; not `y`'s reshape.
+        assert_eq!(g.backward_closures(), 3);
+        g.backward(&z);
+        assert_eq!(g.backward_closures(), 0, "backward consumes every closure");
+    }
+
+    #[test]
+    fn gradient_of_a_constant_is_zeros() {
+        let g = Graph::new();
+        let x = g.constant(Tensor::from_vec(vec![2.0, 3.0], &[2]));
+        let w = g.var(Tensor::from_vec(vec![5.0, -1.0], &[2]));
+        let sq = x.square();
+        let grads = g.backward(&sq.mul(&w).sum());
+        assert_eq!(grads.get(&w).data(), &[4.0, 9.0]);
+        assert_eq!(grads.get(&x).data(), &[0.0, 0.0]);
+        assert_eq!(grads.get(&sq).data(), &[0.0, 0.0]);
+        // The same graph with `x` as a var gives `x` its gradient and `w`
+        // the same one as before.
+        let g = Graph::new();
+        let x = g.var(Tensor::from_vec(vec![2.0, 3.0], &[2]));
+        let w = g.var(Tensor::from_vec(vec![5.0, -1.0], &[2]));
+        let grads = g.backward(&x.square().mul(&w).sum());
+        assert_eq!(grads.get(&w).data(), &[4.0, 9.0]);
+        assert_eq!(grads.get(&x).data(), &[20.0, -6.0]);
     }
 
     #[test]

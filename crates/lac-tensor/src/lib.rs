@@ -8,7 +8,9 @@
 //!
 //! * [`Tensor`] — dense row-major `f64` values;
 //! * [`Graph`] / [`Var`] — a define-by-run autodiff tape with elementwise
-//!   ops, matmul, same-padded conv2d, and reductions;
+//!   ops, matmul, same-padded conv2d, and reductions, which does backward
+//!   work only for nodes that need a gradient ([`Graph::constant`] leaves
+//!   — inputs, targets, tables — need none);
 //! * [`Var::quantize_ste`] — clipped straight-through integer quantization
 //!   (Section III-D of the paper);
 //! * [`Var::approx_matmul`] / [`Var::approx_conv2d`] /

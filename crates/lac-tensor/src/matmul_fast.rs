@@ -394,13 +394,28 @@ pub(crate) fn matmul_lut(a: &Tensor, b: &Tensor, lut: DenseLut<'_>, fixed: Fixed
 
 /// Gradients `[g · bᵀ, aᵀ · g]` of the product `a · b` (`[m, k]` ×
 /// `[k, n]`) under the upstream gradient `g`, `[m, n]`, by the fused
-/// kernels below.
-pub(crate) fn matmul_grads(a: &Tensor, b: &Tensor, g: &Tensor) -> Vec<Tensor> {
-    let ((m, k), n) = (a.dims2("matmul lhs"), b.dims2("matmul rhs").1);
-    let (mut da, mut db) = (Tensor::zeros(&[m, k]), Tensor::zeros(&[k, n]));
-    matmul_abt(g.data(), b.data(), da.data_mut(), (m, n, k));
-    matmul_atb(a.data(), g.data(), db.data_mut(), (m, k, n));
-    vec![da, db]
+/// kernels below. Each gradient reads only the other operand: `da` is
+/// computed when `b` is given and `db` when `a` is, so a caller passes
+/// just the operands the gradients it needs read.
+pub(crate) fn matmul_grads(
+    a: Option<&Tensor>,
+    b: Option<&Tensor>,
+    g: &Tensor,
+) -> [Option<Tensor>; 2] {
+    let (m, n) = g.dims2("matmul gradient");
+    let da = b.map(|b| {
+        let k = b.dims2("matmul rhs").0;
+        let mut da = Tensor::zeros(&[m, k]);
+        matmul_abt(g.data(), b.data(), da.data_mut(), (m, n, k));
+        da
+    });
+    let db = a.map(|a| {
+        let k = a.dims2("matmul lhs").1;
+        let mut db = Tensor::zeros(&[k, n]);
+        matmul_atb(a.data(), g.data(), db.data_mut(), (m, k, n));
+        db
+    });
+    [da, db]
 }
 
 /// `g · bᵀ`: `g` is `[m, n]`, `b` is `[k, n]`, and the product is added
@@ -705,8 +720,12 @@ mod tests {
             }
             let da_ref = g.matmul(&b.transpose());
             let db_ref = a.transpose().matmul(&g);
-            let grads = matmul_grads(&a, &b, &g);
-            let (da, db) = (&grads[0], &grads[1]);
+            let [Some(da), Some(db)] = matmul_grads(Some(&a), Some(&b), &g) else {
+                panic!("both operands given, both gradients expected")
+            };
+            // One operand given: only the gradient that reads it.
+            assert!(matches!(matmul_grads(Some(&a), None, &g), [None, Some(_)]));
+            assert!(matches!(matmul_grads(None, Some(&b), &g), [Some(_), None]));
             assert_eq!(da.shape(), da_ref.shape());
             assert_eq!(db.shape(), db_ref.shape());
             for (x, y) in da.data().iter().zip(da_ref.data()) {

@@ -11,12 +11,6 @@ use crate::graph::{BackwardFn, Var};
 use crate::tensor::Tensor;
 
 impl Var {
-    fn op(&self, parents: Vec<usize>, value: Tensor, backward: BackwardFn) -> Var {
-        let g = self.graph();
-        let id = g.push(value, parents, Some(backward));
-        Var { tape: self.tape.clone(), id }
-    }
-
     fn binary_guard(&self, other: &Var, what: &str) {
         assert!(self.same_tape(other), "{what}: operands belong to different graphs");
     }
@@ -28,12 +22,10 @@ impl Var {
     /// Panics on shape mismatch or cross-graph operands.
     pub fn add(&self, other: &Var) -> Var {
         self.binary_guard(other, "add");
-        let value = self.value().zip_map(&other.value(), |a, b| a + b);
-        self.op(
-            vec![self.id, other.id],
-            value,
-            Box::new(move |g| vec![g.clone(), g.clone()]),
-        )
+        let value = self.with_values(other, |a, b| a.zip_map(b, |a, b| a + b));
+        self.record_binary(other, value, |na, nb| {
+            move |g: &Tensor| [na.then(|| g.clone()), nb.then(|| g.clone())]
+        })
     }
 
     /// Elementwise subtraction `self - other`.
@@ -43,12 +35,10 @@ impl Var {
     /// Panics on shape mismatch or cross-graph operands.
     pub fn sub(&self, other: &Var) -> Var {
         self.binary_guard(other, "sub");
-        let value = self.value().zip_map(&other.value(), |a, b| a - b);
-        self.op(
-            vec![self.id, other.id],
-            value,
-            Box::new(move |g| vec![g.clone(), g.map(|v| -v)]),
-        )
+        let value = self.with_values(other, |a, b| a.zip_map(b, |a, b| a - b));
+        self.record_binary(other, value, |na, nb| {
+            move |g: &Tensor| [na.then(|| g.clone()), nb.then(|| g.map(|v| -v))]
+        })
     }
 
     /// Elementwise (Hadamard) product.
@@ -58,46 +48,36 @@ impl Var {
     /// Panics on shape mismatch or cross-graph operands.
     pub fn mul(&self, other: &Var) -> Var {
         self.binary_guard(other, "mul");
-        let a = self.value();
-        let b = other.value();
-        let value = a.zip_map(&b, |x, y| x * y);
-        self.op(
-            vec![self.id, other.id],
-            value,
-            Box::new(move |g| {
-                vec![g.zip_map(&b, |gv, bv| gv * bv), g.zip_map(&a, |gv, av| gv * av)]
-            }),
-        )
+        let value = self.with_values(other, |a, b| a.zip_map(b, |x, y| x * y));
+        self.record_binary(other, value, |na, nb| product_rule(self, other, na, nb))
     }
 
     /// Elementwise negation.
     pub fn neg(&self) -> Var {
-        let value = self.value().map(|v| -v);
-        self.op(vec![self.id], value, Box::new(move |g| vec![g.map(|v| -v)]))
+        let value = self.with_value(|a| a.map(|v| -v));
+        self.record_unary(value, || |g: &Tensor| g.map(|v| -v))
     }
 
     /// Add a scalar constant to every element.
     pub fn add_scalar(&self, c: f64) -> Var {
-        let value = self.value().map(|v| v + c);
-        self.op(vec![self.id], value, Box::new(move |g| vec![g.clone()]))
+        let value = self.with_value(|a| a.map(|v| v + c));
+        self.record_unary(value, || |g: &Tensor| g.clone())
     }
 
     /// Multiply every element by a scalar constant (e.g. an exact
     /// power-of-two bit shift in the datapath).
     pub fn mul_scalar(&self, c: f64) -> Var {
-        let value = self.value().map(|v| v * c);
-        self.op(vec![self.id], value, Box::new(move |g| vec![g.map(|v| v * c)]))
+        let value = self.with_value(|a| a.map(|v| v * c));
+        self.record_unary(value, || move |g: &Tensor| g.map(|v| v * c))
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Var {
-        let a = self.value();
-        let value = a.map(|v| v * v);
-        self.op(
-            vec![self.id],
-            value,
-            Box::new(move |g| vec![g.zip_map(&a, |gv, av| 2.0 * av * gv)]),
-        )
+        let value = self.with_value(|a| a.map(|v| v * v));
+        self.record_unary(value, || {
+            let a = self.value();
+            move |g: &Tensor| g.zip_map(&a, |gv, av| 2.0 * av * gv)
+        })
     }
 
     /// Clamp into `[lo, hi]`; gradient passes through inside the range and
@@ -108,30 +88,22 @@ impl Var {
     /// Panics if `lo > hi`.
     pub fn clamp(&self, lo: f64, hi: f64) -> Var {
         assert!(lo <= hi, "clamp bounds inverted: [{lo}, {hi}]");
-        let a = self.value();
-        let value = a.map(|v| v.clamp(lo, hi));
-        self.op(
-            vec![self.id],
-            value,
-            Box::new(move |g| {
-                vec![g.zip_map(&a, |gv, av| if (lo..=hi).contains(&av) { gv } else { 0.0 })]
-            }),
-        )
+        let value = self.with_value(|a| a.map(|v| v.clamp(lo, hi)));
+        self.record_unary(value, || {
+            let a = self.value();
+            move |g: &Tensor| {
+                g.zip_map(&a, |gv, av| if (lo..=hi).contains(&av) { gv } else { 0.0 })
+            }
+        })
     }
 
     /// Sum all elements into a scalar.
     pub fn sum(&self) -> Var {
-        let a = self.value();
-        let shape = a.shape().to_vec();
-        let value = Tensor::scalar(a.sum());
-        self.op(
-            vec![self.id],
-            value,
-            Box::new(move |g| {
-                let gv = g.item();
-                vec![Tensor::full(&shape, gv)]
-            }),
-        )
+        let value = Tensor::scalar(self.with_value(Tensor::sum));
+        self.record_unary(value, || {
+            let shape = self.shape();
+            move |g: &Tensor| Tensor::full(&shape, g.item())
+        })
     }
 
     /// Mean of all elements as a scalar.
@@ -140,18 +112,12 @@ impl Var {
     ///
     /// Panics on an empty tensor.
     pub fn mean(&self) -> Var {
-        let a = self.value();
-        let n = a.len() as f64;
-        let shape = a.shape().to_vec();
-        let value = Tensor::scalar(a.mean());
-        self.op(
-            vec![self.id],
-            value,
-            Box::new(move |g| {
-                let gv = g.item() / n;
-                vec![Tensor::full(&shape, gv)]
-            }),
-        )
+        let value = Tensor::scalar(self.with_value(Tensor::mean));
+        self.record_unary(value, || {
+            let shape = self.shape();
+            let n = shape.iter().product::<usize>() as f64;
+            move |g: &Tensor| Tensor::full(&shape, g.item() / n)
+        })
     }
 
     /// 2-D matrix product.
@@ -162,18 +128,8 @@ impl Var {
     /// on the same graph.
     pub fn matmul(&self, other: &Var) -> Var {
         self.binary_guard(other, "matmul");
-        let a = self.value();
-        let b = other.value();
-        let value = a.matmul(&b);
-        self.op(
-            vec![self.id, other.id],
-            value,
-            Box::new(move |g| {
-                // Fused transposed matmuls, bit-identical to transposing
-                // then multiplying (see `matmul_fast`).
-                crate::matmul_fast::matmul_grads(&a, &b, g)
-            }),
-        )
+        let value = self.with_values(other, Tensor::matmul);
+        self.record_binary(other, value, |na, nb| matmul_rule(self, other, na, nb))
     }
 
     /// 2-D convolution with an odd-sized kernel and same-size zero padding.
@@ -187,23 +143,18 @@ impl Var {
     /// dimensions, or on cross-graph operands.
     pub fn conv2d(&self, kernel: &Var) -> Var {
         self.binary_guard(kernel, "conv2d");
-        let x = self.value();
-        let k = kernel.value();
-        let (h, w) = x.dims2("conv2d image");
-        let mut value = Tensor::zeros(&[h, w]);
-        ConvShape::new(h, w, &k).forward(value.data_mut(), |t, pixels, dst| {
-            for (o, &p) in dst.iter_mut().zip(&x.data()[pixels]) {
-                *o += k.data()[t] * p;
-            }
+        let (value, s) = self.with_values(kernel, |x, k| {
+            let (h, w) = x.dims2("conv2d image");
+            let s = ConvShape::new(h, w, k);
+            let mut value = Tensor::zeros(&[h, w]);
+            s.forward(value.data_mut(), |t, pixels, dst| {
+                for (o, &p) in dst.iter_mut().zip(&x.data()[pixels]) {
+                    *o += k.data()[t] * p;
+                }
+            });
+            (value, s)
         });
-        self.op(
-            vec![self.id, kernel.id],
-            value,
-            Box::new(move |g| {
-                let (dx, dk) = conv2d_backward(&x, &k, g);
-                vec![dx, dk]
-            }),
-        )
+        self.record_binary(kernel, value, |nx, nk| conv_rule(self, kernel, s, nx, nk))
     }
 
     /// Mean-squared-error loss against `target`: `mean((self - target)²)`.
@@ -215,15 +166,57 @@ impl Var {
         self.sub(target).square().mean()
     }
 
+    /// Mean-squared-error loss against a target held outside the tape,
+    /// compared in row-major order whatever `self`'s shape: one node,
+    /// bit-identical in value and gradient to
+    /// `self.reshape(&[n]).mse_loss(&g.constant(target))`, without
+    /// copying the target into the tape. The squared differences sum
+    /// left to right from the first element, as [`Tensor::sum`] does.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lac_tensor::{Graph, Tensor};
+    ///
+    /// let g = Graph::new();
+    /// let x = g.var(Tensor::from_vec(vec![2.0, -1.0], &[1, 2]));
+    /// let loss = x.mse_loss_to(&[0.0, 1.0]);
+    /// assert_eq!(loss.item(), 4.0);
+    /// assert_eq!(g.backward(&loss).get(&x).data(), &[2.0, -2.0]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` and `self` differ in element count, or both are
+    /// empty.
+    pub fn mse_loss_to(&self, target: &[f64]) -> Var {
+        let n = target.len();
+        assert_eq!(self.with_value(Tensor::len), n, "mse_loss_to: length mismatch");
+        assert!(n > 0, "mean of empty tensor");
+        let d: Vec<f64> =
+            self.with_value(|o| o.data().iter().zip(target).map(|(o, t)| o - t).collect());
+        let sq_sum: f64 = d.iter().map(|d| d * d).sum();
+        self.record_unary(Tensor::scalar(sq_sum / n as f64), || {
+            let shape = self.shape();
+            // The chain's backward: `mean` hands each element `g / n`, the
+            // square node doubles `d·(g / n)`, `sub` and `reshape` pass it
+            // through.
+            move |g: &Tensor| {
+                let gv = g.item() / n as f64;
+                Tensor::from_vec(d.into_iter().map(|d| 2.0 * d * gv).collect(), &shape)
+            }
+        })
+    }
+
     /// Reinterpret this node's value under a new shape of equal volume —
-    /// a view op: the buffer is never permuted or elementwise-copied.
+    /// the buffer is never permuted.
     ///
     /// When the shape already matches, this is free: the same node handle
     /// is returned and nothing is recorded on the tape. Otherwise one
-    /// pass-through node is recorded whose forward is a buffer move of the
-    /// value snapshot and whose backward re-shapes the incoming gradient
-    /// the same way — unlike routing reshapes through [`concat`], there is
-    /// no per-element copy in either direction.
+    /// pass-through node is recorded whose value is one copy of the
+    /// input's buffer under the new shape, and whose backward (recorded
+    /// only when the input needs a gradient) moves the incoming
+    /// gradient's buffer back under the old shape without copying it.
     ///
     /// # Examples
     ///
@@ -248,11 +241,7 @@ impl Var {
             return self.clone();
         }
         let value = self.value().reshaped(shape);
-        self.op(
-            vec![self.id],
-            value,
-            Box::new(move |g| vec![g.clone().reshaped(&old_shape)]),
-        )
+        self.record_unary(value, || move |g: &Tensor| g.clone().reshaped(&old_shape))
     }
 
     /// 2-D transpose.
@@ -261,30 +250,26 @@ impl Var {
     ///
     /// Panics unless the tensor is 2-D.
     pub fn transpose(&self) -> Var {
-        let value = self.value().transpose();
-        self.op(vec![self.id], value, Box::new(move |g| vec![g.transpose()]))
+        let value = self.with_value(Tensor::transpose);
+        self.record_unary(value, || |g: &Tensor| g.transpose())
     }
 
     /// Elementwise sine.
     pub fn sin(&self) -> Var {
-        let a = self.value();
-        let value = a.map(f64::sin);
-        self.op(
-            vec![self.id],
-            value,
-            Box::new(move |g| vec![g.zip_map(&a, |gv, av| gv * av.cos())]),
-        )
+        let value = self.with_value(|a| a.map(f64::sin));
+        self.record_unary(value, || {
+            let a = self.value();
+            move |g: &Tensor| g.zip_map(&a, |gv, av| gv * av.cos())
+        })
     }
 
     /// Elementwise cosine.
     pub fn cos(&self) -> Var {
-        let a = self.value();
-        let value = a.map(f64::cos);
-        self.op(
-            vec![self.id],
-            value,
-            Box::new(move |g| vec![g.zip_map(&a, |gv, av| -gv * av.sin())]),
-        )
+        let value = self.with_value(|a| a.map(f64::cos));
+        self.record_unary(value, || {
+            let a = self.value();
+            move |g: &Tensor| g.zip_map(&a, |gv, av| -gv * av.sin())
+        })
     }
 
     /// Elementwise arccosine with the argument clamped into `[-1, 1]`.
@@ -294,18 +279,16 @@ impl Var {
     /// treatment for inverse-kinematics kernels where `cos θ₂` may quantize
     /// to exactly ±1.
     pub fn acos_clamped(&self) -> Var {
-        let a = self.value();
-        let value = a.map(|v| v.clamp(-1.0, 1.0).acos());
-        self.op(
-            vec![self.id],
-            value,
-            Box::new(move |g| {
-                vec![g.zip_map(&a, |gv, av| {
+        let value = self.with_value(|a| a.map(|v| v.clamp(-1.0, 1.0).acos()));
+        self.record_unary(value, || {
+            let a = self.value();
+            move |g: &Tensor| {
+                g.zip_map(&a, |gv, av| {
                     let c = av.clamp(-0.999, 0.999);
                     -gv / (1.0 - c * c).sqrt()
-                })]
-            }),
-        )
+                })
+            }
+        })
     }
 
     /// Elementwise four-quadrant arctangent `atan2(self, x)` (self is the
@@ -316,24 +299,101 @@ impl Var {
     /// Panics on shape mismatch or cross-graph operands.
     pub fn atan2(&self, x: &Var) -> Var {
         self.binary_guard(x, "atan2");
-        let yv = self.value();
-        let xv = x.value();
-        let value = yv.zip_map(&xv, f64::atan2);
-        self.op(
-            vec![self.id, x.id],
-            value,
-            Box::new(move |g| {
-                let mut dy = Tensor::zeros(yv.shape());
-                let mut dx = Tensor::zeros(xv.shape());
+        let value = self.with_values(x, |y, x| y.zip_map(x, f64::atan2));
+        self.record_binary(x, value, |ny, nx| {
+            let (yv, xv) = (self.value(), x.value());
+            move |g: &Tensor| {
+                let mut dy = ny.then(|| Tensor::zeros(yv.shape()));
+                let mut dx = nx.then(|| Tensor::zeros(xv.shape()));
                 for i in 0..yv.len() {
                     let (y, x) = (yv.data()[i], xv.data()[i]);
                     let r2 = (x * x + y * y).max(1e-12);
-                    dy.data_mut()[i] = g.data()[i] * x / r2;
-                    dx.data_mut()[i] = -g.data()[i] * y / r2;
+                    if let Some(dy) = &mut dy {
+                        dy.data_mut()[i] = g.data()[i] * x / r2;
+                    }
+                    if let Some(dx) = &mut dx {
+                        dx.data_mut()[i] = -g.data()[i] * y / r2;
+                    }
                 }
-                vec![dy, dx]
-            }),
-        )
+                [dy, dx]
+            }
+        })
+    }
+}
+
+/// The product rule of `a ⊙ b`: the map from the node's gradient `g` to
+/// `[g ⊙ b, g ⊙ a]`, each side only where `na` / `nb` says it is needed.
+/// Each gradient reads the other operand, copied here only then.
+pub(crate) fn product_rule(
+    a: &Var,
+    b: &Var,
+    na: bool,
+    nb: bool,
+) -> impl FnOnce(&Tensor) -> [Option<Tensor>; 2] + 'static {
+    let b = na.then(|| b.value());
+    let a = nb.then(|| a.value());
+    move |g| {
+        [
+            b.map(|b| g.zip_map(&b, |gv, bv| gv * bv)),
+            a.map(|a| g.zip_map(&a, |gv, av| gv * av)),
+        ]
+    }
+}
+
+/// The gradients of the matrix product `a · b`: the map from the node's
+/// gradient `g` to `[g · bᵀ, aᵀ · g]`, each only where `na` / `nb` says
+/// it is needed, by the fused transposed kernels of `matmul_fast` —
+/// bit-identical to transposing, then multiplying. Each gradient reads
+/// the other operand, copied here only then.
+pub(crate) fn matmul_rule(
+    a: &Var,
+    b: &Var,
+    na: bool,
+    nb: bool,
+) -> impl FnOnce(&Tensor) -> [Option<Tensor>; 2] + 'static {
+    let b = na.then(|| b.value());
+    let a = nb.then(|| a.value());
+    move |g| crate::matmul_fast::matmul_grads(a.as_ref(), b.as_ref(), g)
+}
+
+/// The exact gradients of a same-padded convolution of `x` under taps
+/// `k` — one image, or images stacked in bands of `s.h` rows each
+/// convolved on its own: the map from the node's gradient to
+/// `[d_image, d_kernel]`, each only where `nx` / `nk` says it is needed.
+/// `d_image` reads the taps and `d_kernel` the pixels, each copied here
+/// only then. `d_kernel` sums per band, then folds the bands in stacking
+/// order.
+pub(crate) fn conv_rule(
+    x: &Var,
+    k: &Var,
+    s: ConvShape,
+    nx: bool,
+    nk: bool,
+) -> impl FnOnce(&Tensor) -> [Option<Tensor>; 2] + 'static {
+    let taps = nx.then(|| k.value());
+    let pixels = nk.then(|| x.value());
+    move |g| {
+        let band = (s.h * s.w).max(1);
+        let dx = taps.map(|k| {
+            let mut dx = Tensor::zeros(g.shape());
+            for (bdx, bg) in dx.data_mut().chunks_mut(band).zip(g.data().chunks(band)) {
+                s.backward_pixels(k.data(), bg, bdx);
+            }
+            dx
+        });
+        let dk = pixels.map(|x| {
+            let mut dk = Tensor::zeros(&[s.kh, s.kw]);
+            let mut band_dk = vec![0.0; s.kh * s.kw];
+            for (img, bg) in x.data().chunks(band).zip(g.data().chunks(band)) {
+                band_dk.fill(0.0);
+                s.backward_taps(img, bg, &mut band_dk);
+                for (acc, d) in dk.data_mut().iter_mut().zip(&band_dk) {
+                    *acc += d;
+                }
+            }
+            dk
+        });
+        [dx, dk]
     }
 }
 
@@ -366,32 +426,29 @@ pub fn concat(vars: &[Var]) -> Var {
     for v in &vars[1..] {
         assert!(vars[0].same_tape(v), "concat: operands belong to different graphs");
     }
-    let values: Vec<Tensor> = vars.iter().map(Var::value).collect();
-    let lens: Vec<usize> = values.iter().map(Tensor::len).collect();
-    let mut data = Vec::with_capacity(lens.iter().sum());
-    for v in &values {
-        data.extend_from_slice(v.data());
+    let mut data = Vec::new();
+    for v in vars {
+        v.with_value(|t| data.extend_from_slice(t.data()));
     }
     let total = data.len();
-    let shapes: Vec<Vec<usize>> = values.iter().map(|v| v.shape().to_vec()).collect();
-    let out = Tensor::from_vec(data, &[total]);
-    let graph = vars[0].graph();
-    let parents: Vec<usize> = vars.iter().map(|v| v.id).collect();
-    let id = graph.push(
-        out,
-        parents,
-        Some(Box::new(move |g: &Tensor| {
-            let mut grads = Vec::with_capacity(lens.len());
+    let need: Vec<bool> = vars.iter().map(Var::needs_grad).collect();
+    let closure = need.contains(&true).then(|| {
+        let shapes: Vec<Vec<usize>> = vars.iter().map(Var::shape).collect();
+        Box::new(move |g: &Tensor| {
             let mut offset = 0;
-            for (len, shape) in lens.iter().zip(&shapes) {
-                let chunk = g.data()[offset..offset + len].to_vec();
-                grads.push(Tensor::from_vec(chunk, shape));
-                offset += len;
-            }
-            grads
-        })),
-    );
-    Var { tape: vars[0].tape.clone(), id }
+            need.iter()
+                .zip(&shapes)
+                .map(|(&needed, shape)| {
+                    let len = shape.iter().product::<usize>();
+                    let chunk = &g.data()[offset..offset + len];
+                    offset += len;
+                    needed.then(|| Tensor::from_vec(chunk.to_vec(), shape))
+                })
+                .collect()
+        }) as BackwardFn
+    });
+    let parents: Vec<usize> = vars.iter().map(|v| v.id).collect();
+    vars[0].record(&parents, Tensor::from_vec(data, &[total]), closure)
 }
 
 /// Geometry of one same-padded 2-D convolution: an `h × w` image under
@@ -479,16 +536,13 @@ impl ConvShape {
         self.rows(0..self.kh * self.kw, |t, pixels, outs| add_row(t, pixels, &mut out[outs]));
     }
 
-    /// Exact gradients of the forward walk for one image `x` under taps
-    /// `k` and output gradient `g`, accumulated into `dx` and `dk`.
-    ///
-    /// Bit-identical to the per-output walk (each output in row-major
-    /// order, its taps in row-major order, zero gradients skipped):
-    /// `dk[t]` sums over outputs in ascending order, and each `dx[p]`
-    /// takes its terms tap-descending — ascending in output order.
-    pub fn backward(&self, x: &[f64], k: &[f64], g: &[f64], dx: &mut [f64], dk: &mut [f64]) {
-        let taps = self.kh * self.kw;
-        self.rows(0..taps, |t, pixels, outs| {
+    /// Exact kernel gradient of the forward walk for one image `x` under
+    /// output gradient `g`, accumulated into `dk`: `dk[t]` sums over
+    /// outputs in ascending order, zero gradients skipped — bit-identical
+    /// to the per-output walk (each output in row-major order, its taps
+    /// in row-major order).
+    pub fn backward_taps(&self, x: &[f64], g: &[f64], dk: &mut [f64]) {
+        self.rows(0..self.kh * self.kw, |t, pixels, outs| {
             let mut acc = dk[t];
             for (&gv, &xv) in g[outs].iter().zip(&x[pixels]) {
                 if gv != 0.0 {
@@ -497,7 +551,14 @@ impl ConvShape {
             }
             dk[t] = acc;
         });
-        self.rows((0..taps).rev(), |t, pixels, outs| {
+    }
+
+    /// Exact image gradient of the forward walk under taps `k` and output
+    /// gradient `g`, accumulated into `dx`: each `dx[p]` takes its terms
+    /// tap-descending — ascending in output order, as the per-output walk
+    /// adds them — zero gradients skipped.
+    pub fn backward_pixels(&self, k: &[f64], g: &[f64], dx: &mut [f64]) {
+        self.rows((0..self.kh * self.kw).rev(), |t, pixels, outs| {
             for (d, &gv) in dx[pixels].iter_mut().zip(&g[outs]) {
                 if gv != 0.0 {
                     *d += gv * k[t];
@@ -505,16 +566,6 @@ impl ConvShape {
             }
         });
     }
-}
-
-/// Exact gradients of same-padded 2-D convolution: `(d_image, d_kernel)`.
-pub(crate) fn conv2d_backward(x: &Tensor, k: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
-    let (h, w) = x.dims2("conv2d image");
-    let s = ConvShape::new(h, w, k);
-    let mut dx = Tensor::zeros(&[h, w]);
-    let mut dk = Tensor::zeros(&[s.kh, s.kw]);
-    s.backward(x.data(), k.data(), g.data(), dx.data_mut(), dk.data_mut());
-    (dx, dk)
 }
 
 #[cfg(test)]
@@ -564,6 +615,29 @@ mod tests {
         // d/da mean((a-t)^2) = 2(a-t)/n
         assert_eq!(grads.get(&a).data(), &[2.0, -2.0]);
         assert_eq!(grads.get(&t).data(), &[-2.0, 2.0]);
+    }
+
+    #[test]
+    fn mse_loss_to_matches_the_chain_bit_for_bit() {
+        let out: Vec<f64> = (0..6).map(|i| (i as f64 * 1.37 - 2.9).powi(3) / 7.0).collect();
+        let target: Vec<f64> = (0..6).map(|i| 1.0 / (i as f64 + 0.3)).collect();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let g1 = Graph::new();
+        let x1 = g1.var(Tensor::from_vec(out.clone(), &[2, 3]));
+        let t1 = g1.constant(Tensor::from_vec(target.clone(), &[6]));
+        let chain = x1.reshape(&[6]).mse_loss(&t1);
+        let d1 = g1.backward(&chain).get(&x1);
+
+        let g2 = Graph::new();
+        let x2 = g2.var(Tensor::from_vec(out, &[2, 3]));
+        let fused = x2.mse_loss_to(&target);
+        assert_eq!(g2.len(), 2, "one loss node");
+        let d2 = g2.backward(&fused).get(&x2);
+
+        assert_eq!(chain.item().to_bits(), fused.item().to_bits());
+        assert_eq!(d2.shape(), &[2, 3]);
+        assert_eq!(bits(&d1), bits(&d2));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use lac_hw::round_half_away;
 
 use crate::graph::Var;
+use crate::ops::product_rule;
 use crate::tensor::Tensor;
 
 impl Var {
@@ -43,14 +44,11 @@ impl Var {
     /// Panics if `lo > hi`.
     pub fn quantize_ste(&self, lo: f64, hi: f64) -> Var {
         assert!(lo <= hi, "quantize_ste bounds inverted: [{lo}, {hi}]");
-        let a = self.value();
-        let value = a.map(|v| round_half_away(v).clamp(lo, hi));
-        let graph = self.graph();
-        let id = graph.push(
-            value,
-            vec![self.id],
-            Some(Box::new(move |g: &Tensor| {
-                vec![g.zip_map(&a, |gv, av| {
+        let value = self.with_value(|a| a.map(|v| round_half_away(v).clamp(lo, hi)));
+        self.record_unary(value, || {
+            let a = self.value();
+            move |g: &Tensor| {
+                g.zip_map(&a, |gv, av| {
                     // Clipped STE: block the gradient once the master value
                     // has left the representable range.
                     if av < lo || av > hi {
@@ -58,24 +56,17 @@ impl Var {
                     } else {
                         gv
                     }
-                })]
-            })),
-        );
-        Var { tape: self.tape.clone(), id }
+                })
+            }
+        })
     }
 
     /// Round to the nearest integer with a plain straight-through gradient
     /// (no range clipping). Used for intermediate datapath values that are
     /// re-quantized between stages.
     pub fn round_ste(&self) -> Var {
-        let value = self.value().map(round_half_away);
-        let graph = self.graph();
-        let id = graph.push(
-            value,
-            vec![self.id],
-            Some(Box::new(move |g: &Tensor| vec![g.clone()])),
-        );
-        Var { tape: self.tape.clone(), id }
+        let value = self.with_value(|a| a.map(round_half_away));
+        self.record_unary(value, || |g: &Tensor| g.clone())
     }
 
     /// Fused `mul_scalar(c).round_ste()`: scale by an exact constant (a
@@ -83,14 +74,8 @@ impl Var {
     /// instead of two. Forward values and the straight-through gradient
     /// `g · c` are bit-identical to the unfused pair.
     pub fn scale_round_ste(&self, c: f64) -> Var {
-        let value = self.value().map(|v| round_half_away(v * c));
-        let graph = self.graph();
-        let id = graph.push(
-            value,
-            vec![self.id],
-            Some(Box::new(move |g: &Tensor| vec![g.map(|gv| gv * c)])),
-        );
-        Var { tape: self.tape.clone(), id }
+        let value = self.with_value(|a| a.map(|v| round_half_away(v * c)));
+        self.record_unary(value, || move |g: &Tensor| g.map(|gv| gv * c))
     }
 
     /// Fused `mul(other).round_ste()`: elementwise product followed by
@@ -103,18 +88,8 @@ impl Var {
     /// Panics on shape mismatch or cross-graph operands.
     pub fn mul_round_ste(&self, other: &Var) -> Var {
         assert!(self.same_tape(other), "mul_round_ste: operands belong to different graphs");
-        let a = self.value();
-        let b = other.value();
-        let value = a.zip_map(&b, |x, y| round_half_away(x * y));
-        let graph = self.graph();
-        let id = graph.push(
-            value,
-            vec![self.id, other.id],
-            Some(Box::new(move |g: &Tensor| {
-                vec![g.zip_map(&b, |gv, bv| gv * bv), g.zip_map(&a, |gv, av| gv * av)]
-            })),
-        );
-        Var { tape: self.tape.clone(), id }
+        let value = self.with_values(other, |a, b| a.zip_map(b, |x, y| round_half_away(x * y)));
+        self.record_binary(other, value, |na, nb| product_rule(self, other, na, nb))
     }
 }
 

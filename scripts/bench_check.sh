@@ -86,20 +86,20 @@ if [[ -f "$pre_snapshot" && -f "$committed_step" ]]; then
     done
 fi
 
-# Committed-kernel floors: the committed matmul_kernels baseline must
-# stay a given factor faster than a frozen snapshot taken before a
-# kernel change landed (same box, full protocol), so re-baselining
-# cannot hide a return to the old path.
+# Committed floors: a committed baseline (matmul_kernels unless named)
+# must stay a given factor faster than a frozen snapshot taken before a
+# change landed (same box, full protocol), so re-baselining cannot hide
+# a return to the old path.
 committed_kernels="results/bench/BENCH_matmul_kernels.json"
-# committed_floor <frozen snapshot> <bench id> <factor> <floor name>
+# committed_floor <frozen snapshot> <bench id> <factor> <floor name> [committed baseline]
 committed_floor() {
-    local frozen="$1" id="$2" factor="$3" name="$4" pre cur
-    [[ -f "$frozen" && -f "$committed_kernels" ]] || return 0
+    local frozen="$1" id="$2" factor="$3" name="$4" committed="${5:-$committed_kernels}" pre cur
+    [[ -f "$frozen" && -f "$committed" ]] || return 0
     echo "== ${name} floor: committed ${id} >= ${factor}x vs ${frozen}"
     pre="$(median_of "$frozen" "$id")"
-    cur="$(median_of "$committed_kernels" "$id")"
+    cur="$(median_of "$committed" "$id")"
     if [[ -z "$pre" || -z "$cur" ]]; then
-        echo "bench_check: could not read ${id} medians from ${frozen} / ${committed_kernels}" >&2
+        echo "bench_check: could not read ${id} medians from ${frozen} / ${committed}" >&2
         status=1
     elif awk -v p="$pre" -v c="$cur" -v f="$factor" 'BEGIN { exit !(c * f <= p) }'; then
         echo "${name}_floor: ${id} pre=${pre}ns committed=${cur}ns (floor ${factor}x): ok"
@@ -139,6 +139,14 @@ done
 # session.
 committed_floor results/bench/frozen/BENCH_matmul_kernels.pre-round.json \
     matmul_kernels/jpeg_image/mul8u_FTA 1.3 inline_round
+
+# Gradient-pruning floor: a blur training step over 8 images records the
+# images and targets as constants, so its backward skips the conv's
+# image gradient and copies no input into a closure it will not run.
+# The committed row and the snapshot are the median runs of one
+# alternating session.
+committed_floor results/bench/frozen/BENCH_training_step.pre-grad-prune.json \
+    training_step/blur/8imgs 1.1 grad_prune "$committed_step"
 
 # Serving batching floor: the committed BENCH_serve.json must show that
 # request batching actually pays on the blur kernel at 4 workers. The

@@ -132,6 +132,20 @@ if [[ -n "${round_calls}" ]]; then
     exit 1
 fi
 
+# Gradients only where needed (DESIGN.md §7b): recording a data operand
+# as a constant skips its side of every backward kernel without moving
+# an output or a coefficient gradient by a bit (every op LAC trains
+# through, on tabulated, untabulated and sign-magnitude units); a
+# constant-only graph records no backward closure and a constant's
+# gradient is zeros; the inference paths (batch_outputs, infer_batch)
+# record no closure for any servable app; and the loss-only batch_loss
+# reproduces batch_grads' loss bits.
+echo "== tape: gradients only where needed (constant operands, inference closures)"
+cargo test -q --offline -p lac-tensor --test needs_grad
+cargo test -q --offline -p lac-tensor --lib graph::
+cargo test -q --offline -p lac-core --lib eval::tests::inference_paths_record_no_backward_closures
+cargo test -q --offline -p lac-core --lib eval::tests::batch_loss_matches_batch_grads_bit_for_bit
+
 # Product-row battery (DESIGN.md §7b): units with no dense table
 # (16-bit catalog units, sign-magnitude adapters, fault-injected wide
 # specs) gather conv and scale products from per-tap rows, or fall back
