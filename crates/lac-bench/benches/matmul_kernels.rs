@@ -1,8 +1,12 @@
 //! Throughput of the `approx_matmul` kernel family at the JPEG/DFT hot
-//! shapes: the scalar trait-object path, the LUT gather kernel, and the
-//! fixed-operand row-tabulated kernels (lhs- and rhs-fixed), plus a full
-//! forward+backward step exercising the fused surrogate-gradient
-//! kernels. The `conv32/*` rows time one 32x32 3x3 `approx_conv2d`
+//! shapes: the scalar trait-object path and the LUT row kernel, plus a
+//! full forward+backward step exercising the fused surrogate-gradient
+//! kernels. The LUT rows share one kernel, which keeps no state between
+//! calls: `gather` times it with both operands changing every call, and
+//! `fixed_lhs` / `fixed_rhs` time it with one operand repeated across
+//! calls (as a coefficient is across a batch) on either side. The ids
+//! are kept from when each named a kernel of its own, so their history
+//! stays comparable. The `conv32/*` rows time one 32x32 3x3 `approx_conv2d`
 //! forward (the filter apps' hot op) on a wide untabulated unit and on a
 //! tabulated 8-bit unit. The `matmul8/*` and `matmul12/*` rows time one
 //! JPEG/DFT-shaped `approx_matmul` forward on the untabulated 16-bit
@@ -46,8 +50,7 @@ fn main() {
 
     for n in [8usize, 12] {
         let fixed = operand(n, hi, 1);
-        // Enough distinct partners that the cache (16 entries) never
-        // promotes them: the varying side always takes its cold path.
+        // Distinct partners for the side that changes every call.
         let partners: Vec<Tensor> = (0..32).map(|s| operand(n, hi, 100 + s)).collect();
 
         // Scalar path: one virtual `multiply_row` call per row of products.
@@ -62,7 +65,7 @@ fn main() {
             })
         });
 
-        // Gather kernel: LUT probe per product, no operand repeats.
+        // LUT kernel, no operand repeats.
         group.bench_function(format!("{n}x{n}/gather"), |b| {
             let mut i = 0;
             b.iter(|| {
@@ -74,7 +77,7 @@ fn main() {
             })
         });
 
-        // Row-tabulated kernels: one operand repeats across calls.
+        // LUT kernel, one operand repeated across calls on either side.
         group.bench_function(format!("{n}x{n}/fixed_lhs"), |b| {
             let mut i = 0;
             b.iter(|| {

@@ -6,13 +6,9 @@
 //! versions of the approximate multipliers" engineering (Section III-D):
 //! the goal is simulation throughput, not a change in semantics.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::mult::{HwMetadata, Multiplier, Signedness};
-
-/// Source of unique table-identity tokens; 0 is reserved for "no identity".
-static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
 /// Maximum operand width for which a full product table is built.
 ///
@@ -38,15 +34,10 @@ pub struct DenseLut<'a> {
     lo: i64,
     hi: i64,
     side: usize,
-    token: u64,
 }
 
 impl<'a> DenseLut<'a> {
     /// Build a view over a full product table.
-    ///
-    /// The view carries no identity token ([`DenseLut::token`] returns 0),
-    /// so cross-call caches treat it as uncacheable. Long-lived tables
-    /// should use [`DenseLut::with_token`].
     ///
     /// # Panics
     ///
@@ -54,25 +45,7 @@ impl<'a> DenseLut<'a> {
     pub fn new(table: &'a [i64], lo: i64, hi: i64) -> Self {
         let side = (hi - lo + 1) as usize;
         assert_eq!(table.len(), side * side, "dense LUT table/side mismatch");
-        DenseLut { table, lo, hi, side, token: 0 }
-    }
-
-    /// Like [`DenseLut::new`], but stamps the view with a stable identity
-    /// token. Callers promise the token is unique to this table's contents
-    /// for the life of the process (see [`next_lut_token`]); caches keyed
-    /// on it may then assume two views with equal non-zero tokens index
-    /// the same products.
-    pub fn with_token(table: &'a [i64], lo: i64, hi: i64, token: u64) -> Self {
-        let mut lut = DenseLut::new(table, lo, hi);
-        lut.token = token;
-        lut
-    }
-
-    /// Identity token of the underlying table: non-zero and process-unique
-    /// for memoized tables, 0 for anonymous views (never cache those).
-    #[inline(always)]
-    pub fn token(&self) -> u64 {
-        self.token
+        DenseLut { table, lo, hi, side }
     }
 
     /// Inclusive operand range `(lo, hi)` covered by the table.
@@ -107,9 +80,10 @@ impl<'a> DenseLut<'a> {
         self.table[row + col] as f64
     }
 
-    /// The raw product table, row-major with stride `side`. Fast kernels
-    /// use this to tabulate per-coefficient product rows without going
-    /// through [`DenseLut::product`] per element.
+    /// The raw product table, row-major with stride `side`: the products
+    /// of the operand at row offset `r` are `table[r..r + side]`. Fast
+    /// kernels walk such rows without going through
+    /// [`DenseLut::product`] per element.
     #[inline(always)]
     pub fn table(&self) -> &'a [i64] {
         self.table
@@ -162,15 +136,6 @@ pub fn operand_offset(v: f64, lo: i64, hi: i64) -> usize {
     ((round_half_away(v) as i64).clamp(lo, hi) - lo) as usize
 }
 
-/// Allocate a fresh process-unique identity token for a product table.
-///
-/// Tokens are never reused, so a cache keyed by token can never confuse a
-/// newly built table with a freed one that happened to land at the same
-/// address.
-pub fn next_lut_token() -> u64 {
-    NEXT_TOKEN.fetch_add(1, Ordering::Relaxed)
-}
-
 /// A multiplier wrapper that memoizes the full product table of a narrow
 /// unit and answers every multiplication from it.
 ///
@@ -193,7 +158,6 @@ pub struct LutMultiplier {
     lo: i64,
     side: usize,
     table: Arc<[i64]>,
-    token: u64,
 }
 
 impl std::fmt::Debug for LutMultiplier {
@@ -227,7 +191,7 @@ impl LutMultiplier {
                 table.push(inner.multiply_raw(a, b));
             }
         }
-        LutMultiplier { inner, lo, side, table: table.into(), token: next_lut_token() }
+        LutMultiplier { inner, lo, side, table: table.into() }
     }
 
     /// Wrap `inner` in a LUT when it is narrow enough, otherwise return it
@@ -285,12 +249,7 @@ impl Multiplier for LutMultiplier {
     }
 
     fn as_lut(&self) -> Option<DenseLut<'_>> {
-        Some(DenseLut::with_token(
-            &self.table,
-            self.lo,
-            self.lo + self.side as i64 - 1,
-            self.token,
-        ))
+        Some(DenseLut::new(&self.table, self.lo, self.lo + self.side as i64 - 1))
     }
 
     fn metadata(&self) -> HwMetadata {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use lac_hw::{operand_offset, round_half_away, Multiplier};
 
 use crate::graph::Var;
-use crate::matmul_fast::{self, Fixed};
+use crate::matmul_fast;
 use crate::ops::{conv_rule, matmul_rule, product_rule, ConvShape};
 use crate::tensor::Tensor;
 
@@ -179,17 +179,16 @@ fn approx_conv2d_bands(x: &Tensor, k: &Tensor, img_h: usize, mult: &dyn Multipli
     out
 }
 
-/// Forward of [`Var::approx_matmul`]: the blocked LUT kernels for a
+/// Forward of [`Var::approx_matmul`]: the LUT row kernel for a
 /// tabulated unit, else one `multiply_row` call per `(i, p)` — `a[i,p]`
 /// against row `p` of `b` — added into row `i` of the output. Each
 /// output sums its products in ascending `p` from `0.0` either way.
-/// `fixed` names the operands the LUT kernels' operand cache considers.
-fn approx_matmul_forward(a: &Tensor, b: &Tensor, mult: &dyn Multiplier, fixed: Fixed) -> Tensor {
+fn approx_matmul_forward(a: &Tensor, b: &Tensor, mult: &dyn Multiplier) -> Tensor {
     let (m, k) = a.dims2("approx_matmul lhs");
     let (k2, n) = b.dims2("approx_matmul rhs");
     assert_eq!(k, k2, "approx_matmul inner dimension mismatch: {k} vs {k2}");
     if let Some(lut) = mult.as_lut() {
-        return matmul_fast::matmul_lut(a, b, lut, fixed);
+        return matmul_fast::matmul_lut(a, b, lut);
     }
     let mut out = Tensor::zeros(&[m, n]);
     if k == 0 || n == 0 {
@@ -299,8 +298,7 @@ impl Var {
         scale: Option<f64>,
     ) -> Var {
         assert!(self.same_tape(other), "{op}: operands belong to different graphs");
-        let product =
-            self.with_values(other, |a, b| approx_matmul_forward(a, b, mult, Fixed::Either));
+        let product = self.with_values(other, |a, b| approx_matmul_forward(a, b, mult));
         let value = match scale {
             Some(c) => product.map(|v| round_half_away(v * c)),
             None => product,
@@ -391,8 +389,7 @@ impl Var {
             // First product for every block at once: the blocks side by
             // side, `[k, nb·k]` (row `i` of block `b` at columns
             // `b·k..(b+1)·k`), under `L` as one `[k, k] × [k, nb·k]`
-            // product. Only the coefficient side of either product is a
-            // cache candidate: the image side changes from call to call.
+            // product.
             let mut side_by_side = Vec::with_capacity(x.len());
             for i in 0..k {
                 for xb in x.data().chunks(blk) {
@@ -400,7 +397,7 @@ impl Var {
                 }
             }
             let side_by_side = Tensor::from_vec(side_by_side, &[k, nb * k]);
-            let t = approx_matmul_forward(l, &side_by_side, &**mult, Fixed::Lhs);
+            let t = approx_matmul_forward(l, &side_by_side, &**mult);
             // `mid`: the rounded first products restacked block-major,
             // `[nb·k, k]` — the lhs of the second product, one `× R` for
             // the whole stack, and kept for the coefficient gradient.
@@ -415,8 +412,7 @@ impl Var {
                 }
             }
             let mid = Tensor::from_vec(mid, &[rows, k]);
-            let out = approx_matmul_forward(&mid, r, &**mult, Fixed::Rhs)
-                .map(|v| round_half_away(v * s_out));
+            let out = approx_matmul_forward(&mid, r, &**mult).map(|v| round_half_away(v * s_out));
             (out, mid, ct)
         });
 

@@ -92,10 +92,10 @@ echo "== sweep determinism suite (1 vs 8 workers, cache, resume)"
 cargo test -q --offline --test sweep_determinism
 cargo test -q --offline -p lac-rt --test jobqueue
 
-# Kernel bit-equivalence battery (DESIGN.md §7d): the blocked LUT-matmul
-# fast path must stay bit-identical to the scalar trait-object path for
-# every catalog unit (healthy, signed-adapted, and fault-injected),
-# across repeated-operand tabulation and worker counts, and the JPEG
+# Kernel bit-equivalence battery (DESIGN.md §7d): the LUT-matmul kernel
+# must stay bit-identical to the scalar trait-object path for every
+# catalog unit (healthy, signed-adapted, and fault-injected), across
+# repeated calls on one fixed operand and across worker counts, and the JPEG
 # golden pin must keep reproducing the pre-kernel-swap training
 # trajectory bit-for-bit. Named explicitly so a filtered CI
 # configuration cannot silently skip them.
@@ -103,6 +103,22 @@ echo "== matmul kernel bit-equivalence battery"
 cargo test -q --offline --test matmul_equivalence
 cargo test -q --offline -p lac-tensor --lib matmul_fast::
 cargo test -q --offline --test golden_seed jpeg_train_fixed
+
+# No hidden per-thread state in the tensor kernels (DESIGN.md §7d): the
+# LUT kernel reads the unit's dense table directly, and a thread-local
+# operand cache once lived beside it. Only the scratch-buffer pool
+# (pool.rs) may hold thread-local storage; comment lines and test
+# modules (from a column-0 `#[cfg(test)]` line down) are exempt.
+echo "== thread-local guard: no thread_local! in lac-tensor non-test code outside pool.rs"
+tls=$(for f in crates/lac-tensor/src/*.rs; do
+    [[ "$f" == */pool.rs ]] && continue
+    awk '/^[[:space:]]*\/\//{next} /^#\[cfg\(test\)\]/{exit} /thread_local!/{print FILENAME": "$0}' "$f"
+done)
+if [[ -n "${tls}" ]]; then
+    echo "verify: FAIL — thread_local! in lac-tensor non-test code outside pool.rs:" >&2
+    echo "${tls}" >&2
+    exit 1
+fi
 
 # Fused JPEG stage battery (DESIGN.md §7d): each DCT/IDCT stage runs as
 # one approx_block_transform node over the stacked blocks, and must

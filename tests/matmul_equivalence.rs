@@ -1,15 +1,15 @@
-//! Bit-equivalence battery for the blocked LUT-matmul kernels.
+//! Bit-equivalence battery for the LUT-matmul kernel.
 //!
 //! `approx_matmul` has two implementations that must be observably one:
 //! the scalar trait-object path (one virtual `multiply_row` call per row
-//! of products) and the LUT fast path in `lac-tensor::matmul_fast`
-//! (row-tabulated, cache-blocked, with fused surrogate-gradient
-//! kernels). These tests pin
+//! of products) and the LUT fast path in `lac-tensor::matmul_fast` (one
+//! `i-p-j` kernel over rows of the dense product table, with fused
+//! surrogate-gradient kernels). These tests pin
 //! the contract from DESIGN.md §7d: for every catalog unit — healthy or
 //! fault-injected — forward values and surrogate gradients are
-//! bit-identical across the two paths, across repeated calls (which move
-//! the fast path from gather to fixed-operand tabulated kernels), and
-//! across worker counts.
+//! bit-identical across the two paths, across repeated calls with one
+//! operand held fixed (as a coefficient is across a batch), and across
+//! worker counts.
 //!
 //! The second battery covers units with no dense table in the tap-wise
 //! ops (`approx_conv2d`, `approx_conv2d_stacked`, `approx_scale`): their
@@ -53,8 +53,9 @@ fn random_operand(rng: &mut StdRng, rows: usize, cols: usize, lo: i64, hi: i64) 
 }
 
 /// Scalar path (raw unit) vs fast path (LUT-wrapped) over random shapes,
-/// repeating each product so the fast path graduates from the gather
-/// kernel to the fixed-operand tabulated kernels on both sides.
+/// repeating each product with one side held fixed and the other
+/// redrawn, on both sides: the fast path keeps no state between calls,
+/// so a repeated operand must read the same bits as a fresh one.
 fn assert_paths_equivalent(raw: Arc<dyn Multiplier>, seed: u64) {
     let fast = LutMultiplier::maybe_wrap(Arc::clone(&raw));
     let (lo, hi) = raw.operand_range();
@@ -67,9 +68,8 @@ fn assert_paths_equivalent(raw: Arc<dyn Multiplier>, seed: u64) {
         );
         let a = random_operand(&mut rng, m, k, lo, hi);
         let b = random_operand(&mut rng, k, n, lo, hi);
-        // Fixed lhs, varying rhs — then the converse. Three sightings
-        // each: the fast path's per-thread cache promotes a repeated
-        // operand to a tabulated row table on the second sighting.
+        // Fixed lhs, varying rhs — then the converse, three calls each,
+        // the way a coefficient meets every sample of a batch.
         for rep in 0..3 {
             let b2 = if rep == 0 { b.clone() } else { random_operand(&mut rng, k, n, lo, hi) };
             let scalar = run(&raw, &a, &b2);
@@ -122,17 +122,17 @@ fn run_conv_stacked(
 
 /// Scalar vs fast path at the CNN layer dimensions: the non-square dense
 /// head (classes x h*w times a flattened activation column, hitting the
-/// n == 1 matrix-vector kernels), the same shape through the fused
-/// scale-round node, and the batch-stacked 3x3 convolution. Repeats pin
-/// the fixed-operand tabulated kernels, not just the gather path.
+/// n == 1 matrix-vector path), the same shape through the fused
+/// scale-round node, and the batch-stacked 3x3 convolution. Each shape
+/// repeats with one operand held fixed, as across a batch.
 fn assert_cnn_shapes_equivalent(raw: Arc<dyn Multiplier>, seed: u64) {
     let fast = LutMultiplier::maybe_wrap(Arc::clone(&raw));
     let (lo, hi) = raw.operand_range();
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Dense head: weights [4, 256] x flattened activations [256, 1].
-    // Fixed lhs (the trained weights) against varying activation columns
-    // — three sightings promote the weights to a tabulated row table.
+    // Fixed lhs (the trained weights) against varying activation columns,
+    // three calls.
     let w = random_operand(&mut rng, 4, 256, lo, hi);
     for rep in 0..3 {
         let col = random_operand(&mut rng, 256, 1, lo, hi);
@@ -145,7 +145,7 @@ fn assert_cnn_shapes_equivalent(raw: Arc<dyn Multiplier>, seed: u64) {
         assert_eq!(scalar, lut, "{}: dense scale-round rep {rep}", raw.name());
     }
     // Fixed rhs: one activation column against varying weight matrices
-    // (the converse fixed-operand cache, also an n == 1 kernel).
+    // (the converse repetition, also on the n == 1 path).
     let col = random_operand(&mut rng, 256, 1, lo, hi);
     for rep in 0..3 {
         let w2 = random_operand(&mut rng, 4, 256, lo, hi);
@@ -228,9 +228,10 @@ fn fault_injected_units_are_bit_identical_at_cnn_shapes() {
     }
 }
 
-/// The fixed-operand cache is per-thread, so worker count must not leak
-/// into results: batch gradients at 1, 2, and 4 threads are bit-identical,
-/// for single-unit JPEG and for three-stage JPEG on a mixed plan.
+/// Worker count must not leak into results: each worker runs its share
+/// of samples through the same kernels, so batch gradients at 1, 2, and
+/// 4 threads are bit-identical, for single-unit JPEG and for three-stage
+/// JPEG on a mixed plan.
 #[test]
 fn jpeg_batch_grads_bit_identical_across_thread_counts() {
     use lac::apps::{JpegApp, JpegMode, Kernel};
