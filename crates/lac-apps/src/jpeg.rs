@@ -121,12 +121,21 @@ pub struct JpegApp {
     height: usize,
     /// `max|C|` over [`dct_matrix`], which sizes the coefficient scales.
     dct_max: f64,
+    /// `[1/q, q]` for the Q50 entry `q` at every position of every
+    /// block, `[blocks · 8, 8]`: the quantize and dequantize constants.
+    q50: [Tensor; 2],
 }
 
 impl JpegApp {
     /// Create a JPEG application for 32×32 inputs.
     pub fn new(mode: JpegMode) -> Self {
-        JpegApp { mode, width: 32, height: 32, dct_max: dct_matrix().max_abs() }
+        let (width, height) = (32, 32);
+        let tiled = |f: fn(f64) -> f64| {
+            let data = Q50.iter().cycle().take(width * height).map(|&q| f(q)).collect();
+            Tensor::from_vec(data, &[width * height / BLOCK, BLOCK])
+        };
+        let q50 = [tiled(|q| 1.0 / q), tiled(|q| q)];
+        JpegApp { mode, width, height, dct_max: dct_matrix().max_abs(), q50 }
     }
 
     /// The stage layout.
@@ -192,14 +201,6 @@ impl JpegApp {
             }
         }
         Tensor::from_vec(data, &[self.width * self.height / BLOCK, BLOCK])
-    }
-
-    /// A `[blocks · 8, 8]` constant holding `f(q)` for the Q50 entry `q`
-    /// at every position of every block.
-    fn q50_tiled(&self, graph: &Graph, f: impl Fn(f64) -> f64) -> Var {
-        let n = self.width * self.height;
-        let data = Q50.iter().cycle().take(n).map(|&q| f(q)).collect();
-        graph.constant(Tensor::from_vec(data, &[n / BLOCK, BLOCK]))
     }
 }
 
@@ -289,13 +290,10 @@ impl Kernel for JpegApp {
 
         // Stage 2: quantize (exact divide + round, no multiplier), then
         // dequantize on approximate hardware. |K| <= 2040 / 10 ~ 204.
-        let k = y.mul_round_ste(&self.q50_tiled(graph, |q| 1.0 / q));
+        let [recip_q, q] = self.q50.clone().map(|t| graph.constant(t));
+        let k = y.mul_round_ste(&recip_q);
         let f2 = fit_shift(204.0, m_deq.operand_range().1) as i32;
-        let yd = k.scale_round_ste(pow2(-f2)).approx_mul_elem_scale(
-            &self.q50_tiled(graph, |q| q),
-            m_deq,
-            pow2(f2),
-        );
+        let yd = k.scale_round_ste(pow2(-f2)).approx_mul_elem_scale(&q, m_deq, pow2(f2));
 
         // Stage 3: inverse DCT, X' = Cᵀ·Yd·C per block, with
         // |Cᵀ·Yd| <= 8 * 0.5 * 2040 fitted for the second product.

@@ -16,13 +16,17 @@
 //! IDCT over all sixteen 8x8 blocks) on a tabulated 8-bit unit and on
 //! the untabulated `mul16s_GAT`. All paths are bit-identical (see
 //! `tests/matmul_equivalence`); this suite tracks their relative cost.
+//! The `tabulate/mul8u_FTA/*` rows time one product-table build: the
+//! unit's own (`unsigned`), and the sign-magnitude adapter's over the
+//! unit's table (`signed_over_table`, as the apps' `adapt` builds it)
+//! and over the raw unit (`signed_over_raw`).
 //!
 //! Writes `BENCH_matmul_kernels.json`; see `lac_rt::bench` for the
 //! protocol and `LAC_BENCH_FAST` / `LAC_BENCH_SAMPLES` knobs.
 
 use lac_apps::{JpegApp, JpegMode, Kernel};
 use lac_data::synth_image;
-use lac_hw::{catalog, signed_capable, LutMultiplier};
+use lac_hw::{catalog, signed_capable, LutMultiplier, Multiplier};
 use lac_rt::bench::Harness;
 use lac_tensor::{Graph, Tensor};
 use std::hint::black_box;
@@ -168,6 +172,22 @@ fn main() {
                 let grads = g.backward(&out.sum());
                 black_box(grads.get(&vars[0]))
             })
+        });
+    }
+
+    // Product-table builds of one 8-bit unit: its own 256x256 table, and
+    // the signed adapter's 511x511 table over the unit's table and over
+    // the raw unit.
+    let fta = catalog::by_name("mul8u_FTA").unwrap();
+    let fta_table: Arc<dyn Multiplier> = Arc::new(LutMultiplier::new(Arc::clone(&fta)));
+    let forms = [
+        ("unsigned", Arc::clone(&fta)),
+        ("signed_over_table", signed_capable(fta_table)),
+        ("signed_over_raw", signed_capable(fta)),
+    ];
+    for (form, unit) in forms {
+        group.bench_function(format!("tabulate/mul8u_FTA/{form}"), |b| {
+            b.iter(|| black_box(LutMultiplier::new(Arc::clone(&unit))))
         });
     }
     group.finish();

@@ -12,7 +12,7 @@ use crate::mult::{HwMetadata, Multiplier, Signedness};
 
 /// Maximum operand width for which a full product table is built.
 ///
-/// A 10-bit signed table is ~2^22 entries (32 MiB of `i64`); anything wider
+/// A 10-bit signed table is ~2^22 entries (16 MiB of `i32`); anything wider
 /// is cheaper to evaluate directly.
 pub const MAX_LUT_BITS: u32 = 10;
 
@@ -28,9 +28,11 @@ pub const MAX_LUT_BITS: u32 = 10;
 /// The table holds `multiply_raw(a, b)` at `(a - lo) * side + (b - lo)`
 /// for every in-range `(a, b)`, so `product(row(a), col(b))` is
 /// bit-identical to `multiply(a.round(), b.round())` on the wrapped unit.
+/// Entries are `i32`: a tabulated unit has at most [`MAX_LUT_BITS`]-bit
+/// operands, so its products need at most `2 · MAX_LUT_BITS + 1` bits.
 #[derive(Debug, Clone, Copy)]
 pub struct DenseLut<'a> {
-    table: &'a [i64],
+    table: &'a [i32],
     lo: i64,
     hi: i64,
     side: usize,
@@ -42,7 +44,7 @@ impl<'a> DenseLut<'a> {
     /// # Panics
     ///
     /// Panics unless `table.len() == side * side` and `side == hi - lo + 1`.
-    pub fn new(table: &'a [i64], lo: i64, hi: i64) -> Self {
+    pub fn new(table: &'a [i32], lo: i64, hi: i64) -> Self {
         let side = (hi - lo + 1) as usize;
         assert_eq!(table.len(), side * side, "dense LUT table/side mismatch");
         DenseLut { table, lo, hi, side }
@@ -85,7 +87,7 @@ impl<'a> DenseLut<'a> {
     /// kernels walk such rows without going through
     /// [`DenseLut::product`] per element.
     #[inline(always)]
-    pub fn table(&self) -> &'a [i64] {
+    pub fn table(&self) -> &'a [i32] {
         self.table
     }
 
@@ -157,7 +159,10 @@ pub struct LutMultiplier {
     inner: Arc<dyn Multiplier>,
     lo: i64,
     side: usize,
-    table: Arc<[i64]>,
+    /// Shared as built: turning the `Vec` into an `Arc<[i32]>` would copy
+    /// the whole table into a fresh allocation, which cost more than
+    /// filling it.
+    table: Arc<Vec<i32>>,
 }
 
 impl std::fmt::Debug for LutMultiplier {
@@ -170,12 +175,17 @@ impl std::fmt::Debug for LutMultiplier {
 }
 
 impl LutMultiplier {
-    /// Build the full product table of `inner`.
+    /// Build the full product table of `inner`, one
+    /// [`Multiplier::multiply_row`] call per row: the unit's model
+    /// inlines behind one virtual call per row, and an adapter over a
+    /// tabulated core ([`crate::SignMagnitude`]) copies the core's rows
+    /// instead of calling a model at all.
     ///
     /// # Panics
     ///
-    /// Panics if `inner.bits() > MAX_LUT_BITS`; use
-    /// [`LutMultiplier::maybe_wrap`] to fall back gracefully.
+    /// Panics if `inner.bits() > MAX_LUT_BITS` (use
+    /// [`LutMultiplier::maybe_wrap`] to fall back gracefully), or if a
+    /// product does not fit the table's `i32` entries.
     pub fn new(inner: Arc<dyn Multiplier>) -> Self {
         assert!(
             inner.bits() <= MAX_LUT_BITS,
@@ -184,14 +194,19 @@ impl LutMultiplier {
             inner.name()
         );
         let (lo, hi) = inner.operand_range();
-        let side = (hi - lo + 1) as usize;
+        let operands: Vec<i64> = (lo..=hi).collect();
+        let side = operands.len();
+        let mut row = vec![0; side];
         let mut table = Vec::with_capacity(side * side);
-        for a in lo..=hi {
-            for b in lo..=hi {
-                table.push(inner.multiply_raw(a, b));
-            }
+        for &a in &operands {
+            inner.multiply_row(a, &operands, &mut row);
+            table.extend(row.iter().map(|&p| {
+                i32::try_from(p).unwrap_or_else(|_| {
+                    panic!("{}: product {p} of {a} does not fit an i32 table", inner.name())
+                })
+            }));
         }
-        LutMultiplier { inner, lo, side, table: table.into() }
+        LutMultiplier { inner, lo, side, table: Arc::new(table) }
     }
 
     /// Wrap `inner` in a LUT when it is narrow enough, otherwise return it
@@ -232,7 +247,7 @@ impl Multiplier for LutMultiplier {
     fn multiply_raw(&self, a: i64, b: i64) -> i64 {
         let ia = (a - self.lo) as usize;
         let ib = (b - self.lo) as usize;
-        self.table[ia * self.side + ib]
+        self.table[ia * self.side + ib].into()
     }
 
     /// Clamp against the cached bounds and index the table directly.
@@ -245,7 +260,7 @@ impl Multiplier for LutMultiplier {
         let hi = self.lo + self.side as i64 - 1;
         let ia = (a.clamp(self.lo, hi) - self.lo) as usize;
         let ib = (b.clamp(self.lo, hi) - self.lo) as usize;
-        self.table[ia * self.side + ib]
+        self.table[ia * self.side + ib].into()
     }
 
     fn as_lut(&self) -> Option<DenseLut<'_>> {
@@ -262,7 +277,8 @@ mod tests {
     use super::*;
     use crate::etm::EtmMultiplier;
     use crate::kulkarni::KulkarniMultiplier;
-    use crate::mult::ExactMultiplier;
+    use crate::mult::{signed_capable, ExactMultiplier};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn lut_matches_inner_exhaustively() {
@@ -337,10 +353,66 @@ mod tests {
         assert!(EtmMultiplier::new(8, 4).as_lut().is_none());
     }
 
+    /// A unit that counts its model calls: `multiply`, and with it the
+    /// default `multiply_row`, reach `multiply_raw` once per product.
+    #[derive(Debug)]
+    struct Counting {
+        inner: Arc<dyn Multiplier>,
+        calls: AtomicUsize,
+    }
+
+    impl Counting {
+        fn take(&self) -> usize {
+            self.calls.swap(0, Ordering::Relaxed)
+        }
+    }
+
+    impl Multiplier for Counting {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn bits(&self) -> u32 {
+            self.inner.bits()
+        }
+
+        fn signedness(&self) -> Signedness {
+            self.inner.signedness()
+        }
+
+        fn multiply_raw(&self, a: i64, b: i64) -> i64 {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.multiply_raw(a, b)
+        }
+
+        fn metadata(&self) -> HwMetadata {
+            self.inner.metadata()
+        }
+    }
+
+    /// What a table costs, in model calls: one per cell for an unsigned
+    /// 8-bit table; one magnitude row of 256 per table row for the
+    /// signed adapter over the raw core (each of the 511 rows takes the
+    /// row of its `|a|`); none at all over a tabulated core.
+    #[test]
+    fn table_builds_count_model_calls() {
+        let core = Arc::new(Counting {
+            inner: crate::catalog::by_name("mul8u_FTA").unwrap(),
+            calls: AtomicUsize::new(0),
+        });
+        let unsigned: Arc<dyn Multiplier> = Arc::new(LutMultiplier::new(core.clone()));
+        assert_eq!(core.take(), 1 << 16);
+        let over_raw = LutMultiplier::new(signed_capable(core.clone()));
+        assert_eq!(core.take(), 511 * 256);
+        let over_table = LutMultiplier::new(signed_capable(unsigned));
+        assert_eq!(core.take(), 0);
+        assert_eq!(over_raw.table, over_table.table);
+    }
+
     #[test]
     #[should_panic(expected = "table/side mismatch")]
     fn dense_lut_validates_geometry() {
-        let table = [0i64; 5];
+        let table = [0i32; 5];
         let _ = DenseLut::new(&table, 0, 2);
     }
 

@@ -322,6 +322,48 @@ impl Multiplier for SignMagnitude {
         }
     }
 
+    /// The magnitude products of `|a|`, taken once for the whole row,
+    /// with each product's sign re-applied. An unsigned core's range
+    /// starts at 0, so magnitude `m` sits at index `m` of a core row:
+    ///
+    /// * a tabulated core lends its table row of `|a|` (no model call);
+    /// * a row longer than the core's range takes the core's whole row
+    ///   of `|a|` in one call (a table fill: `hi + 1` calls per row);
+    /// * a shorter row makes one core call per element, in chunks.
+    fn multiply_row(&self, a: i64, bs: &[i64], out: &mut [i64]) {
+        assert_eq!(bs.len(), out.len(), "multiply_row: operand and output rows differ in length");
+        let (lo, hi) = self.operand_range();
+        let a = a.clamp(lo, hi);
+        let signed = |b: i64, mag: i64| if (a < 0) != (b < 0) { -mag } else { mag };
+        if let Some(lut) = self.inner.as_lut() {
+            let row = &lut.table()[lut.row(a.abs() as f64)..][..lut.side()];
+            for (o, &b) in out.iter_mut().zip(bs) {
+                let b = b.clamp(lo, hi);
+                *o = signed(b, row[b.unsigned_abs() as usize].into());
+            }
+        } else if bs.len() > hi as usize {
+            let range: Vec<i64> = (0..=hi).collect();
+            let mut mags = vec![0; range.len()];
+            self.inner.multiply_row(a.abs(), &range, &mut mags);
+            for (o, &b) in out.iter_mut().zip(bs) {
+                let b = b.clamp(lo, hi);
+                *o = signed(b, mags[b.unsigned_abs() as usize]);
+            }
+        } else {
+            let mut mags = [0; 128];
+            for (bs, out) in bs.chunks(mags.len()).zip(out.chunks_mut(mags.len())) {
+                let mags = &mut mags[..bs.len()];
+                for (m, &b) in mags.iter_mut().zip(bs) {
+                    *m = b.clamp(lo, hi).abs();
+                }
+                self.inner.multiply_row(a.abs(), mags, out);
+                for (o, &b) in out.iter_mut().zip(bs) {
+                    *o = signed(b, *o);
+                }
+            }
+        }
+    }
+
     fn metadata(&self) -> HwMetadata {
         self.inner.metadata()
     }

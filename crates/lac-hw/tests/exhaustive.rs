@@ -7,7 +7,8 @@
 //! `lac_hw::LutMultiplier` (the paper's Section III-D throughput
 //! engineering must not change behaviour).
 
-use lac_hw::{catalog, sampled_stats, LutMultiplier, Multiplier};
+use lac_hw::{catalog, sampled_stats, signed_capable, LutMultiplier, Multiplier, MAX_LUT_BITS};
+use lac_hw::Signedness;
 use std::sync::Arc;
 
 /// Every catalog unit (paper set + extras) of at most 8 bits.
@@ -62,6 +63,52 @@ fn lut_matches_behavioral_with_clamping() {
                     unit.name()
                 );
             }
+        }
+    }
+}
+
+/// Every table a unit can get — the unit's own, and for an unsigned unit
+/// the sign-magnitude adapter's, built over the raw unit and over the
+/// unit's table — holds `multiply_raw` of the untabulated model in
+/// every cell, and every entry is below 2^21 in magnitude (the bound
+/// the exact-sum lemma of the forward kernels takes for tables).
+#[test]
+fn every_table_equals_its_model_cell_by_cell() {
+    let units: Vec<_> = catalog::PAPER_NAMES
+        .iter()
+        .chain(catalog::EXTRA_NAMES.iter())
+        .map(|n| catalog::by_name(n).expect("catalog unit"))
+        .filter(|m| m.bits() <= MAX_LUT_BITS)
+        .collect();
+    assert!(units.len() >= 8, "only {} tabulable units found", units.len());
+    for unit in units {
+        let table: Arc<dyn Multiplier> = Arc::new(LutMultiplier::new(Arc::clone(&unit)));
+        let mut forms = vec![(Arc::clone(&unit), Arc::clone(&table))];
+        if unit.signedness() == Signedness::Unsigned {
+            for core in [&unit, &table] {
+                let lut = LutMultiplier::new(signed_capable(Arc::clone(core)));
+                forms.push((signed_capable(Arc::clone(&unit)), Arc::new(lut)));
+            }
+        }
+        for (model, lut) in forms {
+            let view = lut.as_lut().expect("a LutMultiplier exposes its table");
+            let (lo, hi) = model.operand_range();
+            assert_eq!(view.operand_range(), (lo, hi), "{}", model.name());
+            let mut cells = view.table().iter();
+            for a in lo..=hi {
+                for b in lo..=hi {
+                    let cell = *cells.next().expect("a cell per operand pair");
+                    assert!(cell.unsigned_abs() < 1 << 21, "{}: {a} x {b} = {cell}", model.name());
+                    assert_eq!(
+                        i64::from(cell),
+                        model.multiply_raw(a, b),
+                        "{} ({}): {a} x {b}",
+                        model.name(),
+                        model.signedness()
+                    );
+                }
+            }
+            assert!(cells.next().is_none(), "{}: table longer than its grid", model.name());
         }
     }
 }

@@ -176,18 +176,25 @@ fn symmetric_units_commute_on_grid() {
     }
 }
 
-/// Every kind of unit `multiply_row` has a body for: each catalog unit,
-/// its LUT-wrapped and sign-magnitude-adapted forms, fault-injected wide
-/// specs, and column truncation at every width-8 and width-16 setting.
+/// Every kind of unit `multiply_row` has a body for: each catalog unit
+/// and narrow fault-injected spec, in its raw, LUT-wrapped and
+/// sign-magnitude-adapted forms (the adapter over the raw unit and over
+/// its table, and the adapter's own table, filled row by row from the
+/// unit's table); fault-injected wide specs; and column truncation at
+/// every width-8 and width-16 setting.
 fn row_units() -> &'static [Arc<dyn Multiplier>] {
     static UNITS: std::sync::OnceLock<Vec<Arc<dyn Multiplier>>> = std::sync::OnceLock::new();
     UNITS.get_or_init(|| {
         let mut units = Vec::new();
-        for name in catalog::PAPER_NAMES.iter().chain(catalog::EXTRA_NAMES.iter()) {
-            let raw = catalog::by_name(name).unwrap();
+        let narrow_faulty =
+            ["mul8u_FTA!seed=5,flip=0.05", "mul8u_JV3!sa0=0x6", "kulkarni8u!seed=9,lut=0.02"];
+        let names = catalog::PAPER_NAMES.iter().chain(&catalog::EXTRA_NAMES).chain(&narrow_faulty);
+        for name in names {
+            let raw = catalog::by_spec(name).unwrap();
             let lut = LutMultiplier::maybe_wrap(Arc::clone(&raw));
             units.push(signed_capable(Arc::clone(&raw)));
             units.push(signed_capable(Arc::clone(&lut)));
+            units.push(LutMultiplier::maybe_wrap(signed_capable(Arc::clone(&lut))));
             units.extend([raw, lut]);
         }
         for spec in
@@ -231,13 +238,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// `multiply_row` equals one `multiply` per element for every unit,
-    /// on rows of any length and any operands, out-of-range ones
-    /// included.
+    /// on rows of any length (past an 8-bit core's 256 magnitudes too,
+    /// where a sign-magnitude adapter takes the core's whole row) and any
+    /// operands, out-of-range ones included.
     #[test]
     fn multiply_row_matches_per_element_multiply(
         a in (0u8..8, -100_000i64..=100_000),
-        bs in proptest::collection::vec((0u8..8, -100_000i64..=100_000), 150),
-        len in 0usize..=150,
+        bs in proptest::collection::vec((0u8..8, -100_000i64..=100_000), 300),
+        len in 0usize..=300,
     ) {
         let a = operand(a);
         let bs: Vec<i64> = bs[..len].iter().copied().map(operand).collect();

@@ -13,7 +13,6 @@
 //! inputs); they are rounded defensively and clamped into the unit's
 //! operand range by the multiplier model itself.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use lac_hw::{operand_offset, round_half_away, Multiplier};
@@ -23,8 +22,19 @@ use crate::matmul_fast;
 use crate::ops::{conv_rule, matmul_rule, product_rule, ConvShape};
 use crate::tensor::Tensor;
 
-fn approx_product(mult: &dyn Multiplier, a: f64, b: f64) -> f64 {
-    mult.multiply(round_half_away(a) as i64, round_half_away(b) as i64) as f64
+fn approx_product(mult: &dyn Multiplier, a: f64, b: f64) -> i64 {
+    mult.multiply(round_half_away(a) as i64, round_half_away(b) as i64)
+}
+
+/// The exact-sum lemma's bound (DESIGN.md §7b), checked once per op
+/// call: a unit of at most 16-bit operands has products below 2^32 in
+/// magnitude, so a sum of at most 2^21 of them stays below 2^53. Every
+/// `f64` partial sum of it is then an exact integer, whatever the add
+/// order, and equals the `i64` sum converted once, which is how the
+/// forward kernels sum.
+fn assert_exact_sums(terms: usize, mult: &dyn Multiplier) {
+    let bits = mult.bits();
+    assert!(terms <= 1 << 21 && bits <= 16, "{terms} products of {bits}-bit {}", mult.name());
 }
 
 // ---------------------------------------------------------------------
@@ -34,11 +44,10 @@ fn approx_product(mult: &dyn Multiplier, a: f64, b: f64) -> f64 {
 // (`Multiplier::as_lut` returns a view), the forwards below resolve the
 // table once per tensor op, pre-quantize each operand buffer into
 // row/column indices outside the inner loop, and read every product
-// straight out of the table. Values and accumulation order are
-// bit-identical to one `multiply` call per product: `DenseLut::row`/`col`
-// perform exactly the round-and-clamp of `Multiplier::multiply`, the
-// table holds the unit's own `multiply_raw` outputs, and every output
-// sums its products in the same order from `0.0`.
+// straight out of the table. Values are bit-identical to one `multiply`
+// call per product: `DenseLut::row`/`col` perform exactly the
+// round-and-clamp of `Multiplier::multiply`, and the table holds the
+// unit's own outputs.
 //
 // Units without a table (wide 16-bit models, sign-magnitude adapters)
 // make one `Multiplier::multiply_row` call per row of products sharing a
@@ -50,12 +59,19 @@ fn approx_product(mult: &dyn Multiplier, a: f64, b: f64) -> f64 {
 // return. Elementwise products stay one call per pair.
 // ---------------------------------------------------------------------
 
-/// Every product of one op's taps × pixels, tabulated:
-/// `table[taps[t] + col(v)]` is `approx_product(mult, taps[t], v)` as an
-/// integer, for every pixel `v` of the op.
+/// Where [`ProductRows`] reads its products.
+enum RowTable<'a> {
+    /// The unit's dense table.
+    Dense(&'a [i32]),
+    /// Rows built for this op; a wide unit's products need 32 bits.
+    Built(Vec<i64>),
+}
+
+/// Every product of one op's taps × pixels, tabulated: `get(t, col(v))`
+/// is `approx_product(mult, tap, v)` for tap `t` and every pixel `v` of
+/// the op.
 struct ProductRows<'a> {
-    /// Product rows: the unit's dense table, or rows built for this op.
-    table: Cow<'a, [i64]>,
+    table: RowTable<'a>,
     /// Offset of each tap's row in `table`.
     taps: Vec<usize>,
     /// Rounded pixels clamp into `lo..=hi`, the operand range a row
@@ -83,7 +99,7 @@ impl<'a> ProductRows<'a> {
         if let Some(lut) = mult.as_lut() {
             let (lo, hi) = lut.operand_range();
             return Some(ProductRows {
-                table: Cow::Borrowed(lut.table()),
+                table: RowTable::Dense(lut.table()),
                 taps: taps.iter().map(|&v| lut.row(v)).collect(),
                 lo,
                 hi,
@@ -119,7 +135,7 @@ impl<'a> ProductRows<'a> {
             mult.multiply_row(a, &pixels, row);
         }
         Some(ProductRows {
-            table: Cow::Owned(table),
+            table: RowTable::Built(table),
             taps: rows.iter().map(|r| r * span).collect(),
             lo: pmin,
             hi: pmax,
@@ -134,79 +150,84 @@ impl<'a> ProductRows<'a> {
     fn col(&self, v: f64) -> usize {
         operand_offset(v, self.lo, self.hi)
     }
+
+    /// The product of tap `t` with the pixel at column `col`.
+    #[inline(always)]
+    fn get(&self, t: usize, col: usize) -> i64 {
+        let at = self.taps[t] + col;
+        match &self.table {
+            RowTable::Dense(table) => table[at].into(),
+            RowTable::Built(table) => table[at],
+        }
+    }
+
+    /// Add tap `t`'s products with the pixels at columns `cols` into
+    /// `dst`, matching the table kind once per row.
+    #[inline(always)]
+    fn add_row(&self, t: usize, cols: &[usize], dst: &mut [i64]) {
+        fn gather<T: Copy + Into<i64>>(row: &[T], cols: &[usize], dst: &mut [i64]) {
+            dst.iter_mut().zip(cols).for_each(|(o, &c)| *o += row[c].into());
+        }
+        match &self.table {
+            RowTable::Dense(table) => gather(&table[self.taps[t]..], cols, dst),
+            RowTable::Built(table) => gather(&table[self.taps[t]..], cols, dst),
+        }
+    }
 }
 
 /// Forward of [`Var::approx_conv2d_stacked`] (and of
 /// [`Var::approx_conv2d`], the one-band case): every `img_h`-row band of
 /// `x` convolved with `k` on its own, products gathered from one
 /// [`ProductRows`] for the whole stack when it pays, else one model call
-/// per product. Both walks sum each output in row-major tap order.
+/// per product. Both walks sum each output in `i64`.
 fn approx_conv2d_bands(x: &Tensor, k: &Tensor, img_h: usize, mult: &dyn Multiplier) -> Tensor {
     let (h, w) = x.dims2("conv2d image");
     let s = ConvShape::new(img_h, w, k);
+    assert_exact_sums(k.len(), mult);
     let mut out = Tensor::zeros(&[h, w]);
     let band_len = img_h * w;
     if band_len == 0 {
         return out;
     }
-    let bands = out.data_mut().chunks_mut(band_len);
-    match ProductRows::new(mult, k.data(), x.data(), s.products() * (h / img_h)) {
-        Some(rows) => {
-            let mut cols = vec![0; band_len];
-            for (o, img) in bands.zip(x.data().chunks(band_len)) {
-                for (c, &v) in cols.iter_mut().zip(img) {
-                    *c = rows.col(v);
+    let rows = ProductRows::new(mult, k.data(), x.data(), s.products() * (h / img_h));
+    let (mut acc, mut cols) = (vec![0i64; band_len], vec![0; band_len]);
+    for (o, img) in out.data_mut().chunks_mut(band_len).zip(x.data().chunks(band_len)) {
+        match &rows {
+            Some(rows) => {
+                cols.iter_mut().zip(img).for_each(|(c, &v)| *c = rows.col(v));
+                s.forward(&mut acc, |t, pixels, dst| rows.add_row(t, &cols[pixels], dst));
+            }
+            None => s.forward(&mut acc, |t, pixels, dst| {
+                for (o, &p) in dst.iter_mut().zip(&img[pixels]) {
+                    *o += approx_product(mult, k.data()[t], p);
                 }
-                s.forward(o, |t, pixels, dst| {
-                    let row = &rows.table[rows.taps[t]..];
-                    for (o, &c) in dst.iter_mut().zip(&cols[pixels]) {
-                        *o += row[c] as f64;
-                    }
-                });
-            }
+            }),
         }
-        None => {
-            for (o, img) in bands.zip(x.data().chunks(band_len)) {
-                s.forward(o, |t, pixels, dst| {
-                    let tap = k.data()[t];
-                    for (o, &p) in dst.iter_mut().zip(&img[pixels]) {
-                        *o += approx_product(mult, tap, p);
-                    }
-                });
-            }
-        }
+        o.iter_mut().zip(&acc).for_each(|(o, &a)| *o = a as f64);
     }
     out
 }
 
 /// Forward of [`Var::approx_matmul`]: the LUT row kernel for a
 /// tabulated unit, else one `multiply_row` call per `(i, p)` — `a[i,p]`
-/// against row `p` of `b` — added into row `i` of the output. Each
-/// output sums its products in ascending `p` from `0.0` either way.
+/// against row `p` of `b` — added into an `i64` accumulator for row `i`
+/// of the output.
 fn approx_matmul_forward(a: &Tensor, b: &Tensor, mult: &dyn Multiplier) -> Tensor {
     let (m, k) = a.dims2("approx_matmul lhs");
     let (k2, n) = b.dims2("approx_matmul rhs");
     assert_eq!(k, k2, "approx_matmul inner dimension mismatch: {k} vs {k2}");
+    assert_exact_sums(k, mult);
     if let Some(lut) = mult.as_lut() {
         return matmul_fast::matmul_lut(a, b, lut);
-    }
-    let mut out = Tensor::zeros(&[m, n]);
-    if k == 0 || n == 0 {
-        return out;
     }
     let round =
         |t: &Tensor| t.data().iter().map(|&v| round_half_away(v) as i64).collect::<Vec<_>>();
     let (a, b) = (round(a), round(b));
     let mut products = vec![0; n];
-    for (o, a_row) in out.data_mut().chunks_mut(n).zip(a.chunks(k)) {
-        for (&av, b_row) in a_row.iter().zip(b.chunks(n)) {
-            mult.multiply_row(av, b_row, &mut products);
-            for (o, &p) in o.iter_mut().zip(&products) {
-                *o += p as f64;
-            }
-        }
-    }
-    out
+    matmul_fast::sum_product_rows((m, k, n), |i, p, acc| {
+        mult.multiply_row(a[i * k + p], &b[p * n..][..n], &mut products);
+        acc.iter_mut().zip(&products).for_each(|(s, &v)| *s += v);
+    })
 }
 
 /// Which two-sided product [`Var::approx_block_transform`] applies to
@@ -331,8 +352,8 @@ impl Var {
     /// `approx_matmul_scale_round(s_out)` that a `transpose` node of `C`
     /// feeds (the rhs for the forward side, the lhs for the inverse):
     ///
-    /// * forward, every output summed in the same ascending order by the
-    ///   same matmul kernels, two products for the whole stack: `L` times
+    /// * forward, every output the same exact integer sum by the same
+    ///   matmul kernels, two products for the whole stack: `L` times
     ///   the blocks laid side by side (`[k, nb·k]`), then the rounded
     ///   result restacked block-major (`[nb·k, k]`) times `R`;
     /// * backward, blocks in descending order, each block's gradients
@@ -499,7 +520,7 @@ impl Var {
     /// a neighbouring image.
     ///
     /// Per band the forward runs the exact per-image walk of
-    /// [`Var::approx_conv2d`] (same helper, same accumulation order), so
+    /// [`Var::approx_conv2d`] (same helper, same exact integer sums), so
     /// each band's output is bit-identical to convolving that image
     /// alone — while the graph node, tap quantization, and the product
     /// rows are paid once per batch instead of once per image.
@@ -554,11 +575,8 @@ impl Var {
             c.data()[0]
         });
         let value = self.with_value(|x| match ProductRows::new(&**mult, &[cv], x.data(), x.len()) {
-            Some(rows) => {
-                let row = &rows.table[rows.taps[0]..];
-                x.map(|v| row[rows.col(v)] as f64)
-            }
-            None => x.map(|v| approx_product(&**mult, cv, v)),
+            Some(rows) => x.map(|v| rows.get(0, rows.col(v)) as f64),
+            None => x.map(|v| approx_product(&**mult, cv, v) as f64),
         });
         self.record_binary(coeff, value, |nx, nc| {
             // `dc` reads the pixels; `dx` only the scalar `cv`.
@@ -618,7 +636,7 @@ impl Var {
         assert!(self.same_tape(other), "{op}: operands belong to different graphs");
         let product = self.with_values(other, |a, b| match mult.as_lut() {
             Some(lut) => a.zip_map(b, |x, y| lut.product(lut.row(x), lut.col(y))),
-            None => a.zip_map(b, |x, y| approx_product(mult, x, y)),
+            None => a.zip_map(b, |x, y| approx_product(mult, x, y) as f64),
         });
         let value = match scale {
             Some(c) => product.map(|v| v * c),
@@ -869,13 +887,12 @@ mod tests {
         let taps = [2.0, 2.4, -3.0, 1.6];
         let rows = ProductRows::new(&*wide, &taps, &[5.0, 7.0, 6.2], 100).expect("narrow span");
         // Taps round to 2, 2, -3, 2: two distinct rows of span 3 (5..=7).
-        assert_eq!(rows.table.len(), 6);
+        assert!(matches!(&rows.table, RowTable::Built(t) if t.len() == 6));
         assert_eq!(rows.taps, vec![0, 0, 3, 0]);
         assert_eq!((rows.lo, rows.hi), (5, 7));
         for (t, &a) in taps.iter().enumerate() {
             for b in [5.0, 7.0, 6.2] {
-                let product = rows.table[rows.taps[t] + rows.col(b)] as f64;
-                assert_eq!(product, approx_product(&*wide, a, b));
+                assert_eq!(rows.get(t, rows.col(b)), approx_product(&*wide, a, b));
             }
         }
         // Six row cells are not cheaper than six products.

@@ -5,24 +5,20 @@
 //! ([`DenseLut`]). [`matmul_lut`] quantizes both operands once — the lhs
 //! into row offsets, the rhs into column offsets — and then runs an
 //! `i-p-j` loop: for each `a[i, p]` it takes that operand's row of the
-//! table, `side` products long, and adds `row[col(b[p, j])]` into
-//! `out[i, j]` across the row. The inner body is a gather-and-add over
-//! one contiguous table row, tiled over `j` and unrolled by four.
+//! table, `side` products long, and adds `row[col(b[p, j])]` into an
+//! `i64` accumulator for `out[i, j]` across the row, converting each
+//! output to `f64` once.
 //!
 //! # Bit-equivalence contract
 //!
 //! [`matmul_lut`] produces output **bit-identical** to the `i-j-p`
-//! reference loop over [`DenseLut::product`]:
-//!
-//! * Each product is `table[row + col] as f64`, the value
-//!   [`DenseLut::product`] returns.
-//! * Per output element, partial products are accumulated in ascending-`p`
-//!   order, one add at a time, starting from `0.0` — the same association
-//!   as the reference `i-j-p` loop. Loop *order* differs (`i-p-j`, tiled
-//!   over `j`), which re-interleaves independent output elements but never
-//!   reorders the adds of any single element.
-//! * Operands are quantized by [`DenseLut::row`]/[`DenseLut::col`], the
-//!   same round-and-clamp as the reference.
+//! reference loop over [`DenseLut::product`], which sums in `f64` in
+//! ascending `p` from `0.0`: every product is an integer and an output
+//! sums far fewer than 2^21 of them, so every `f64` partial sum of the
+//! reference is exact and equals the `i64` sum (the exact-sum lemma,
+//! DESIGN.md §7b). Operands are quantized by
+//! [`DenseLut::row`]/[`DenseLut::col`], the same round-and-clamp as the
+//! reference.
 //!
 //! The fused backward kernels ([`matmul_abt`], [`matmul_atb`]) keep
 //! `Tensor::matmul`'s per-output add order and zero-skip exactly, so
@@ -44,65 +40,44 @@ use lac_hw::DenseLut;
 use crate::pool;
 use crate::tensor::{matmul_acc, Tensor};
 
-/// Tile width of the inner `j` loop. Keeps the active slice of the output
-/// row, the column-offset row, and one table row resident in L1 for large
-/// `n`; has no effect on results (each output element's accumulation
-/// order is `p`-ascending regardless of tiling).
-const J_TILE: usize = 64;
+/// The `[m, n]` output of a forward approximate matmul: row `i` is the
+/// `i64` sum over `p` of the product rows `add_row(i, p, acc)` adds into
+/// `acc`, converted to `f64` once per output.
+pub(crate) fn sum_product_rows(
+    (m, k, n): (usize, usize, usize),
+    mut add_row: impl FnMut(usize, usize, &mut [i64]),
+) -> Tensor {
+    let mut out = Tensor::zeros(&[m, n]);
+    if n == 0 {
+        return out;
+    }
+    let mut acc = vec![0i64; n];
+    for (i, orow) in out.data_mut().chunks_exact_mut(n).enumerate() {
+        acc.fill(0);
+        for p in 0..k {
+            add_row(i, p, &mut acc);
+        }
+        orow.iter_mut().zip(&acc).for_each(|(o, &s)| *o = s as f64);
+    }
+    out
+}
 
 /// `a · b` (`[m, k]` × `[k, n]`) with every scalar product read from
-/// `lut`: `out[i, j]` sums `table[row(a[i, p]) + col(b[p, j])]` in
-/// ascending `p` from `0.0`, looped `i-p-j` over rows of the table with
-/// the `j` loop tiled and unrolled.
+/// `lut`: `out[i, j]` is the `i64` sum of
+/// `table[row(a[i, p]) + col(b[p, j])]` over `p`, looped `i-p-j` over
+/// rows of the table.
 pub(crate) fn matmul_lut(a: &Tensor, b: &Tensor, lut: DenseLut<'_>) -> Tensor {
     let (m, k) = a.dims2("approx_matmul lhs");
     let (_, n) = b.dims2("approx_matmul rhs");
-    let mut out = Tensor::zeros(&[m, n]);
-    if k == 0 || n == 0 {
-        return out;
-    }
     let (table, side) = (lut.table(), lut.side());
     let arows: Vec<usize> = a.data().iter().map(|&v| lut.row(v)).collect();
     let bcols: Vec<usize> = b.data().iter().map(|&v| lut.col(v)).collect();
-    let od = out.data_mut();
-    if n == 1 {
-        // Matrix–vector shape (the CNN dense head: [classes, h·w] × a
-        // flattened activation column): the tiled loop degenerates to
-        // one-element row slices, so accumulate each output scalar
-        // directly. Still ascending-p from 0.0 — bit-identical.
-        for (o, ar) in od.iter_mut().zip(arows.chunks_exact(k)) {
-            let mut acc = 0.0;
-            for (&r, &c) in ar.iter().zip(&bcols) {
-                acc += table[r + c] as f64;
-            }
-            *o = acc;
+    sum_product_rows((m, k, n), |i, p, acc| {
+        let row = &table[arows[i * k + p]..][..side];
+        for (s, &c) in acc.iter_mut().zip(&bcols[p * n..][..n]) {
+            *s += i64::from(row[c]);
         }
-        return out;
-    }
-    for j0 in (0..n).step_by(J_TILE) {
-        let j1 = (j0 + J_TILE).min(n);
-        for (orow, ar) in od.chunks_exact_mut(n).zip(arows.chunks_exact(k)) {
-            let orow = &mut orow[j0..j1];
-            for (&r, bc) in ar.iter().zip(bcols.chunks_exact(n)) {
-                let row = &table[r..][..side];
-                let bc = &bc[j0..j1];
-                let mut pairs = orow.chunks_exact_mut(4).zip(bc.chunks_exact(4));
-                for (o, c) in &mut pairs {
-                    // Four independent output elements per iteration; each
-                    // still receives its products in ascending-p order.
-                    o[0] += row[c[0]] as f64;
-                    o[1] += row[c[1]] as f64;
-                    o[2] += row[c[2]] as f64;
-                    o[3] += row[c[3]] as f64;
-                }
-                let base = bc.len() - bc.len() % 4;
-                for (o, &c) in orow[base..].iter_mut().zip(&bc[base..]) {
-                    *o += row[c] as f64;
-                }
-            }
-        }
-    }
-    out
+    })
 }
 
 /// Gradients `[g · bᵀ, aᵀ · g]` of the product `a · b` (`[m, k]` ×
@@ -220,7 +195,7 @@ mod tests {
 
     /// `matmul_lut` matches the reference bit for bit on tabulated
     /// unsigned units and a sign-magnitude adapter, across degenerate
-    /// shapes, `J_TILE` edges, the `n == 1` column path and `k == 0`.
+    /// shapes, matrix-vector shapes, wide rows and `k == 0`.
     #[test]
     fn matmul_lut_matches_the_ijp_reference_bit_for_bit() {
         let signed = LutMultiplier::maybe_wrap(lac_hw::signed_capable(
@@ -245,9 +220,9 @@ mod tests {
             (3, 0, 4),
             (3, 0, 1),
             (3, 4, 0),
-            (J_TILE + 3, 2, J_TILE + 1),
-            (2, 3, J_TILE - 1),
-            (2, 3, 2 * J_TILE),
+            (67, 2, 65),
+            (2, 3, 63),
+            (2, 3, 128),
         ];
         for unit in units {
             let lut = unit.as_lut().expect("tabulated unit");

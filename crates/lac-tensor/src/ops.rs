@@ -518,8 +518,8 @@ impl ConvShape {
     }
 
     /// Forward walk: `out[y * w + x]` becomes the left-to-right sum, from
-    /// `0.0`, of the products of output pixel `(y, x)`'s in-bounds
-    /// (tap, pixel) pairs in row-major tap order.
+    /// zero (`T::default()`), of the products of output pixel `(y, x)`'s
+    /// in-bounds (tap, pixel) pairs in row-major tap order.
     ///
     /// `add_row(tap, pixels, dst)` adds the product of `tap` with each
     /// pixel of the contiguous range `pixels` into the matching slot of
@@ -527,12 +527,12 @@ impl ConvShape {
     /// stream whole rows, yet each output still sums in tap order: the
     /// bits equal a per-pixel accumulator's.
     #[inline(always)]
-    pub fn forward(
+    pub fn forward<T: Copy + Default>(
         &self,
-        out: &mut [f64],
-        mut add_row: impl FnMut(usize, Range<usize>, &mut [f64]),
+        out: &mut [T],
+        mut add_row: impl FnMut(usize, Range<usize>, &mut [T]),
     ) {
-        out.fill(0.0);
+        out.fill(T::default());
         self.rows(0..self.kh * self.kw, |t, pixels, outs| add_row(t, pixels, &mut out[outs]));
     }
 

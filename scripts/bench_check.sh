@@ -140,6 +140,15 @@ done
 committed_floor results/bench/frozen/BENCH_matmul_kernels.pre-round.json \
     matmul_kernels/jpeg_image/mul8u_FTA 1.3 inline_round
 
+# Row-table floor: the sign-magnitude adapter's 511x511 product table
+# over a tabulated 8-bit unit is filled one multiply_row call per row,
+# each copying the unit's table row with signs re-applied, into i32
+# storage shared as built, instead of two virtual model calls per cell
+# into i64 storage copied into a fresh Arc. The committed row and the
+# snapshot are the median runs of one alternating session.
+committed_floor results/bench/frozen/BENCH_matmul_kernels.pre-row-tables.json \
+    matmul_kernels/tabulate/mul8u_FTA/signed_over_table 2 row_table
+
 # Gradient-pruning floor: a blur training step over 8 images records the
 # images and targets as constants, so its backward skips the conv's
 # image gradient and copies no input into a closure it will not run.

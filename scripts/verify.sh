@@ -59,6 +59,13 @@ fi
 echo "== cargo build --release --offline"
 cargo build --release --offline
 
+# The workspace's default members are the facade and every crate
+# (`default-members` in Cargo.toml), so this one run holds every unit,
+# integration and doc test in the workspace: lac-hw's fault, rounding,
+# row-call and ladder suites, lac-tensor's kernel and tape suites,
+# lac-core's engine, eval and serving suites, lac-serve's framing,
+# batching, chaos, resilience, taxonomy and governor suites, and
+# lac-rt's job queue among them.
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
@@ -74,12 +81,10 @@ if grep -rn -E "_observed\(|train_fixed_|batch_grads\(|batch_outputs\(|search_si
     exit 1
 fi
 
-# The fault/recovery suite is part of the workspace test run above, but
-# name the load-bearing suites explicitly so a filtered or partial CI
-# configuration cannot silently skip them.
-echo "== fault + recovery suites"
-cargo test -q --offline -p lac-hw faults::
-cargo test -q --offline -p lac-core engine::
+# The recovery suite is part of the workspace test run above (as are
+# the lac-hw fault and lac-core engine suites), but name it explicitly
+# so a filtered or partial CI configuration cannot silently skip it.
+echo "== recovery suite"
 cargo test -q --offline --test recovery
 
 # Determinism contract (DESIGN.md §7c): the same sweep at 1 and 8
@@ -90,7 +95,6 @@ cargo test -q --offline --test recovery
 # named here so it cannot be filtered away.
 echo "== sweep determinism suite (1 vs 8 workers, cache, resume)"
 cargo test -q --offline --test sweep_determinism
-cargo test -q --offline -p lac-rt --test jobqueue
 
 # Kernel bit-equivalence battery (DESIGN.md §7d): the LUT-matmul kernel
 # must stay bit-identical to the scalar trait-object path for every
@@ -101,7 +105,6 @@ cargo test -q --offline -p lac-rt --test jobqueue
 # configuration cannot silently skip them.
 echo "== matmul kernel bit-equivalence battery"
 cargo test -q --offline --test matmul_equivalence
-cargo test -q --offline -p lac-tensor --lib matmul_fast::
 cargo test -q --offline --test golden_seed jpeg_train_fixed
 
 # No hidden per-thread state in the tensor kernels (DESIGN.md §7d): the
@@ -138,7 +141,6 @@ cargo test -q --offline --test golden_seed jpeg_three_stage
 # would bring the call back. Comment lines and test modules (from a
 # column-0 `#[cfg(test)]` line down) are exempt.
 echo "== inline-round guard: no f64::round in lut.rs/approx.rs/ste.rs/matmul_fast.rs non-test code"
-cargo test -q --offline -p lac-hw --test rounding
 round_calls=$(for f in crates/lac-hw/src/lut.rs crates/lac-tensor/src/{approx,ste,matmul_fast}.rs; do
     awk '/^[[:space:]]*\/\//{next} /^#\[cfg\(test\)\]/{exit} /\.round\(\)|f64::round/{print FILENAME": "$0}' "$f"
 done)
@@ -148,20 +150,6 @@ if [[ -n "${round_calls}" ]]; then
     exit 1
 fi
 
-# Gradients only where needed (DESIGN.md §7b): recording a data operand
-# as a constant skips its side of every backward kernel without moving
-# an output or a coefficient gradient by a bit (every op LAC trains
-# through, on tabulated, untabulated and sign-magnitude units); a
-# constant-only graph records no backward closure and a constant's
-# gradient is zeros; the inference paths (batch_outputs, infer_batch)
-# record no closure for any servable app; and the loss-only batch_loss
-# reproduces batch_grads' loss bits.
-echo "== tape: gradients only where needed (constant operands, inference closures)"
-cargo test -q --offline -p lac-tensor --test needs_grad
-cargo test -q --offline -p lac-tensor --lib graph::
-cargo test -q --offline -p lac-core --lib eval::tests::inference_paths_record_no_backward_closures
-cargo test -q --offline -p lac-core --lib eval::tests::batch_loss_matches_batch_grads_bit_for_bit
-
 # Product-row battery (DESIGN.md §7b): units with no dense table
 # (16-bit catalog units, sign-magnitude adapters, fault-injected wide
 # specs) gather conv and scale products from per-tap rows, or fall back
@@ -170,86 +158,28 @@ cargo test -q --offline -p lac-core --lib eval::tests::batch_loss_matches_batch_
 # mul16s_GAT must reproduce its pre-row golden bits.
 echo "== product-row battery (untabulated conv/scale, wide-unit golden pins)"
 cargo test -q --offline --test matmul_equivalence untabulated
-cargo test -q --offline -p lac-tensor --lib product_rows
 cargo test -q --offline --test golden_seed on_wide_unit
 
 # Row-call battery (DESIGN.md §7b): untabulated approx_matmul makes one
-# Multiplier::multiply_row call per row of products. multiply_row must
-# equal one multiply per element for every unit kind (catalog, LUT,
-# sign-magnitude, fault-injected, every column truncation), the closed
-# form of the truncated columns must match the old bit loop, the matmul
-# and elementwise ops on untabulated units must match the per-product
-# walk bit-for-bit, and jpeg/dft training on mul16s_GAT must reproduce
-# its per-product golden bits.
+# Multiplier::multiply_row call per row of products. The matmul and
+# elementwise ops on untabulated units must match the per-product walk
+# bit-for-bit, and jpeg/dft training on mul16s_GAT must reproduce its
+# per-product golden bits. (lac-hw's own suites, in the workspace run,
+# hold multiply_row to one multiply per element for every unit kind and
+# the truncated columns' closed form to the old bit loop.)
 echo "== row-call battery (multiply_row, untabulated matmul/elem, jpeg/dft wide pins)"
-cargo test -q --offline -p lac-hw --test properties multiply_row
-cargo test -q --offline -p lac-hw --lib closed_form_dropped
 cargo test -q --offline --test matmul_equivalence untabulated_matmul_and_elem
 cargo test -q --offline --test golden_seed -- jpeg_train_fixed_on_wide_unit dft_train_fixed_on_wide_unit
 
 # CNN workload suites: the golden-seed pin for fixed-hardware CNN
 # training, per-layer gate-search invariance in the worker count,
-# bit-exact checkpoint/resume through a CNN session, the CNN-shape
-# rows of the equivalence battery, and the dataset/app/per-layer-plan
-# unit suites backing them. Named explicitly so a filtered CI
-# configuration cannot silently skip them.
+# bit-exact checkpoint/resume through a CNN session, and the CNN-shape
+# rows of the equivalence battery (the dataset/app/per-layer-plan unit
+# suites backing them run in the workspace run). Named explicitly so a
+# filtered CI configuration cannot silently skip them.
 echo "== cnn workload suites (golden pin, per-layer search, resume)"
 cargo test -q --offline --test cnn_pipeline
 cargo test -q --offline --test matmul_equivalence cnn_shapes
-cargo test -q --offline -p lac-data cnn::
-cargo test -q --offline -p lac-apps cnn::
-cargo test -q --offline -p lac-core per_layer
-
-# Serving suites (DESIGN.md §8): framing survives partial reads,
-# pipelining, oversized and garbage frames; responses are byte-identical
-# for any worker count and max batch size given the same arrival order;
-# hot-swap finishes in-flight work on the old checkpoint. Named
-# explicitly so a filtered CI configuration cannot silently skip them.
-echo "== serving suites (framing properties, determinism, hot-swap)"
-cargo test -q --offline -p lac-serve --test protocol_props
-cargo test -q --offline -p lac-serve --test serving
-
-# Resilience suites (DESIGN.md §10): bounded admission sheds with BUSY
-# frames, deadlines expire deterministically on a mock clock, slow
-# readers are condemned without stalling dispatch, an injected
-# dispatcher panic is supervised into error frames plus one restart
-# with byte-identical service around it, and the seeded chaos/overload
-# sweep is byte-identical for any --jobs value and worker count. Named
-# explicitly so a filtered CI configuration cannot silently skip them.
-echo "== resilience suites (chaos harness, admission, deadlines, supervision)"
-cargo test -q --offline -p lac-serve chaos::
-cargo test -q --offline -p lac-serve --test resilience
-
-# One serving core (DESIGN.md §10): the TCP daemon and the in-process
-# resilience driver run the same admission → batch → dispatch → respond
-# code, so one scripted request sequence must get byte-identical
-# responses from both; and every error frame the daemon can be made to
-# send carries a class DESIGN.md §10 documents.
-echo "== serving core: driver conformance + error taxonomy"
-cargo test -q --offline -p lac-serve --lib chaos::tests::tcp_and_in_process_drivers_answer_byte_identically
-cargo test -q --offline -p lac-serve --test taxonomy
-
-# Work-conserving dispatch (DESIGN.md §8): the linger policy on a mock
-# clock (sparse arrivals never wait, dense ones fill to max_batch, the
-# EWMA alone waits at most one predicted gap in a closed loop, a wait
-# never passes the cap, zero linger never waits, a different key ends
-# the batch); the in-flight ledger (closed-loop sources never wait, even
-# on a 10 s prediction, under a 5 s watchdog; a source that sent ahead
-# keeps EWMA waits; shed, refused, closed and ping-only connections are
-# not sources); and the persistent dispatch workers (a worker-chunk
-# panic answers exactly its batch and the pool serves on; join and
-# per-cell core drops leave no worker thread running). server::tests
-# also holds the ledger to balance on every answer path (response,
-# deadline, panic, forward error, condemned slow client) and to release
-# a batch's slots before its flush: a client resending inside the flush,
-# and a loopback client resending on each answer, keep window 1. Every
-# resilience cell must drain its ledger to zero.
-echo "== work-conserving dispatch: linger policy, in-flight ledger, persistent workers"
-cargo test -q --offline -p lac-serve --lib batch::
-cargo test -q --offline -p lac-serve --lib server::tests
-cargo test -q --offline -p lac-serve --lib server::tests::release_precedes_flush_so_a_closed_loop_keeps_window_one
-cargo test -q --offline -p lac-serve --lib chaos::tests::per_cell_cores_leak_no_threads
-cargo test -q --offline -p lac-serve --lib chaos::tests::every_cell_drains_its_in_flight_ledger
 
 # Governor ownership guard (DESIGN.md §9): runtime serving-mode state
 # has exactly one writer — the QualityGovernor FSM. Registry install
@@ -278,18 +208,6 @@ if grep -n "Instant::now" crates/lac-serve/src/batch.rs crates/lac-serve/src/ser
     echo "verify: FAIL — Instant::now in crates/lac-serve/src/{batch,server}.rs (read ServerConfig::clock instead)" >&2
     exit 1
 fi
-
-# Quality-governor suites (DESIGN.md §9): ladder serialization
-# round-trips and fingerprints, selector/registry swap position
-# handoff, rolling-window metrics, FSM hysteresis edges, and the
-# closed-loop determinism pin (byte-identical mode-transition traces at
-# 1/2/4 workers with a seeded flip=0.05 fault mid-run). Named
-# explicitly so a filtered CI configuration cannot silently skip them.
-echo "== governor suites (ladder, rolling window, serving modes, closed loop)"
-cargo test -q --offline -p lac-hw ladder::
-cargo test -q --offline -p lac-metrics rolling::
-cargo test -q --offline -p lac-core serving::
-cargo test -q --offline -p lac-serve --test governor
 
 # End-to-end daemon smoke through the real binaries: train a tiny
 # checkpoint, serve it on an ephemeral port, round-trip seeded load,
