@@ -146,27 +146,9 @@ impl FilterApp {
         output_shift(taps)
     }
 
-    /// The image translated by `(dy, dx)` with zero padding and pixels
-    /// truncated by `shift` bits (operand-range pre-scaling).
-    fn shifted_image(&self, img: &GrayImage, dy: isize, dx: isize, shift: u32) -> Tensor {
-        let (w, h) = (self.width, self.height);
-        let mut out = Tensor::zeros(&[h, w]);
-        for y in 0..h as isize {
-            for x in 0..w as isize {
-                let (sy, sx) = (y + dy, x + dx);
-                if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
-                    continue;
-                }
-                let p = img.at(sx as usize, sy as usize) as i64 >> shift;
-                out.data_mut()[y as usize * w + x as usize] = p as f64;
-            }
-        }
-        out
-    }
-
-    /// The batch translated by `(dy, dx)`, one `height`-row band per
-    /// sample: each band holds exactly [`FilterApp::shifted_image`] of
-    /// its sample.
+    /// The samples translated by `(dy, dx)` with zero padding and pixels
+    /// truncated by `shift` bits (operand-range pre-scaling), stacked
+    /// vertically: one `height`-row band per sample.
     fn shifted_images(&self, imgs: &[GrayImage], dy: isize, dx: isize, shift: u32) -> Tensor {
         let (w, h) = (self.width, self.height);
         let mut out = Tensor::zeros(&[imgs.len() * h, w]);
@@ -186,34 +168,30 @@ impl FilterApp {
         out
     }
 
-    /// Batched forward pass: one graph evaluation for a whole batch of
-    /// samples, stacked vertically into `[n * height, width]`.
+    /// The approximate branch over samples stacked vertically into
+    /// `[n * height, width]`: [`Kernel::forward_approx`] is the stack of
+    /// one, and [`Kernel::infer`] runs one stack per chunk.
     ///
-    /// Per sample the output band is bit-identical to
-    /// [`Kernel::forward_approx`] on that sample alone: the convolution
-    /// runs the same per-image walk on each band
+    /// Each band is bit-identical to the stack of its sample alone: the
+    /// convolution runs the same per-image walk on every band
     /// ([`Var::approx_conv2d_stacked`](lac_tensor::Var::approx_conv2d_stacked)),
-    /// and every other node in the datapath (pre-shift compensation,
-    /// output shift, rounding, the sharpening residual add, the final
-    /// clamp) is elementwise. What the batch amortizes is everything
-    /// per-graph: tape and node construction, coefficient quantization,
-    /// and LUT resolution happen once per batch instead of once per
-    /// sample. This is the `lac-serve` hot path — a coalesced batch of n
-    /// same-kernel requests answers exactly as n single-sample passes
-    /// would, at a fraction of the fixed cost.
+    /// and every other node (pre-shift compensation, output shift,
+    /// rounding, the sharpening residual add, the final clamp) is
+    /// elementwise. Tape and node construction and coefficient
+    /// quantization are paid once per stack.
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is empty or under the conditions of
-    /// [`Kernel::forward_approx`].
-    pub fn forward_approx_batch(
+    /// Panics if `samples` is empty, a sample is not `width × height`,
+    /// or `coeffs`/`mults` do not match the kernel's taps and stages.
+    fn forward_stacked(
         &self,
         graph: &Graph,
         samples: &[GrayImage],
         coeffs: &[Var],
         mults: &[Arc<dyn Multiplier>],
     ) -> Var {
-        assert!(!samples.is_empty(), "forward_approx_batch: empty batch");
+        assert!(!samples.is_empty(), "{}: empty stack", self.kind.display_name());
         for sample in samples {
             self.check_sample(sample);
         }
@@ -221,8 +199,7 @@ impl FilterApp {
         assert_eq!(mults.len(), self.num_stages(), "need one multiplier per stage");
         let bounds = self.coeff_bounds(mults);
 
-        // Shared across the batch: the output shift depends only on the
-        // quantized taps, never on the samples.
+        // The datapath's output shift follows the current quantized taps.
         let quantized: Vec<f64> = coeffs
             .iter()
             .zip(&bounds)
@@ -231,6 +208,14 @@ impl FilterApp {
         let shift = Self::output_shift(&quantized);
 
         let conv = match self.stage_mode {
+            // One multiplier for all taps: the nine scalar stages compose
+            // into a single approximate convolution. Per output pixel the
+            // products and their accumulation order are identical to the
+            // per-tap formulation (products come from integer models, so
+            // skipped zero-padding terms are exact +0.0), and the
+            // power-of-two pre-shift compensation commutes exactly — but
+            // one conv2d quantizes the image once instead of nine times
+            // and rides the multiplier's dense-LUT fast path.
             StageMode::Single => {
                 let mult = &mults[0];
                 let ps = pixel_shift(&**mult);
@@ -243,10 +228,13 @@ impl FilterApp {
                 let kernel = lac_tensor::concat(&taps).reshape(&[3, 3]);
                 let mut conv = img.approx_conv2d_stacked(&kernel, mult, self.height);
                 if ps > 0 {
+                    // Compensate the pixel pre-shift exactly.
                     conv = conv.mul_scalar(2f64.powi(ps as i32));
                 }
                 conv
             }
+            // Per-tap multipliers (parallel multi-hardware NAS): each tap
+            // keeps its own scalar stage.
             StageMode::PerTap => {
                 let mut acc: Option<Var> = None;
                 for tap in 0..9 {
@@ -258,6 +246,7 @@ impl FilterApp {
                     let c = coeffs[tap].quantize_ste(lo, hi);
                     let mut term = img.approx_scale(&c, mult);
                     if ps > 0 {
+                        // Compensate the pixel pre-shift exactly.
                         term = term.mul_scalar(2f64.powi(ps as i32));
                     }
                     acc = Some(match acc {
@@ -281,28 +270,6 @@ impl FilterApp {
             out = out.add(&original);
         }
         out.clamp(0.0, 255.0)
-    }
-
-    /// [`FilterApp::forward_approx_batch`] as an inference pass, split
-    /// back into one output per sample: `graph` is reset, then `coeffs`
-    /// are recorded as constants, so the pass records no backward
-    /// closure. Each output is bit-identical to [`Kernel::infer`] on
-    /// that sample alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the conditions of [`FilterApp::forward_approx_batch`].
-    pub fn infer_stacked(
-        &self,
-        graph: &Graph,
-        samples: &[GrayImage],
-        coeffs: &[Tensor],
-        mults: &[Arc<dyn Multiplier>],
-    ) -> Vec<Vec<f64>> {
-        graph.reset();
-        let leaves: Vec<Var> = coeffs.iter().map(|c| graph.constant(c.clone())).collect();
-        let stacked = self.forward_approx_batch(graph, samples, &leaves, mults).value();
-        stacked.data().chunks(self.height * self.width).map(<[f64]>::to_vec).collect()
     }
 
     fn check_sample(&self, img: &GrayImage) {
@@ -386,78 +353,25 @@ impl Kernel for FilterApp {
         coeffs: &[Var],
         mults: &[Arc<dyn Multiplier>],
     ) -> Var {
-        self.check_sample(sample);
-        assert_eq!(coeffs.len(), 9, "filter kernels have nine coefficient taps");
-        assert_eq!(mults.len(), self.num_stages(), "need one multiplier per stage");
-        let bounds = self.coeff_bounds(mults);
+        self.forward_stacked(graph, std::slice::from_ref(sample), coeffs, mults)
+    }
 
-        // The datapath's output shift follows the current quantized taps.
-        let quantized: Vec<f64> = coeffs
-            .iter()
-            .zip(&bounds)
-            .map(|(c, &(lo, hi))| c.value().item().round().clamp(lo, hi))
-            .collect();
-        let shift = Self::output_shift(&quantized);
-
-        let conv = match self.stage_mode {
-            // One multiplier for all taps: the nine scalar stages compose
-            // into a single approximate convolution. Per output pixel the
-            // products and their accumulation order are identical to the
-            // per-tap formulation (products come from integer models, so
-            // skipped zero-padding terms are exact +0.0), and the
-            // power-of-two pre-shift compensation commutes exactly — but
-            // one conv2d quantizes the image once instead of nine times
-            // and rides the multiplier's dense-LUT fast path.
-            StageMode::Single => {
-                let mult = &mults[0];
-                let ps = pixel_shift(&**mult);
-                let img = graph.constant(self.shifted_image(sample, 0, 0, ps));
-                let taps: Vec<Var> = coeffs
-                    .iter()
-                    .zip(&bounds)
-                    .map(|(c, &(lo, hi))| c.quantize_ste(lo, hi))
-                    .collect();
-                let kernel = lac_tensor::concat(&taps).reshape(&[3, 3]);
-                let mut conv = img.approx_conv2d(&kernel, mult);
-                if ps > 0 {
-                    // Compensate the pixel pre-shift exactly.
-                    conv = conv.mul_scalar(2f64.powi(ps as i32));
-                }
-                conv
-            }
-            // Per-tap multipliers (parallel multi-hardware NAS): each tap
-            // keeps its own scalar stage.
-            StageMode::PerTap => {
-                let mut acc: Option<Var> = None;
-                for tap in 0..9 {
-                    let mult = &mults[self.stage_of_tap(tap)];
-                    let ps = pixel_shift(&**mult);
-                    let (dy, dx) = (tap as isize / 3 - 1, tap as isize % 3 - 1);
-                    let img = graph.constant(self.shifted_image(sample, dy, dx, ps));
-                    let (lo, hi) = bounds[tap];
-                    let c = coeffs[tap].quantize_ste(lo, hi);
-                    let mut term = img.approx_scale(&c, mult);
-                    if ps > 0 {
-                        // Compensate the pixel pre-shift exactly.
-                        term = term.mul_scalar(2f64.powi(ps as i32));
-                    }
-                    acc = Some(match acc {
-                        Some(a) => a.add(&term),
-                        None => term,
-                    });
-                }
-                acc.expect("nine taps accumulated")
-            }
-        };
-        let mut out = conv.mul_scalar(2f64.powi(-(shift as i32))).round_ste();
-        if self.kind == FilterKind::Sharpening {
-            let original = graph.constant(Tensor::from_vec(
-                sample.pixels().to_vec(),
-                &[self.height, self.width],
-            ));
-            out = out.add(&original);
+    /// One stacked pass over the whole chunk, split back into one output
+    /// per sample.
+    fn infer(
+        &self,
+        graph: &Graph,
+        samples: &[Self::Sample],
+        coeffs: &[Tensor],
+        mults: &[Arc<dyn Multiplier>],
+    ) -> Vec<Vec<f64>> {
+        if samples.is_empty() {
+            return Vec::new();
         }
-        out.clamp(0.0, 255.0)
+        graph.reset();
+        let leaves: Vec<Var> = coeffs.iter().map(|c| graph.constant(c.clone())).collect();
+        let stacked = self.forward_stacked(graph, samples, &leaves, mults).value();
+        stacked.data().chunks(self.height * self.width).map(<[f64]>::to_vec).collect()
     }
 
     fn reference(&self, sample: &Self::Sample) -> Tensor {
@@ -523,8 +437,8 @@ mod tests {
     use lac_data::synth_image;
     use lac_hw::catalog;
 
-    fn exact(name: &str) -> Arc<dyn Multiplier> {
-        catalog::by_name(name).unwrap()
+    fn exact(spec: &str) -> Arc<dyn Multiplier> {
+        catalog::by_spec(spec).unwrap()
     }
 
     fn run_forward(app: &FilterApp, mult: &Arc<dyn Multiplier>, img: &GrayImage) -> Vec<f64> {
@@ -536,17 +450,19 @@ mod tests {
         app.forward_approx(&g, img, &vars, &mults).value().into_data()
     }
 
-    /// The serving contract: every band of the stacked batched forward
-    /// is bit-identical to the per-sample graph on that sample alone,
-    /// for every filter kind, stage mode, and representative hardware
-    /// (exact, FTA, and an ETM unit whose pixel pre-shift is nonzero),
-    /// at batch sizes including 1.
+    /// Every band of an n-sample stack is bit-identical to the stack of
+    /// its sample alone ([`Kernel::forward_approx`]), for every filter
+    /// kind, stage mode, and representative hardware: exact, FTA, an ETM
+    /// unit whose pixel pre-shift is nonzero, an untabulated 16-bit unit
+    /// (built product rows) and a fault-injected unit.
     #[test]
     fn batched_forward_is_bit_identical_to_per_sample_forward() {
         let samples: Vec<GrayImage> = (0..5).map(|s| synth_image(32, 32, s)).collect();
         for kind in [FilterKind::GaussianBlur, FilterKind::EdgeDetection, FilterKind::Sharpening] {
             for mode in [StageMode::Single, StageMode::PerTap] {
-                for unit in ["exact8u", "mul8u_FTA", "ETM8-k4"] {
+                for unit in
+                    ["exact8u", "mul8u_FTA", "ETM8-k4", "DRUM16-4", "mul8u_FTA!seed=5,flip=0.05"]
+                {
                     let app = FilterApp::new(kind, mode);
                     let m = app.adapt(&exact(unit));
                     let mults = vec![m; app.num_stages()];
@@ -556,10 +472,8 @@ mod tests {
                         let g = Graph::new();
                         let vars: Vec<Var> =
                             coeffs.iter().map(|c| g.var(c.clone())).collect();
-                        let stacked = app
-                            .forward_approx_batch(&g, batch, &vars, &mults)
-                            .value()
-                            .into_data();
+                        let stacked =
+                            app.forward_stacked(&g, batch, &vars, &mults).value().into_data();
                         assert_eq!(stacked.len(), n * 1024);
                         for (band, img) in batch.iter().enumerate() {
                             let single = run_forward(&app, &exact(unit), img);

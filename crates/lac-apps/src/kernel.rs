@@ -175,19 +175,28 @@ pub trait Kernel {
         mults: &[Arc<dyn Multiplier>],
     ) -> Var;
 
-    /// The approximate branch's output for one sample as an inference
-    /// pass: `graph` is reset, then `coeffs` are recorded as constants, so
-    /// the pass records no backward closure.
+    /// The approximate branch's outputs for `samples`, in order, as an
+    /// inference pass: `coeffs` are recorded as constants, so the pass
+    /// records no backward closure. Each output is bit-identical to the
+    /// default, one [`forward_approx`](Kernel::forward_approx) per sample
+    /// on `graph`, reset before each; a kernel may override it with one
+    /// pass over the whole slice.
     fn infer(
         &self,
         graph: &Graph,
-        sample: &Self::Sample,
+        samples: &[Self::Sample],
         coeffs: &[Tensor],
         mults: &[Arc<dyn Multiplier>],
-    ) -> Vec<f64> {
-        graph.reset();
-        let leaves: Vec<Var> = coeffs.iter().map(|c| graph.constant(c.clone())).collect();
-        self.forward_approx(graph, sample, &leaves, mults).value().into_data()
+    ) -> Vec<Vec<f64>> {
+        samples
+            .iter()
+            .map(|sample| {
+                graph.reset();
+                let leaves: Vec<Var> =
+                    coeffs.iter().map(|c| graph.constant(c.clone())).collect();
+                self.forward_approx(graph, sample, &leaves, mults).value().into_data()
+            })
+            .collect()
     }
 
     /// The accurate branch: reference output for one sample, computed with

@@ -55,4 +55,4 @@ pub use fir::{FirApp, FirKind, FirStageMode};
 pub use inversek2j::InverseK2jApp;
 pub use jpeg::{dct_matrix, JpegApp, JpegMode, BLOCK as DCT_BLOCK, Q50};
 pub use kernel::{coeff_upscale, fit_shift, pixel_shift, Kernel, Metric};
-pub use serving::{infer_batch, AppKernel, ServeApp, ServeSample};
+pub use serving::{AppKernel, ServeApp, ServeSample};

@@ -1,35 +1,21 @@
-//! Serving-side entry points: wire identities, request decoding, and
-//! batched inference over the application kernels.
+//! Serving-side entry points: wire identities and request decoding for
+//! the application kernels.
 //!
 //! The `lac-serve` daemon speaks a binary protocol whose requests name a
 //! kernel by a one-byte wire code and carry a flat `f64` payload. This
 //! module owns the mapping from those wire identities to concrete
-//! [`Kernel`] instances ([`ServeApp`]), the validated decoding of
+//! [`Kernel`] instances ([`ServeApp`]) and the validated decoding of
 //! payloads into sample types ([`ServeApp::decode`] — a malformed
-//! payload is a per-request error, never a panic), and the batched
-//! forward pass ([`infer_batch`]) that the server's dispatcher runs over
-//! a coalesced batch of same-kernel requests.
-//!
-//! # Batching
-//!
-//! [`infer_batch`] splits the batch into one contiguous chunk per
-//! worker. The image filters — the serving hot path — evaluate each
-//! chunk as **one stacked graph pass**
-//! ([`FilterApp::forward_approx_batch`]): samples are stacked
-//! vertically and the whole chunk shares a single tape, a single
-//! coefficient quantization, and a single LUT resolution, so the fixed
-//! per-graph cost is paid once per batch instead of once per request.
-//! The remaining kernels run one graph per sample inside a
-//! [`lac_tensor::pool::scope`] with a recycled [`Graph`]. Either way
-//! every sample's output is bit-identical to its own single-sample
-//! graph (pinned by tests), so responses are invariant under every
-//! worker count and batch split.
+//! payload is a per-request error, never a panic). Inference runs in
+//! `lac-core` (`ServingModel::infer_mode`), through the same
+//! `eval::batch_outputs` loop as evaluation: this crate schedules
+//! nothing.
 
 use std::sync::Arc;
 
 use lac_data::{inverse_kinematics, GrayImage, IkSample, LINK1, LINK2};
 use lac_hw::Multiplier;
-use lac_tensor::{pool, Graph, Tensor};
+use lac_tensor::Tensor;
 
 use crate::dft::DftApp;
 use crate::filters::{FilterApp, FilterKind, StageMode};
@@ -259,129 +245,10 @@ impl AppKernel {
     }
 }
 
-/// Batched forward pass over decoded samples, all of one kernel.
-///
-/// Returns per-sample outputs in input order. The batch is split into
-/// one contiguous chunk per worker (`ceil(n / threads)` samples each);
-/// outputs are computed per sample with no cross-sample reduction, so
-/// the result is bit-identical for every `threads` value. Samples whose
-/// variant does not match the kernel's input type are an error naming
-/// the offending position.
-pub fn infer_batch(
-    kernel: &AppKernel,
-    coeffs: &[Tensor],
-    mults: &[Arc<dyn Multiplier>],
-    samples: &[ServeSample],
-    threads: usize,
-) -> Result<Vec<Vec<f64>>, String> {
-    match kernel {
-        AppKernel::Filter(app) => filter_outputs(app, coeffs, mults, samples, threads),
-        AppKernel::Jpeg(app) => image_outputs(app, coeffs, mults, samples, threads),
-        AppKernel::Dft(app) => image_outputs(app, coeffs, mults, samples, threads),
-        AppKernel::InverseK2j(app) => {
-            let targets = samples
-                .iter()
-                .enumerate()
-                .map(|(i, s)| match s {
-                    ServeSample::Ik(ik) => Ok(*ik),
-                    ServeSample::Image(_) => {
-                        Err(format!("sample {i}: image payload for an ik kernel"))
-                    }
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(outputs(app, coeffs, mults, &targets, threads))
-        }
-    }
-}
-
-/// The filter hot path: one stacked graph evaluation per worker chunk
-/// ([`FilterApp::forward_approx_batch`]) instead of one graph per
-/// sample. Each sample's band is bit-identical to the per-sample graph,
-/// so outputs stay invariant under every worker count and batch split;
-/// what batching amortizes is graph construction, coefficient
-/// quantization, and LUT resolution — the fixed cost a batch-1 server
-/// pays on every request.
-fn filter_outputs(
-    app: &FilterApp,
-    coeffs: &[Tensor],
-    mults: &[Arc<dyn Multiplier>],
-    samples: &[ServeSample],
-    threads: usize,
-) -> Result<Vec<Vec<f64>>, String> {
-    let images = samples
-        .iter()
-        .enumerate()
-        .map(|(i, s)| match s {
-            ServeSample::Image(img) => Ok(img.clone()),
-            ServeSample::Ik(_) => Err(format!("sample {i}: ik payload for an image kernel")),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    if images.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Cache blocking: a 32×32 image is 8 KB, and every elementwise node
-    // in the stacked graph walks the whole stack, so sub-batches beyond
-    // ~8 samples (64 KB per intermediate) start thrashing L2 and cost
-    // more per sample than they amortize. Cap the per-pass stack; the
-    // split changes nothing observable because every band is
-    // bit-identical to its own single-sample graph.
-    const MAX_STACK: usize = 8;
-    let chunk = images.len().div_ceil(threads.max(1)).min(MAX_STACK);
-    let per_chunk = lac_rt::par::chunk_map(&images, chunk, threads, |chunk| {
-        pool::scope(|| app.infer_stacked(&Graph::new(), chunk, coeffs, mults))
-    });
-    Ok(per_chunk.into_iter().flatten().collect())
-}
-
-fn image_outputs<K: Kernel<Sample = GrayImage> + Sync>(
-    kernel: &K,
-    coeffs: &[Tensor],
-    mults: &[Arc<dyn Multiplier>],
-    samples: &[ServeSample],
-    threads: usize,
-) -> Result<Vec<Vec<f64>>, String> {
-    let images = samples
-        .iter()
-        .enumerate()
-        .map(|(i, s)| match s {
-            ServeSample::Image(img) => Ok(img.clone()),
-            ServeSample::Ik(_) => Err(format!("sample {i}: ik payload for an image kernel")),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(outputs(kernel, coeffs, mults, &images, threads))
-}
-
-fn outputs<K: Kernel + Sync>(
-    kernel: &K,
-    coeffs: &[Tensor],
-    mults: &[Arc<dyn Multiplier>],
-    samples: &[K::Sample],
-    threads: usize,
-) -> Vec<Vec<f64>> {
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    // One contiguous chunk per worker: a full batch uses every worker,
-    // and within a chunk the graph, buffer pool, and LUT-row tabulation
-    // reach their steady state after the first sample.
-    let chunk = samples.len().div_ceil(threads.max(1));
-    let per_chunk = lac_rt::par::chunk_map(samples, chunk, threads, |chunk| {
-        pool::scope(|| {
-            let graph = Graph::new();
-            chunk
-                .iter()
-                .map(|sample| kernel.infer(&graph, sample, coeffs, mults))
-                .collect::<Vec<_>>()
-        })
-    });
-    per_chunk.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lac_data::synth_image;
-    use lac_hw::catalog;
 
     #[test]
     fn codes_and_names_round_trip() {
@@ -393,27 +260,6 @@ mod tests {
         }
         assert_eq!(ServeApp::from_code(6), None);
         assert_eq!(ServeApp::parse("no-such-kernel"), None);
-    }
-
-    #[test]
-    fn output_lens_match_forward() {
-        for app in ServeApp::ALL {
-            let kernel = app.build();
-            let mult = kernel.adapt(&catalog::by_name("exact16u").unwrap());
-            let mults = vec![mult];
-            let coeffs = kernel.init_coeffs(&mults);
-            let sample = match app {
-                ServeApp::InverseK2j => ServeSample::Ik(IkSample {
-                    x: 0.4,
-                    y: 0.3,
-                    theta1: 0.0,
-                    theta2: 0.0,
-                }),
-                _ => ServeSample::Image(synth_image(32, 32, 1)),
-            };
-            let out = infer_batch(&kernel, &coeffs, &mults, &[sample], 1).unwrap();
-            assert_eq!(out[0].len(), app.output_len(), "{}", app.cli_id());
-        }
     }
 
     #[test]
@@ -444,31 +290,6 @@ mod tests {
                 assert!((x - 0.5).abs() < 1e-9 && (y - 0.3).abs() < 1e-9);
             }
             other => panic!("expected ik sample, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn mismatched_sample_variant_is_an_error() {
-        let kernel = ServeApp::Blur.build();
-        let mult = kernel.adapt(&catalog::by_name("exact16u").unwrap());
-        let mults = vec![mult];
-        let coeffs = kernel.init_coeffs(&mults);
-        let ik = ServeSample::Ik(IkSample { x: 0.4, y: 0.3, theta1: 0.0, theta2: 0.0 });
-        assert!(infer_batch(&kernel, &coeffs, &mults, &[ik], 1).is_err());
-    }
-
-    #[test]
-    fn batch_outputs_are_worker_count_invariant() {
-        let kernel = ServeApp::Blur.build();
-        let mult = kernel.adapt(&catalog::by_name("mul8u_FTA").unwrap());
-        let mults = vec![mult];
-        let coeffs = kernel.init_coeffs(&mults);
-        let samples: Vec<ServeSample> =
-            (0..7).map(|i| ServeSample::Image(synth_image(32, 32, i))).collect();
-        let one = infer_batch(&kernel, &coeffs, &mults, &samples, 1).unwrap();
-        for threads in [2, 3, 8] {
-            let many = infer_batch(&kernel, &coeffs, &mults, &samples, threads).unwrap();
-            assert_eq!(one, many, "outputs differ at {threads} threads");
         }
     }
 }

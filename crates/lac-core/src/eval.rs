@@ -4,7 +4,9 @@
 //! Each worker thread builds its own autodiff graphs for a chunk of
 //! samples — the Rust equivalent of the paper's "parallel versions of the
 //! approximate multipliers to spread the work across multiple CPU cores"
-//! (Section III-D).
+//! (Section III-D). This is the one place samples are partitioned:
+//! training, evaluation and serving (`ServingModel::infer_mode`) all
+//! run their batches through it.
 //!
 //! # Determinism
 //!
@@ -32,8 +34,10 @@
 //! Samples, references and quantization tables enter every graph as
 //! constants, so backward passes compute coefficient gradients only.
 //! [`batch_outputs`] and [`batch_loss`] record the coefficients as
-//! constants too ([`Kernel::infer`]): their graphs hold no backward
-//! closure at all.
+//! constants too: their graphs hold no backward closure at all.
+//! [`batch_outputs`] hands each chunk to [`Kernel::infer`] whole, so a
+//! kernel that can (the 3×3 filters) answers a chunk with one stacked
+//! pass.
 
 use std::sync::Arc;
 
@@ -47,10 +51,11 @@ use lac_tensor::{pool, Graph, Tensor, Var};
 /// and buffer pool reach their allocation-free steady state (twice the
 /// seed's 4 — the optimized per-sample cost is an order of magnitude
 /// smaller, so more samples are needed to swamp dispatch), small enough
-/// to split the paper's batch sizes across workers. Purely a scheduling
-/// knob: the per-sample reduction (see the module docs) makes results
-/// independent of this value, and the chunk-size invariance test pins
-/// that down.
+/// to split the paper's batch sizes across workers. It also caps a
+/// stacked filter pass at 8 images of 32×32 (64 KiB per intermediate),
+/// which stays in L2. Purely a scheduling knob: the per-sample reduction
+/// (see the module docs) makes results independent of this value, and
+/// the chunk-size invariance test pins that down.
 pub const EVAL_CHUNK: usize = 8;
 
 /// Precomputed accurate-branch outputs for a sample set.
@@ -58,8 +63,9 @@ pub fn batch_references<K: Kernel + Sync>(kernel: &K, samples: &[K::Sample]) -> 
     samples.iter().map(|s| kernel.reference(s).into_data()).collect()
 }
 
-/// Approximate-branch outputs for every sample, in order: an inference
-/// pass ([`Kernel::infer`]) that records no backward closure.
+/// Approximate-branch outputs for every sample, in order: one
+/// [`Kernel::infer`] inference pass per chunk, which records no backward
+/// closure. Outputs are bit-identical for every `threads` value.
 pub fn batch_outputs<K: Kernel + Sync>(
     kernel: &K,
     coeffs: &[Tensor],
@@ -68,13 +74,7 @@ pub fn batch_outputs<K: Kernel + Sync>(
     threads: usize,
 ) -> Vec<Vec<f64>> {
     let per_chunk = lac_rt::par::chunk_map(samples, EVAL_CHUNK, threads, |chunk| {
-        pool::scope(|| {
-            let graph = Graph::new();
-            chunk
-                .iter()
-                .map(|sample| kernel.infer(&graph, sample, coeffs, mults))
-                .collect::<Vec<_>>()
-        })
+        pool::scope(|| kernel.infer(&Graph::new(), chunk, coeffs, mults))
     });
     per_chunk.into_iter().flatten().collect()
 }
@@ -112,20 +112,12 @@ pub fn batch_grads<K: Kernel + Sync>(
     batch_grads_with_chunk(kernel, coeffs, mults, samples, references, threads, EVAL_CHUNK)
 }
 
-/// [`batch_grads`] with an explicit chunk size.
-///
-/// Results are bit-identical for every `chunk` value (and worker count):
-/// workers emit per-sample gradients and losses, and the reduction is a
-/// strict left fold over samples in sample order, so chunk boundaries
-/// never influence any floating-point sum. Exposed so tests can pin that
-/// invariance down and so callers with unusual batch shapes can tune
-/// dispatch granularity.
-///
-/// # Panics
-///
-/// Panics if `samples` and `references` differ in length or are empty,
-/// or if `chunk` is zero.
-pub fn batch_grads_with_chunk<K: Kernel + Sync>(
+/// [`batch_grads`] with an explicit chunk size, bit-identical for every
+/// `chunk` value: workers emit per-sample gradients and losses, and the
+/// reduction is a strict left fold over samples in sample order, so
+/// chunk boundaries never influence any floating-point sum. The tests
+/// pin that invariance down.
+fn batch_grads_with_chunk<K: Kernel + Sync>(
     kernel: &K,
     coeffs: &[Tensor],
     mults: &[Arc<dyn Multiplier>],
@@ -326,66 +318,82 @@ mod tests {
         }
     }
 
-    /// `infer` on `sample` records nodes but no backward closure, and
-    /// answers what `batch_outputs` and the serving path answer; the same
-    /// forward over var leaves does record closures.
+    /// `infer` on `samples` records nodes but no backward closure, and
+    /// answers what per-sample `infer` calls, `batch_outputs` and the
+    /// serving path answer; the same forward over var leaves does record
+    /// closures.
     fn assert_inference_records_no_closure<K: Kernel + Sync>(
         kernel: &K,
-        sample: &K::Sample,
+        samples: &[K::Sample],
         coeffs: &[Tensor],
         mults: &[Arc<dyn Multiplier>],
-        served: &[f64],
+        served: &[Vec<f64>],
     ) {
         let name = kernel.name().to_string();
         let graph = Graph::new();
-        let out = kernel.infer(&graph, sample, coeffs, mults);
+        let out = kernel.infer(&graph, samples, coeffs, mults);
         assert!(!graph.is_empty(), "{name}: nothing recorded");
         assert_eq!(graph.backward_closures(), 0, "{name}: inference recorded closures");
-        assert_eq!(out, served, "{name}: serving output differs");
-        let batch = batch_outputs(kernel, coeffs, mults, std::slice::from_ref(sample), 1);
-        assert_eq!(out, batch[0], "{name}: batch_outputs differs");
+        assert_eq!(out, served, "{name}: serving outputs differ");
+        assert_eq!(out, batch_outputs(kernel, coeffs, mults, samples, 2), "{name}: batch_outputs");
+        for (sample, want) in samples.iter().zip(&out) {
+            let one = kernel.infer(&graph, std::slice::from_ref(sample), coeffs, mults);
+            assert_eq!(&one[0], want, "{name}: per-sample infer differs");
+            assert_eq!(graph.backward_closures(), 0, "{name}: per-sample inference");
+        }
         graph.reset();
         let vars: Vec<Var> = coeffs.iter().map(|c| graph.var(c.clone())).collect();
-        kernel.forward_approx(&graph, sample, &vars, mults);
+        kernel.forward_approx(&graph, &samples[0], &vars, mults);
         assert!(graph.backward_closures() > 0, "{name}: training records no closure");
     }
 
     #[test]
     fn inference_paths_record_no_backward_closures() {
-        use lac_apps::{infer_batch, AppKernel, ServeApp, ServeSample};
+        use crate::ServingModel;
+        use lac_apps::{AppKernel, ServeApp, ServeSample};
 
-        let image = synth_image(32, 32, 5);
         for app in ServeApp::ALL {
+            let model = ServingModel::untrained(app, "mul8u_FTA").unwrap();
             let kernel = app.build();
             let mults = vec![kernel.adapt(&catalog::by_name("mul8u_FTA").unwrap())];
-            let coeffs = kernel.init_coeffs(&mults);
-            let payload = match app {
-                ServeApp::InverseK2j => vec![0.5, 0.3],
-                _ => image.pixels().to_vec(),
+            let samples: Vec<ServeSample> = (0..3u64)
+                .map(|i| match app {
+                    ServeApp::InverseK2j => vec![0.5, 0.3 + 0.1 * i as f64],
+                    _ => synth_image(32, 32, 5 + i).pixels().to_vec(),
+                })
+                .map(|payload| app.decode(&payload).unwrap())
+                .collect();
+            let served = model.infer(&samples, 1).unwrap();
+            let coeffs = model.coeffs();
+            let images = || -> Vec<GrayImage> {
+                samples
+                    .iter()
+                    .map(|s| match s {
+                        ServeSample::Image(img) => img.clone(),
+                        ServeSample::Ik(_) => panic!("{}: ik sample", app.cli_id()),
+                    })
+                    .collect()
             };
-            let sample = app.decode(&payload).unwrap();
-            let one = std::slice::from_ref(&sample);
-            let served = infer_batch(&kernel, &coeffs, &mults, one, 1).unwrap();
-            match (&kernel, &sample) {
-                (AppKernel::Filter(k), ServeSample::Image(img)) => {
-                    assert_inference_records_no_closure(k, img, &coeffs, &mults, &served[0]);
-                    // The serving filter path: one stacked pass per chunk.
-                    let graph = Graph::new();
-                    let pair = [image.clone(), img.clone()];
-                    let stacked = k.infer_stacked(&graph, &pair, &coeffs, &mults);
-                    assert_eq!(graph.backward_closures(), 0, "{}: stacked pass", k.name());
-                    assert_eq!(stacked[1], served[0], "{}: stacked band", k.name());
+            match &kernel {
+                AppKernel::Filter(k) => {
+                    assert_inference_records_no_closure(k, &images(), coeffs, &mults, &served)
                 }
-                (AppKernel::Jpeg(k), ServeSample::Image(img)) => {
-                    assert_inference_records_no_closure(k, img, &coeffs, &mults, &served[0]);
+                AppKernel::Jpeg(k) => {
+                    assert_inference_records_no_closure(k, &images(), coeffs, &mults, &served)
                 }
-                (AppKernel::Dft(k), ServeSample::Image(img)) => {
-                    assert_inference_records_no_closure(k, img, &coeffs, &mults, &served[0]);
+                AppKernel::Dft(k) => {
+                    assert_inference_records_no_closure(k, &images(), coeffs, &mults, &served)
                 }
-                (AppKernel::InverseK2j(k), ServeSample::Ik(ik)) => {
-                    assert_inference_records_no_closure(k, ik, &coeffs, &mults, &served[0]);
+                AppKernel::InverseK2j(k) => {
+                    let targets: Vec<_> = samples
+                        .iter()
+                        .map(|s| match s {
+                            ServeSample::Ik(ik) => *ik,
+                            ServeSample::Image(_) => panic!("inversek2j: image sample"),
+                        })
+                        .collect();
+                    assert_inference_records_no_closure(k, &targets, coeffs, &mults, &served)
                 }
-                _ => panic!("{}: sample kind does not match the kernel", app.cli_id()),
             }
         }
     }

@@ -61,9 +61,7 @@ pub use engine::{
     MemoryObserver, NullObserver, RunScope, SessionCheckpoint, TrainError, TrainObserver,
     TrainSession,
 };
-pub use eval::{
-    batch_grads, batch_grads_with_chunk, batch_loss, batch_outputs, batch_references, quality,
-};
+pub use eval::{batch_grads, batch_loss, batch_outputs, batch_references, quality};
 pub use fixed::{
     train_fixed, train_fixed_multistart, train_fixed_multistart_observed, train_fixed_observed,
     train_fixed_resumable, train_fixed_resumable_observed, FixedResult,

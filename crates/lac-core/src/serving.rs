@@ -31,11 +31,13 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lac_apps::serving::{infer_batch, AppKernel, ServeApp, ServeSample};
+use lac_apps::serving::{AppKernel, ServeApp, ServeSample};
+use lac_data::{GrayImage, IkSample};
 use lac_hw::{catalog, LutMultiplier, ModeLadder, Multiplier, Signedness};
 use lac_tensor::Tensor;
 
 use crate::engine::SessionCheckpoint;
+use crate::eval::batch_outputs;
 
 /// Why a checkpoint could not be turned into a [`ServingModel`].
 #[derive(Debug, Clone, PartialEq)]
@@ -150,7 +152,7 @@ struct ModeState {
     spec: String,
     /// Table I area of the rung's unit.
     area: f64,
-    /// The adapted multiplier list `infer_batch` consumes.
+    /// The adapted multiplier list inference runs on.
     mults: Vec<Arc<dyn Multiplier>>,
 }
 
@@ -456,13 +458,17 @@ impl ServingModel {
     /// Batched forward pass over decoded samples, at the trained mode.
     ///
     /// Per-sample outputs in input order, bit-identical for every
-    /// `threads` value and batch split (see
-    /// [`lac_apps::serving::infer_batch`]).
+    /// `threads` value and batch split (see [`infer_mode`](Self::infer_mode)).
     pub fn infer(&self, samples: &[ServeSample], threads: usize) -> Result<Vec<Vec<f64>>, String> {
         self.infer_mode(self.trained_mode, samples, threads)
     }
 
     /// Batched forward pass at an explicit runtime mode.
+    ///
+    /// Runs [`batch_outputs`], so every output is bit-identical to its
+    /// sample's own [`Kernel::infer`](lac_apps::Kernel::infer) for every
+    /// `threads` value and batch split. A sample whose variant does not
+    /// match the kernel's input type is an error naming its position.
     pub fn infer_mode(
         &self,
         mode: usize,
@@ -473,7 +479,7 @@ impl ServingModel {
             .modes
             .get(mode)
             .ok_or_else(|| format!("mode {mode} out of range (model has {})", self.modes.len()))?;
-        infer_batch(&self.kernel, &self.coeffs, &state.mults, samples, threads)
+        self.outputs(&state.mults, samples, threads)
     }
 
     /// Batched forward pass through the exact reference datapath (same
@@ -485,8 +491,46 @@ impl ServingModel {
         samples: &[ServeSample],
         threads: usize,
     ) -> Result<Vec<Vec<f64>>, String> {
-        infer_batch(&self.kernel, &self.coeffs, &self.reference_mults, samples, threads)
+        self.outputs(&self.reference_mults, samples, threads)
     }
+
+    /// [`batch_outputs`] on `mults`, once the samples are unwrapped into
+    /// the kernel's input type.
+    fn outputs(
+        &self,
+        mults: &[Arc<dyn Multiplier>],
+        samples: &[ServeSample],
+        threads: usize,
+    ) -> Result<Vec<Vec<f64>>, String> {
+        let coeffs = &self.coeffs;
+        Ok(match &self.kernel {
+            AppKernel::Filter(k) => batch_outputs(k, coeffs, mults, &images(samples)?, threads),
+            AppKernel::Jpeg(k) => batch_outputs(k, coeffs, mults, &images(samples)?, threads),
+            AppKernel::Dft(k) => batch_outputs(k, coeffs, mults, &images(samples)?, threads),
+            AppKernel::InverseK2j(k) => {
+                batch_outputs(k, coeffs, mults, &targets(samples)?, threads)
+            }
+        })
+    }
+}
+
+/// The images of `samples`; a target is an error naming its position.
+fn images(samples: &[ServeSample]) -> Result<Vec<GrayImage>, String> {
+    let image = |(i, s): (usize, &ServeSample)| match s {
+        ServeSample::Image(img) => Ok(img.clone()),
+        ServeSample::Ik(_) => Err(format!("sample {i}: ik payload for an image kernel")),
+    };
+    samples.iter().enumerate().map(image).collect()
+}
+
+/// The kinematics targets of `samples`; an image is an error naming its
+/// position.
+fn targets(samples: &[ServeSample]) -> Result<Vec<IkSample>, String> {
+    let target = |(i, s): (usize, &ServeSample)| match s {
+        ServeSample::Ik(ik) => Ok(*ik),
+        ServeSample::Image(_) => Err(format!("sample {i}: image payload for an ik kernel")),
+    };
+    samples.iter().enumerate().map(target).collect()
 }
 
 /// A point-in-time health reading of a serving daemon, carried on the
@@ -715,6 +759,109 @@ mod tests {
         let jv3 = model.infer_mode(2, &[sample], 1).unwrap();
         assert_ne!(exact, jv3, "cheapest rung visibly differs from exact");
         assert_ne!(exact, fta, "trained rung visibly differs from exact");
+    }
+
+    /// `n` valid samples of `app`, each with its own payload.
+    fn serve_samples(app: ServeApp, n: usize) -> Vec<ServeSample> {
+        (0..n as u64)
+            .map(|i| match app {
+                ServeApp::InverseK2j => vec![0.4 + 0.01 * i as f64, 0.3],
+                _ => lac_data::synth_image(32, 32, i).pixels().to_vec(),
+            })
+            .map(|payload| app.decode(&payload).unwrap())
+            .collect()
+    }
+
+    /// One [`Kernel::infer`](lac_apps::Kernel::infer) call per sample, on
+    /// the model's trained mode.
+    fn per_sample_infer(model: &ServingModel, samples: &[ServeSample]) -> Vec<Vec<f64>> {
+        use lac_apps::Kernel;
+        let (coeffs, mults) = (&model.coeffs, &model.modes[model.trained_mode].mults);
+        let graph = lac_tensor::Graph::new();
+        samples
+            .iter()
+            .map(|sample| {
+                let mut out = match (&model.kernel, sample) {
+                    (AppKernel::Filter(k), ServeSample::Image(img)) => {
+                        k.infer(&graph, std::slice::from_ref(img), coeffs, mults)
+                    }
+                    (AppKernel::Jpeg(k), ServeSample::Image(img)) => {
+                        k.infer(&graph, std::slice::from_ref(img), coeffs, mults)
+                    }
+                    (AppKernel::Dft(k), ServeSample::Image(img)) => {
+                        k.infer(&graph, std::slice::from_ref(img), coeffs, mults)
+                    }
+                    (AppKernel::InverseK2j(k), ServeSample::Ik(ik)) => {
+                        k.infer(&graph, std::slice::from_ref(ik), coeffs, mults)
+                    }
+                    _ => panic!("{}: sample kind does not match the kernel", model.app.cli_id()),
+                };
+                out.pop().expect("one output per sample")
+            })
+            .collect()
+    }
+
+    const BATCH_SIZES: [usize; 5] = [1, 7, 8, 9, 17];
+
+    #[test]
+    fn output_lens_match_forward() {
+        for app in ServeApp::ALL {
+            let model = ServingModel::untrained(app, "exact16u").unwrap();
+            for n in BATCH_SIZES {
+                let samples = serve_samples(app, n);
+                for threads in [1, 2, 3] {
+                    let out = model.infer(&samples, threads).unwrap();
+                    assert_eq!(out.len(), n, "{}: {n} samples", app.cli_id());
+                    assert!(
+                        out.iter().all(|o| o.len() == app.output_len()),
+                        "{}: output length at n={n}, threads={threads}",
+                        app.cli_id()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_sample_variant_is_an_error() {
+        for app in ServeApp::ALL {
+            let model = ServingModel::untrained(app, "exact16u").unwrap();
+            let mut samples = serve_samples(app, 9);
+            // The last sample carries the other app family's payload.
+            let other = match app {
+                ServeApp::InverseK2j => ServeApp::Blur,
+                _ => ServeApp::InverseK2j,
+            };
+            samples[8] = serve_samples(other, 1).remove(0);
+            for threads in [1, 2] {
+                let err = model.infer(&samples, threads).unwrap_err();
+                assert!(err.starts_with("sample 8: "), "{}: {err}", app.cli_id());
+                assert!(model.infer_reference(&samples, threads).is_err());
+            }
+        }
+    }
+
+    /// Every output equals its sample's own per-sample `Kernel::infer`
+    /// bits, for every app, batch size (crossing `EVAL_CHUNK`) and
+    /// worker count.
+    #[test]
+    fn batch_outputs_are_worker_count_invariant() {
+        for app in ServeApp::ALL {
+            let model = ServingModel::untrained(app, "mul8u_FTA").unwrap();
+            let all = serve_samples(app, 17);
+            let want = per_sample_infer(&model, &all);
+            for n in BATCH_SIZES {
+                for threads in [1, 2, 3] {
+                    let got = model.infer(&all[..n], threads).unwrap();
+                    assert_eq!(
+                        got,
+                        want[..n],
+                        "{}: outputs differ at n={n}, threads={threads}",
+                        app.cli_id()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! [`Admission::Busy`] instead of growing without limit — the caller
 //! turns that into a `BUSY` shed frame. Response bytes do not depend on
 //! batch composition (per-sample outputs are batch-invariant — see
-//! `lac_apps::serving::infer_batch`), so lingering trades latency for
+//! `lac_core::ServingModel::infer_mode`), so lingering trades latency for
 //! throughput without touching determinism.
 
 use std::collections::{HashMap, VecDeque};

@@ -43,10 +43,11 @@
 //!
 //! Every input to the loop is seeded and every output is wall-clock
 //! free: the sample decision is a pure hash of (seed, app, batch seq),
-//! replay rides the bit-identical `infer_batch` datapath, and telemetry
-//! carries batch sequence numbers instead of timestamps. Identical
-//! traffic therefore produces byte-identical JSONL traces for any
-//! worker count — pinned by the governor test suite.
+//! replay rides the bit-identical `ServingModel::infer_reference`
+//! datapath, and telemetry carries batch sequence numbers instead of
+//! timestamps. Identical traffic therefore produces byte-identical
+//! JSONL traces for any worker count — pinned by the governor test
+//! suite.
 
 use std::io::Write as _;
 use std::path::PathBuf;

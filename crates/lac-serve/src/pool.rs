@@ -6,7 +6,7 @@
 //! started with the pool, so a batch costs two channel hops per chunk
 //! instead of spawning and joining threads. Results are collected in
 //! chunk order, and per-sample outputs do not depend on the partition
-//! (see `lac_apps::serving::infer_batch`), so the response bytes are
+//! (see `lac_core::ServingModel::infer_mode`), so the response bytes are
 //! the same for every worker count.
 //!
 //! A worker runs each chunk under [`catch_unwind`]: a panic comes back

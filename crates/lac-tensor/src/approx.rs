@@ -175,8 +175,7 @@ impl<'a> ProductRows<'a> {
     }
 }
 
-/// Forward of [`Var::approx_conv2d_stacked`] (and of
-/// [`Var::approx_conv2d`], the one-band case): every `img_h`-row band of
+/// Forward of [`Var::approx_conv2d_stacked`]: every `img_h`-row band of
 /// `x` convolved with `k` on its own, products gathered from one
 /// [`ProductRows`] for the whole stack when it pays, else one model call
 /// per product. Both walks sum each output in `i64`.
@@ -503,12 +502,8 @@ impl Var {
     /// Panics under the same conditions as
     /// [`Var::conv2d`](crate::graph::Var::conv2d).
     pub fn approx_conv2d(&self, kernel: &Var, mult: &Arc<dyn Multiplier>) -> Var {
-        assert!(self.same_tape(kernel), "approx_conv2d: operands belong to different graphs");
-        let (value, s) = self.with_values(kernel, |x, k| {
-            let (h, w) = x.dims2("conv2d image");
-            (approx_conv2d_bands(x, k, h, &**mult), ConvShape::new(h, w, k))
-        });
-        self.record_binary(kernel, value, |nx, nk| conv_rule(self, kernel, s, nx, nk))
+        let (h, _) = self.with_value(|x| x.dims2("conv2d image"));
+        self.approx_conv2d_stacked(kernel, mult, h)
     }
 
     /// Batched approximate convolution over images stacked vertically.
@@ -519,13 +514,11 @@ impl Var {
     /// at each band's own borders, so band seams never leak pixels into
     /// a neighbouring image.
     ///
-    /// Per band the forward runs the exact per-image walk of
-    /// [`Var::approx_conv2d`] (same helper, same exact integer sums), so
-    /// each band's output is bit-identical to convolving that image
-    /// alone — while the graph node, tap quantization, and the product
-    /// rows are paid once per batch instead of once per image.
-    /// This is the serving hot path: a coalesced batch of n requests
-    /// answers exactly as n single-sample passes would.
+    /// Each band runs the same per-image walk and exact integer sums, so
+    /// its output is bit-identical to convolving that image alone
+    /// ([`Var::approx_conv2d`] is the one-band case) — while the graph
+    /// node, tap quantization, and the product rows are paid once per
+    /// stack instead of once per image.
     ///
     /// Backward: exact conv2d gradients per band; the kernel gradient
     /// accumulates over bands in stacking order.

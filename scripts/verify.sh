@@ -123,6 +123,22 @@ if [[ -n "${tls}" ]]; then
     exit 1
 fi
 
+# One partition policy (DESIGN.md §8): training, evaluation and serving
+# split samples only in lac-core's eval (EVAL_CHUNK); lac-apps kernels
+# answer whatever chunk they are handed and schedule nothing. A
+# `lac_rt::par` or `chunk_map` in lac-apps non-test code would grow a
+# second inference loop. Comment lines and test modules (from a
+# column-0 `#[cfg(test)]` line down) are exempt.
+echo "== scheduling guard: no lac_rt::par/chunk_map in lac-apps non-test code"
+sched=$(for f in crates/lac-apps/src/*.rs; do
+    awk '/^[[:space:]]*\/\//{next} /^#\[cfg\(test\)\]/{exit} /lac_rt::par|chunk_map/{print FILENAME": "$0}' "$f"
+done)
+if [[ -n "${sched}" ]]; then
+    echo "verify: FAIL — lac_rt::par/chunk_map in lac-apps non-test code (partition in lac-core eval instead):" >&2
+    echo "${sched}" >&2
+    exit 1
+fi
+
 # Fused JPEG stage battery (DESIGN.md §7d): each DCT/IDCT stage runs as
 # one approx_block_transform node over the stacked blocks, and must
 # reproduce the per-block tape it replaced bit-for-bit — values, input

@@ -4,7 +4,8 @@
 //!
 //! The CNN classifier is the first LAC app whose quality metric is
 //! argmax accuracy rather than PSNR, and the first to route gradients
-//! through `approx_conv2d_stacked` and the n == 1 mat-vec kernels. These
+//! through `approx_conv2d` (one call per image, the one-band case of
+//! `approx_conv2d_stacked`) and the n == 1 mat-vec kernels. These
 //! tests pin that whole path the same way `golden_seed.rs` pins the
 //! image apps: FNV-1a over every result f64, captured at the commit that
 //! introduced the workload.

@@ -102,8 +102,10 @@ fn run_dense(
     (value, bits(&grads.get(&va)), bits(&grads.get(&vb)))
 }
 
-/// Forward/grad bits of `approx_conv2d_stacked` — the batched conv node
-/// the CNN layers record (images stacked vertically, shared 3x3 taps).
+/// Forward/grad bits of `approx_conv2d_stacked` — the conv node of the
+/// 3x3 filters' stacked pass (images stacked vertically, shared 3x3
+/// taps); the CNN layers call `approx_conv2d`, its one-band case, per
+/// image.
 fn run_conv_stacked(
     mult: &Arc<dyn Multiplier>,
     x: &Tensor,
