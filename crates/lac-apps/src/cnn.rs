@@ -29,7 +29,7 @@ use std::sync::Arc;
 use lac_data::CnnSample;
 use lac_hw::{signed_capable, LutMultiplier, Multiplier};
 use lac_rt::rng::{RngExt, SeedableRng, StdRng};
-use lac_tensor::{Graph, Tensor, Var};
+use lac_tensor::{Epilogue, Graph, Tensor, Var};
 
 use crate::kernel::{pixel_shift, Kernel, Metric};
 
@@ -115,13 +115,14 @@ impl CnnApp {
 
     /// One conv layer: shift the input into the unit's operand range,
     /// convolve on approximate hardware, downshift the accumulator and
-    /// saturate back into the activation range.
+    /// saturate back into the activation range — the downshift, round
+    /// and saturation inside the conv node ([`Epilogue`]).
     fn conv_layer(&self, x: &Var, taps: &Var, mult: &Arc<dyn Multiplier>) -> Var {
         let ps = pixel_shift(&**mult);
         let xs = if ps == 0 { x.clone() } else { x.scale_round_ste(2f64.powi(-(ps as i32))) };
-        xs.approx_conv2d(taps, mult)
-            .scale_round_ste(2f64.powi(ps as i32 - S_CONV as i32))
-            .clamp(0.0, 255.0)
+        let stage =
+            Epilogue::new().scale(2f64.powi(ps as i32 - S_CONV as i32)).rounded().clamp(0.0, 255.0);
+        xs.approx_conv2d_fused(taps, mult, self.height, stage)
     }
 }
 

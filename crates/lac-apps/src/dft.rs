@@ -86,17 +86,15 @@ impl DftApp {
         assert!(self.width >= N && self.height >= N, "image smaller than the DFT tile");
     }
 
-    /// Central `N × N` tile of the image, pixels pre-shifted by `shift`.
+    /// Central `N × N` tile of the image, pixels pre-shifted by `shift`,
+    /// built in one pass from row slices.
     fn tile(&self, img: &GrayImage, shift: u32) -> Tensor {
         let (x0, y0) = ((self.width - N) / 2, (self.height - N) / 2);
-        let mut t = Tensor::zeros(&[N, N]);
-        for y in 0..N {
-            for x in 0..N {
-                let p = img.at(x0 + x, y0 + y) as i64 >> shift;
-                t.data_mut()[y * N + x] = p as f64;
+        Tensor::build(&[N, N], |buf| {
+            for row in img.pixels().chunks_exact(self.width).skip(y0).take(N) {
+                buf.extend(row[x0..x0 + N].iter().map(|&p| ((p as i64) >> shift) as f64));
             }
-        }
-        t
+        })
     }
 }
 

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use lac_hw::{signed_capable, Multiplier, Signedness};
-use lac_tensor::{Graph, Tensor, Var};
+use lac_tensor::{Epilogue, Graph, Tensor, Var};
 
 use crate::kernel::{pixel_shift, Kernel, Metric};
 
@@ -148,24 +148,30 @@ impl FilterApp {
 
     /// The samples translated by `(dy, dx)` with zero padding and pixels
     /// truncated by `shift` bits (operand-range pre-scaling), stacked
-    /// vertically: one `height`-row band per sample.
+    /// vertically: one `height`-row band per sample, built in one pass
+    /// from row slices.
     fn shifted_images(&self, imgs: &[GrayImage], dy: isize, dx: isize, shift: u32) -> Tensor {
         let (w, h) = (self.width, self.height);
-        let mut out = Tensor::zeros(&[imgs.len() * h, w]);
-        for (band, img) in imgs.iter().enumerate() {
-            let base = band * h * w;
-            for y in 0..h as isize {
-                for x in 0..w as isize {
-                    let (sy, sx) = (y + dy, x + dx);
-                    if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
+        // Output column `x` reads source column `x + dx`: in bounds for
+        // `x` in `x_lo..x_hi`, zero padding elsewhere.
+        let clip = |v: isize| v.clamp(0, w as isize) as usize;
+        let (x_lo, x_hi) = (clip(-dx), clip(w as isize - dx));
+        Tensor::build(&[imgs.len() * h, w], |buf| {
+            for img in imgs {
+                for y in 0..h as isize {
+                    let sy = y + dy;
+                    if sy < 0 || sy >= h as isize || x_lo >= x_hi {
+                        buf.resize(buf.len() + w, 0.0);
                         continue;
                     }
-                    let p = img.at(sx as usize, sy as usize) as i64 >> shift;
-                    out.data_mut()[base + y as usize * w + x as usize] = p as f64;
+                    let row = &img.pixels()[sy as usize * w..][..w];
+                    let src = (x_lo as isize + dx) as usize..(x_hi as isize + dx) as usize;
+                    buf.resize(buf.len() + x_lo, 0.0);
+                    buf.extend(row[src].iter().map(|&p| ((p as i64) >> shift) as f64));
+                    buf.resize(buf.len() + w - x_hi, 0.0);
                 }
             }
-        }
-        out
+        })
     }
 
     /// The approximate branch over samples stacked vertically into
@@ -175,7 +181,7 @@ impl FilterApp {
     /// Each band is bit-identical to the stack of its sample alone: the
     /// convolution runs the same per-image walk on every band
     /// ([`Var::approx_conv2d_stacked`](lac_tensor::Var::approx_conv2d_stacked)),
-    /// and every other node (pre-shift compensation, output shift,
+    /// and every other step (pre-shift compensation, output shift,
     /// rounding, the sharpening residual add, the final clamp) is
     /// elementwise. Tape and node construction and coefficient
     /// quantization are paid once per stack.
@@ -203,11 +209,13 @@ impl FilterApp {
         let quantized: Vec<f64> = coeffs
             .iter()
             .zip(&bounds)
-            .map(|(c, &(lo, hi))| c.value().item().round().clamp(lo, hi))
+            .map(|(c, &(lo, hi))| c.item().round().clamp(lo, hi))
             .collect();
-        let shift = Self::output_shift(&quantized);
+        let out_shift = 2f64.powi(-(Self::output_shift(&quantized) as i32));
+        // Sharpening adds the source image before it saturates.
+        let saturate = self.kind != FilterKind::Sharpening;
 
-        let conv = match self.stage_mode {
+        let out = match self.stage_mode {
             // One multiplier for all taps: the nine scalar stages compose
             // into a single approximate convolution. Per output pixel the
             // products and their accumulation order are identical to the
@@ -215,7 +223,9 @@ impl FilterApp {
             // skipped zero-padding terms are exact +0.0), and the
             // power-of-two pre-shift compensation commutes exactly — but
             // one conv2d quantizes the image once instead of nine times
-            // and rides the multiplier's dense-LUT fast path.
+            // and rides the multiplier's dense-LUT fast path. The
+            // compensation, output shift, round and clamp run inside the
+            // conv node ([`Epilogue`]).
             StageMode::Single => {
                 let mult = &mults[0];
                 let ps = pixel_shift(&**mult);
@@ -226,12 +236,16 @@ impl FilterApp {
                     .map(|(c, &(lo, hi))| c.quantize_ste(lo, hi))
                     .collect();
                 let kernel = lac_tensor::concat(&taps).reshape(&[3, 3]);
-                let mut conv = img.approx_conv2d_stacked(&kernel, mult, self.height);
+                let mut stage = Epilogue::new();
                 if ps > 0 {
                     // Compensate the pixel pre-shift exactly.
-                    conv = conv.mul_scalar(2f64.powi(ps as i32));
+                    stage = stage.scale(2f64.powi(ps as i32));
                 }
-                conv
+                stage = stage.scale(out_shift).rounded();
+                if saturate {
+                    stage = stage.clamp(0.0, 255.0);
+                }
+                img.approx_conv2d_fused(&kernel, mult, self.height, stage)
             }
             // Per-tap multipliers (parallel multi-hardware NAS): each tap
             // keeps its own scalar stage.
@@ -254,22 +268,22 @@ impl FilterApp {
                         None => term,
                     });
                 }
-                acc.expect("nine taps accumulated")
+                let out = acc.expect("nine taps accumulated").scale_round_ste(out_shift);
+                if saturate {
+                    out.clamp(0.0, 255.0)
+                } else {
+                    out
+                }
             }
         };
-        let mut out = conv.mul_scalar(2f64.powi(-(shift as i32))).round_ste();
-        if self.kind == FilterKind::Sharpening {
-            let mut originals = Vec::with_capacity(samples.len() * self.height * self.width);
-            for sample in samples {
-                originals.extend_from_slice(sample.pixels());
-            }
-            let original = graph.constant(Tensor::from_vec(
-                originals,
-                &[samples.len() * self.height, self.width],
-            ));
-            out = out.add(&original);
+        if saturate {
+            return out;
         }
-        out.clamp(0.0, 255.0)
+        let original = graph.constant(Tensor::build(
+            &[samples.len() * self.height, self.width],
+            |buf| samples.iter().for_each(|s| buf.extend_from_slice(s.pixels())),
+        ));
+        out.add(&original).clamp(0.0, 255.0)
     }
 
     fn check_sample(&self, img: &GrayImage) {

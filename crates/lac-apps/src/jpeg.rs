@@ -190,17 +190,18 @@ impl JpegApp {
     }
 
     /// The image's 8×8 blocks stacked into `[blocks · 8, 8]`: blocks in
-    /// raster order, each row-major.
-    fn blocks(&self, img: &GrayImage) -> Tensor {
-        let mut data = Vec::with_capacity(self.width * self.height);
-        for by in 0..self.height / BLOCK {
-            for bx in 0..self.width / BLOCK {
-                for y in 0..BLOCK {
-                    data.extend((0..BLOCK).map(|x| img.at(bx * BLOCK + x, by * BLOCK + y)));
+    /// raster order, each row-major, every pixel mapped through `f` —
+    /// one pass over row slices.
+    fn blocks(&self, img: &GrayImage, f: impl Fn(f64) -> f64) -> Tensor {
+        Tensor::build(&[self.width * self.height / BLOCK, BLOCK], |buf| {
+            for band in img.pixels().chunks_exact(self.width * BLOCK) {
+                for bx in 0..self.width / BLOCK {
+                    for row in band.chunks_exact(self.width) {
+                        buf.extend(row[bx * BLOCK..][..BLOCK].iter().map(|&p| f(p)));
+                    }
                 }
             }
-        }
-        Tensor::from_vec(data, &[self.width * self.height / BLOCK, BLOCK])
+        })
     }
 }
 
@@ -279,7 +280,7 @@ impl Kernel for JpegApp {
         // into the operand range; |C·X| <= 255 * 8 * max|C| ~ 1020 is
         // fitted for the second product.
         let ps = pixel_shift(&**m_dct) as i32;
-        let x = graph.constant(self.blocks(sample).map(|p| ((p as i64) >> ps) as f64));
+        let x = graph.constant(self.blocks(sample, |p| ((p as i64) >> ps) as f64));
         let f1 = fit_shift(1020.0, m_dct.operand_range().1) as i32;
         let y = x.approx_block_transform(
             &c_fwd,
@@ -299,13 +300,15 @@ impl Kernel for JpegApp {
         // |Cᵀ·Yd| <= 8 * 0.5 * 2040 fitted for the second product.
         let hi_idct = m_idct.operand_range().1;
         let (f3, f4) = (fit_shift(2040.0, hi_idct) as i32, fit_shift(8160.0, hi_idct) as i32);
-        let out = yd.scale_round_ste(pow2(-f3)).approx_block_transform(
+        // The output saturates into [0, 255] inside the IDCT node.
+        let out = yd.scale_round_ste(pow2(-f3)).approx_block_transform_clamped(
             &c_inv,
             BlockSide::Inverse,
             m_idct,
             [pow2(f3 - s), pow2(-f4), pow2(f4 - s)],
+            (0.0, 255.0),
         );
-        out.clamp(0.0, 255.0).reshape(&[self.width * self.height])
+        out.reshape(&[self.width * self.height])
     }
 
     fn reference(&self, sample: &Self::Sample) -> Tensor {
@@ -315,7 +318,7 @@ impl Kernel for JpegApp {
         let c = dct_matrix();
         let ct = c.transpose();
         let mut out = Vec::with_capacity(self.width * self.height);
-        for block in self.blocks(sample).data().chunks(BLOCK * BLOCK) {
+        for block in self.blocks(sample, |p| p).data().chunks(BLOCK * BLOCK) {
             let x = Tensor::from_vec(block.to_vec(), &[BLOCK, BLOCK]);
             let y = c.matmul(&x).matmul(&ct);
             let k = Tensor::from_vec(
@@ -373,7 +376,7 @@ mod tests {
         let app = JpegApp::new(JpegMode::Single);
         let reference = app.reference(&img);
         // Compare against the raw blocks (the "uncompressed" image).
-        let raw = app.blocks(&img).into_data();
+        let raw = app.blocks(&img, |p| p).into_data();
         let p = psnr_255(reference.data(), &raw);
         assert!((25.0..=60.0).contains(&p), "reference JPEG PSNR {p} out of plausible range");
     }

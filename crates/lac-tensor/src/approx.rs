@@ -13,6 +13,7 @@
 //! inputs); they are rounded defensively and clamped into the unit's
 //! operand range by the multiplier model itself.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use lac_hw::{operand_offset, round_half_away, Multiplier};
@@ -20,7 +21,8 @@ use lac_hw::{operand_offset, round_half_away, Multiplier};
 use crate::graph::Var;
 use crate::matmul_fast;
 use crate::ops::{conv_rule, matmul_rule, product_rule, ConvShape};
-use crate::tensor::Tensor;
+use crate::pool;
+use crate::tensor::{add_assign, matmul_acc, Tensor};
 
 fn approx_product(mult: &dyn Multiplier, a: f64, b: f64) -> i64 {
     mult.multiply(round_half_away(a) as i64, round_half_away(b) as i64)
@@ -229,6 +231,123 @@ fn approx_matmul_forward(a: &Tensor, b: &Tensor, mult: &dyn Multiplier) -> Tenso
     })
 }
 
+/// The output stage a fixed-point datapath applies to the exact sums of
+/// an approximate product, recorded inside the product's node: up to two
+/// scales (power-of-two shifts) multiplied in turn, then an optional
+/// round, then an optional clamp.
+///
+/// A node with an epilogue is bit-identical to the product node followed
+/// by the unfused chain `mul_scalar(c₁)` → `mul_scalar(c₂)` →
+/// `round_ste` → `clamp(lo, hi)` (each link present only when set). The
+/// forward maps every sum through the same operations in that order. The
+/// backward runs the chain's backward maps in the tape's order before the
+/// product's rule: the clamp mask, read off the pre-clamp value, then
+/// each scale multiply on its own, last scale first (the round passes
+/// gradients straight through).
+///
+/// # Examples
+///
+/// ```
+/// use lac_hw::catalog;
+/// use lac_tensor::{Epilogue, Graph, Tensor};
+///
+/// let g = Graph::new();
+/// let x = g.var(Tensor::full(&[3, 3], 100.0));
+/// let k = g.var(Tensor::full(&[3, 3], 1.0));
+/// let exact = catalog::by_name("exact8u").unwrap();
+/// // Sums of 4, 6 or 9 products of 100, shifted right by 2 and saturated.
+/// let stage = Epilogue::new().scale(0.25).rounded().clamp(0.0, 200.0);
+/// let y = x.approx_conv2d_fused(&k, &exact, 3, stage);
+/// assert_eq!(y.value().data()[..3], [100.0, 150.0, 100.0]);
+/// assert_eq!(y.value().data()[4], 200.0);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Epilogue {
+    scales: [f64; 2],
+    n_scales: usize,
+    round: bool,
+    clamp: Option<(f64, f64)>,
+}
+
+impl Epilogue {
+    /// The empty stage: the product's sums as they are.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Multiply by `c` after the scales already given.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a third scale.
+    pub fn scale(mut self, c: f64) -> Self {
+        assert!(self.n_scales < 2, "an epilogue holds at most two scales");
+        self.scales[self.n_scales] = c;
+        self.n_scales += 1;
+        self
+    }
+
+    /// Round to the nearest integer, half away from zero, after the
+    /// scales.
+    pub fn rounded(mut self) -> Self {
+        self.round = true;
+        self
+    }
+
+    /// Clamp into `[lo, hi]` last; the gradient is zero where the
+    /// pre-clamp value lies outside.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`.
+    pub fn clamp(mut self, lo: f64, hi: f64) -> Self {
+        assert!(lo <= hi, "clamp bounds inverted: [{lo}, {hi}]");
+        self.clamp = Some((lo, hi));
+        self
+    }
+
+    fn scales(&self) -> &[f64] {
+        &self.scales[..self.n_scales]
+    }
+
+    /// The stage over `sums`, in place, and — when `keep_pre` asks and
+    /// the stage clamps — the pre-clamp values a backward masks with.
+    /// One pass per step, each a plain loop the compiler vectorizes.
+    fn forward(&self, mut sums: Tensor, keep_pre: bool) -> (Tensor, Option<Tensor>) {
+        for &c in self.scales() {
+            sums.data_mut().iter_mut().for_each(|v| *v *= c);
+        }
+        if self.round {
+            sums.data_mut().iter_mut().for_each(|v| *v = round_half_away(*v));
+        }
+        let Some((lo, hi)) = self.clamp else { return (sums, None) };
+        let pre = keep_pre.then(|| sums.clone());
+        sums.data_mut().iter_mut().for_each(|v| *v = v.clamp(lo, hi));
+        (sums, pre)
+    }
+
+    /// The gradient entering the product from the node's gradient `g`:
+    /// `g` itself for the empty stage, else the chain's maps in the
+    /// tape's order. `pre` is what [`Epilogue::forward`] kept.
+    fn backward<'g>(&self, g: &'g Tensor, pre: Option<&Tensor>) -> Cow<'g, Tensor> {
+        let mut scales = self.scales().iter().rev();
+        let mut g = match (self.clamp, pre) {
+            (Some((lo, hi)), Some(pre)) => {
+                g.zip_map(pre, |gv, av| if (lo..=hi).contains(&av) { gv } else { 0.0 })
+            }
+            (Some(_), None) => panic!("a clamping epilogue's backward needs its pre-clamp values"),
+            (None, _) => match scales.next() {
+                Some(&c) => g.map(|gv| gv * c),
+                None => return Cow::Borrowed(g),
+            },
+        };
+        for &c in scales {
+            g.data_mut().iter_mut().for_each(|v| *v *= c);
+        }
+        Cow::Owned(g)
+    }
+}
+
 /// Which two-sided product [`Var::approx_block_transform`] applies to
 /// every block `X` with the coefficient matrix `C`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,17 +358,38 @@ pub enum BlockSide {
     Inverse,
 }
 
+/// `dst = srcᵀ` for `k × k` blocks.
+fn transpose_block(src: &[f64], dst: &mut [f64], k: usize) {
+    for (i, row) in src.chunks_exact(k).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            dst[j * k + i] = v;
+        }
+    }
+}
+
 /// Fold one block's `k × k` coefficient gradient into `acc` the way
 /// [`Graph::backward`](crate::Graph::backward) accumulates a parent's
-/// contributions: the first is assigned, each later one added in turn.
-/// `transpose` maps a gradient of `Cᵀ` back onto `C`, as a `transpose`
-/// node's backward does.
-fn fold_block_grad(acc: &mut Option<Tensor>, grad: &[f64], k: usize, transpose: bool) {
-    let t = Tensor::from_vec(grad.to_vec(), &[k, k]);
-    let t = if transpose { t.transpose() } else { t };
-    match acc {
-        Some(sum) => sum.accumulate(&t),
-        None => *acc = Some(t),
+/// contributions: the first is assigned, each later one added in turn
+/// by the tape's own add loop. `transpose` maps a gradient of `Cᵀ` back
+/// onto `C` by index, through `scratch`, as a `transpose` node's
+/// backward does.
+fn fold_block_grad(
+    acc: &mut [f64],
+    grad: &[f64],
+    scratch: &mut [f64],
+    (k, transpose): (usize, bool),
+    first: &mut bool,
+) {
+    let grad = if transpose {
+        transpose_block(grad, scratch, k);
+        &*scratch
+    } else {
+        grad
+    };
+    if std::mem::take(first) {
+        acc.copy_from_slice(grad);
+    } else {
+        add_assign(acc, grad);
     }
 }
 
@@ -279,7 +419,7 @@ impl Var {
     /// Panics unless `self` is `[m, k]`, `other` is `[k, n]`, and both live
     /// on the same graph.
     pub fn approx_matmul(&self, other: &Var, mult: &Arc<dyn Multiplier>) -> Var {
-        self.approx_matmul_node(other, &**mult, "approx_matmul", None)
+        self.approx_matmul_node(other, &**mult, "approx_matmul", Epilogue::new())
     }
 
     /// Fused `approx_matmul(other, mult).scale_round_ste(c)`: the
@@ -301,11 +441,12 @@ impl Var {
         mult: &Arc<dyn Multiplier>,
         c: f64,
     ) -> Var {
-        self.approx_matmul_node(other, &**mult, "approx_matmul_scale_round", Some(c))
+        let stage = Epilogue::new().scale(c).rounded();
+        self.approx_matmul_node(other, &**mult, "approx_matmul_scale_round", stage)
     }
 
-    /// The node of [`Var::approx_matmul`] (`scale: None`) and of
-    /// [`Var::approx_matmul_scale_round`] (`scale: Some(c)`).
+    /// The node of [`Var::approx_matmul`] (the empty epilogue) and of
+    /// [`Var::approx_matmul_scale_round`] (scale `c`, round).
     /// Backward: exact-matmul gradients of `g`, or of `g · c`, by the
     /// fused transposed kernels — bit-identical to
     /// `g.matmul(&b.transpose())` / `a.transpose().matmul(g)` without
@@ -315,20 +456,14 @@ impl Var {
         other: &Var,
         mult: &dyn Multiplier,
         op: &str,
-        scale: Option<f64>,
+        epilogue: Epilogue,
     ) -> Var {
         assert!(self.same_tape(other), "{op}: operands belong to different graphs");
         let product = self.with_values(other, |a, b| approx_matmul_forward(a, b, mult));
-        let value = match scale {
-            Some(c) => product.map(|v| round_half_away(v * c)),
-            None => product,
-        };
+        let (value, _) = epilogue.forward(product, false);
         self.record_binary(other, value, |na, nb| {
             let rule = matmul_rule(self, other, na, nb);
-            move |g: &Tensor| {
-                let scaled = scale.map(|c| g.map(|gv| gv * c));
-                rule(scaled.as_ref().unwrap_or(g))
-            }
+            move |g: &Tensor| rule(&epilogue.backward(g, None))
         })
     }
 
@@ -355,12 +490,14 @@ impl Var {
     ///   matmul kernels, two products for the whole stack: `L` times
     ///   the blocks laid side by side (`[k, nb·k]`), then the rounded
     ///   result restacked block-major (`[nb·k, k]`) times `R`;
-    /// * backward, blocks in descending order, each block's gradients
-    ///   by the same kernels and scale maps in the tape's sequence;
+    /// * backward, the straight-through maps and the `R` product's input
+    ///   gradient once over the whole `[nb·k, k]` stack (each row the
+    ///   same sum as its block alone), the other kernels block by block;
     /// * the gradient of `C` folds each block's two contributions in the
-    ///   order the tape would reach them — the second product's (`R`)
-    ///   before the first's (`L`), the `Cᵀ` one transposed — with the
-    ///   first contribution assigned rather than added to zero.
+    ///   order the tape would reach them — blocks descending, the second
+    ///   product's (`R`) before the first's (`L`), the `Cᵀ` one
+    ///   transposed — with the first contribution assigned rather than
+    ///   added to zero.
     ///
     /// # Examples
     ///
@@ -389,11 +526,46 @@ impl Var {
         mult: &Arc<dyn Multiplier>,
         [s_in, s_mid, s_out]: [f64; 3],
     ) -> Var {
+        let out = Epilogue::new().scale(s_out).rounded();
+        self.block_transform_node(coeff, side, &**mult, [s_in, s_mid], out)
+    }
+
+    /// [`Var::approx_block_transform`] with its output clamped into
+    /// `[lo, hi]` in the same node: bit-identical, values and gradients,
+    /// to `approx_block_transform(coeff, side, mult, scales).clamp(lo, hi)`
+    /// (see [`Epilogue`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`, or as [`Var::approx_block_transform`] does.
+    pub fn approx_block_transform_clamped(
+        &self,
+        coeff: &Var,
+        side: BlockSide,
+        mult: &Arc<dyn Multiplier>,
+        [s_in, s_mid, s_out]: [f64; 3],
+        (lo, hi): (f64, f64),
+    ) -> Var {
+        let out = Epilogue::new().scale(s_out).rounded().clamp(lo, hi);
+        self.block_transform_node(coeff, side, &**mult, [s_in, s_mid], out)
+    }
+
+    /// The node of [`Var::approx_block_transform`] and its clamped form:
+    /// the shifts into the second product, and the output stage after it.
+    fn block_transform_node(
+        &self,
+        coeff: &Var,
+        side: BlockSide,
+        mult: &dyn Multiplier,
+        [s_in, s_mid]: [f64; 2],
+        epilogue: Epilogue,
+    ) -> Var {
         assert!(
             self.same_tape(coeff),
             "approx_block_transform: operands belong to different graphs"
         );
-        let (out, mid, ct) = self.with_values(coeff, |x, c| {
+        let keep_pre = self.needs_grad() || coeff.needs_grad();
+        let ((out, pre), mid, ct) = self.with_values(coeff, |x, c| {
             let (k, kc) = c.dims2("approx_block_transform coefficient");
             let (rows, cols) = x.dims2("approx_block_transform blocks");
             assert!(
@@ -410,30 +582,29 @@ impl Var {
             // side, `[k, nb·k]` (row `i` of block `b` at columns
             // `b·k..(b+1)·k`), under `L` as one `[k, k] × [k, nb·k]`
             // product.
-            let mut side_by_side = Vec::with_capacity(x.len());
-            for i in 0..k {
-                for xb in x.data().chunks(blk) {
-                    side_by_side.extend_from_slice(&xb[i * k..(i + 1) * k]);
+            let side_by_side = Tensor::build(&[k, nb * k], |buf| {
+                for i in 0..k {
+                    for xb in x.data().chunks(blk) {
+                        buf.extend_from_slice(&xb[i * k..(i + 1) * k]);
+                    }
                 }
-            }
-            let side_by_side = Tensor::from_vec(side_by_side, &[k, nb * k]);
-            let t = approx_matmul_forward(l, &side_by_side, &**mult);
+            });
+            let t = approx_matmul_forward(l, &side_by_side, mult);
             // `mid`: the rounded first products restacked block-major,
             // `[nb·k, k]` — the lhs of the second product, one `× R` for
             // the whole stack, and kept for the coefficient gradient.
-            let mut mid = Vec::with_capacity(x.len());
-            for b in 0..nb {
-                for row in t.data().chunks(nb * k) {
-                    mid.extend(
-                        row[b * k..(b + 1) * k]
-                            .iter()
-                            .map(|&v| round_half_away(round_half_away(v * s_in) * s_mid)),
-                    );
+            let mid = Tensor::build(&[rows, k], |buf| {
+                for b in 0..nb {
+                    for row in t.data().chunks(nb * k) {
+                        buf.extend(
+                            row[b * k..(b + 1) * k]
+                                .iter()
+                                .map(|&v| round_half_away(round_half_away(v * s_in) * s_mid)),
+                        );
+                    }
                 }
-            }
-            let mid = Tensor::from_vec(mid, &[rows, k]);
-            let out = approx_matmul_forward(&mid, r, &**mult).map(|v| round_half_away(v * s_out));
-            (out, mid, ct)
+            });
+            (epilogue.forward(approx_matmul_forward(&mid, r, mult), keep_pre), mid, ct)
         });
 
         self.record_binary(coeff, out, |nx, nc| {
@@ -449,43 +620,52 @@ impl Var {
             let x_mid = nc.then(|| (self.value(), mid));
             move |g: &Tensor| {
                 let (blk, dims) = (k * k, (k, k, k));
+                // The output stage, then the second product `mid ⊛ R`'s
+                // input gradient for the whole stack; then straight
+                // through the `s_mid` round and into the first product
+                // `L ⊛ X` under `s_in`: two multiplies, as the two tape
+                // nodes apply them.
+                let gs = epilogue.backward(g, pre.as_ref());
+                let mut d_mid = Tensor::zeros(g.shape());
+                let stack = (g.len() / k, k, k);
+                matmul_fast::matmul_abt(gs.data(), r.data(), d_mid.data_mut(), stack);
+                for d in d_mid.data_mut() {
+                    *d = *d * s_mid * s_in;
+                }
+                let dx = l.map(|l| {
+                    let mut dx = Tensor::zeros(g.shape());
+                    for (dxb, db) in dx.data_mut().chunks_mut(blk).zip(d_mid.data().chunks(blk)) {
+                        matmul_fast::matmul_atb(l.data(), db, dxb, dims);
+                    }
+                    dx
+                });
                 // `C` enters the second product transposed on the forward
                 // side and the first product transposed on the inverse.
                 let r_is_ct = side == BlockSide::Forward;
-                let mut dx = l.as_ref().map(|_| Tensor::zeros(g.shape()));
-                let mut dc = None;
-                let (mut gs, mut d_mid) = (vec![0.0; blk], vec![0.0; blk]);
-                let (mut d_l, mut d_r) = (vec![0.0; blk], vec![0.0; blk]);
-                for b in (0..g.len() / blk).rev() {
-                    let at = b * blk..(b + 1) * blk;
-                    // Second product `mid ⊛ R`, under the scale `s_out`.
-                    for (o, &gv) in gs.iter_mut().zip(&g.data()[at.clone()]) {
-                        *o = gv * s_out;
-                    }
-                    d_mid.fill(0.0);
-                    matmul_fast::matmul_abt(&gs, r.data(), &mut d_mid, dims);
-                    if let Some((_, mid)) = &x_mid {
+                let dc = x_mid.map(|(x, mid)| {
+                    let mut dc = Tensor::zeros(&[k, k]);
+                    // `R`'s partial, `L`'s partial, and a transposed block.
+                    let mut scratch = pool::take_zeroed(3 * blk);
+                    let (d_r, rest) = scratch.split_at_mut(blk);
+                    let (d_l, t) = rest.split_at_mut(blk);
+                    let mut first = true;
+                    for b in (0..g.len() / blk).rev() {
+                        let at = b * blk..(b + 1) * blk;
                         d_r.fill(0.0);
-                        matmul_fast::matmul_atb(&mid.data()[at.clone()], &gs, &mut d_r, dims);
-                    }
-                    // Straight through the `s_mid` round, then the first
-                    // product `L ⊛ X` under `s_in`: two multiplies, as the
-                    // two tape nodes apply them.
-                    for (o, &dv) in gs.iter_mut().zip(&d_mid) {
-                        *o = dv * s_mid * s_in;
-                    }
-                    if let (Some(l), Some(dx)) = (&l, &mut dx) {
-                        let dxb = &mut dx.data_mut()[at.clone()];
-                        matmul_fast::matmul_atb(l.data(), &gs, dxb, dims);
-                    }
-                    if let Some((x, _)) = &x_mid {
+                        let (mid_b, gs_b) = (&mid.data()[at.clone()], &gs.data()[at.clone()]);
+                        matmul_fast::matmul_atb(mid_b, gs_b, d_r, dims);
+                        // `d_mid · Xᵀ`: `matmul_abt`'s loop over the block
+                        // transposed into scratch.
+                        transpose_block(&x.data()[at.clone()], t, k);
                         d_l.fill(0.0);
-                        matmul_fast::matmul_abt(&gs, &x.data()[at], &mut d_l, dims);
-                        fold_block_grad(&mut dc, &d_r, k, r_is_ct);
-                        fold_block_grad(&mut dc, &d_l, k, !r_is_ct);
+                        matmul_acc(&d_mid.data()[at], t, d_l, k, k);
+                        fold_block_grad(dc.data_mut(), d_r, t, (k, r_is_ct), &mut first);
+                        fold_block_grad(dc.data_mut(), d_l, t, (k, !r_is_ct), &mut first);
                     }
-                }
-                [dx, nc.then(|| dc.unwrap_or_else(|| Tensor::zeros(&[k, k])))]
+                    pool::give(scratch);
+                    dc
+                });
+                [dx, dc]
             }
         })
     }
@@ -533,20 +713,44 @@ impl Var {
         mult: &Arc<dyn Multiplier>,
         img_h: usize,
     ) -> Var {
+        self.approx_conv2d_fused(kernel, mult, img_h, Epilogue::new())
+    }
+
+    /// [`Var::approx_conv2d_stacked`] with the datapath's output stage
+    /// applied to every output in the same node: bit-identical, values
+    /// and gradients, to the conv node followed by the epilogue's
+    /// unfused chain (see [`Epilogue`]) — one node, one output tensor
+    /// and one backward closure where the chain records up to five.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Var::approx_conv2d_stacked`] does.
+    pub fn approx_conv2d_fused(
+        &self,
+        kernel: &Var,
+        mult: &Arc<dyn Multiplier>,
+        img_h: usize,
+        epilogue: Epilogue,
+    ) -> Var {
         assert!(
             self.same_tape(kernel),
             "approx_conv2d_stacked: operands belong to different graphs"
         );
         assert!(img_h > 0, "approx_conv2d_stacked: img_h must be positive");
-        let (out, s) = self.with_values(kernel, |x, k| {
+        let keep_pre = self.needs_grad() || kernel.needs_grad();
+        let ((out, pre), s) = self.with_values(kernel, |x, k| {
             let (h, w) = x.dims2("conv2d stacked image");
             assert!(
                 h % img_h == 0,
                 "approx_conv2d_stacked: stacked height {h} is not a multiple of img_h {img_h}"
             );
-            (approx_conv2d_bands(x, k, img_h, &**mult), ConvShape::new(img_h, w, k))
+            let sums = approx_conv2d_bands(x, k, img_h, &**mult);
+            (epilogue.forward(sums, keep_pre), ConvShape::new(img_h, w, k))
         });
-        self.record_binary(kernel, out, |nx, nk| conv_rule(self, kernel, s, nx, nk))
+        self.record_binary(kernel, out, |nx, nk| {
+            let rule = conv_rule(self, kernel, s, nx, nk);
+            move |g: &Tensor| rule(&epilogue.backward(g, pre.as_ref()))
+        })
     }
 
     /// Multiply every element of `self` by the scalar coefficient `coeff`
@@ -600,7 +804,7 @@ impl Var {
     ///
     /// Panics on shape mismatch or cross-graph operands.
     pub fn approx_mul_elem(&self, other: &Var, mult: &Arc<dyn Multiplier>) -> Var {
-        self.approx_mul_elem_node(other, &**mult, "approx_mul_elem", None)
+        self.approx_mul_elem_node(other, &**mult, "approx_mul_elem", Epilogue::new())
     }
 
     /// Fused `approx_mul_elem(other, mult).mul_scalar(c)`: the
@@ -613,34 +817,28 @@ impl Var {
     ///
     /// Panics on shape mismatch or cross-graph operands.
     pub fn approx_mul_elem_scale(&self, other: &Var, mult: &Arc<dyn Multiplier>, c: f64) -> Var {
-        self.approx_mul_elem_node(other, &**mult, "approx_mul_elem_scale", Some(c))
+        self.approx_mul_elem_node(other, &**mult, "approx_mul_elem_scale", Epilogue::new().scale(c))
     }
 
-    /// The node of [`Var::approx_mul_elem`] (`scale: None`) and of
-    /// [`Var::approx_mul_elem_scale`] (`scale: Some(c)`). Backward: the
-    /// exact product rule on `g`, or on `g · c`.
+    /// The node of [`Var::approx_mul_elem`] (the empty epilogue) and of
+    /// [`Var::approx_mul_elem_scale`] (scale `c`). Backward: the exact
+    /// product rule on `g`, or on `g · c`.
     fn approx_mul_elem_node(
         &self,
         other: &Var,
         mult: &dyn Multiplier,
         op: &str,
-        scale: Option<f64>,
+        epilogue: Epilogue,
     ) -> Var {
         assert!(self.same_tape(other), "{op}: operands belong to different graphs");
         let product = self.with_values(other, |a, b| match mult.as_lut() {
             Some(lut) => a.zip_map(b, |x, y| lut.product(lut.row(x), lut.col(y))),
             None => a.zip_map(b, |x, y| approx_product(mult, x, y) as f64),
         });
-        let value = match scale {
-            Some(c) => product.map(|v| v * c),
-            None => product,
-        };
+        let (value, _) = epilogue.forward(product, false);
         self.record_binary(other, value, |na, nb| {
             let rule = product_rule(self, other, na, nb);
-            move |g: &Tensor| {
-                let scaled = scale.map(|c| g.map(|gv| gv * c));
-                rule(scaled.as_ref().unwrap_or(g))
-            }
+            move |g: &Tensor| rule(&epilogue.backward(g, None))
         })
     }
 }
@@ -949,6 +1147,132 @@ mod tests {
                 assert_eq!(bits(&gr3.get(&a3)), bits(&gr4.get(&a4)), "elem grad-a at {c}");
                 assert_eq!(bits(&gr3.get(&b3)), bits(&gr4.get(&b4)), "elem grad-b at {c}");
             }
+        }
+
+        for mult in &epilogue_units() {
+            for x_is_var in [true, false] {
+                check_conv_epilogues(mult, x_is_var);
+            }
+        }
+    }
+
+    /// The epilogue battery's units: exact, an unsigned table, the
+    /// signed adapter over that table, the untabulated 16-bit unit
+    /// (built product rows) and a fault-injected table.
+    fn epilogue_units() -> Vec<Arc<dyn Multiplier>> {
+        use lac_hw::{signed_capable, LutMultiplier};
+        let fta = LutMultiplier::maybe_wrap(catalog::by_name("mul8u_FTA").unwrap());
+        vec![
+            exact8u(),
+            Arc::clone(&fta),
+            LutMultiplier::maybe_wrap(signed_capable(fta)),
+            catalog::by_name("mul16s_GAT").unwrap(),
+            LutMultiplier::maybe_wrap(catalog::by_spec("mul8u_FTA!seed=5,flip=0.05").unwrap()),
+        ]
+    }
+
+    /// Every epilogue form of the stacked conv — scale only, one or two
+    /// scales, round, clamp, and sharpening's unclamped stage under a
+    /// residual add and a later clamp — against the conv node followed
+    /// by the unfused chain, in values and in the image and tap
+    /// gradients. Clamp bounds sit on output values, so some outputs lie
+    /// exactly on each edge; upstream gradients hold ±0, non-integral
+    /// values and non-finite entries.
+    fn check_conv_epilogues(mult: &Arc<dyn Multiplier>, x_is_var: bool) {
+        let (img_h, w) = (6, 7);
+        let xv: Vec<f64> = (0..2 * img_h * w)
+            .map(|i| match i % 11 {
+                4 => 0.5 + i as f64,
+                7 => -3.0,
+                _ => ((i * 53 + 7) % 256) as f64,
+            })
+            .collect();
+        let kv = vec![3.0, -2.0, 5.0, 1.0, 7.0, -1.0, 0.0, 2.0, 4.0];
+        let rv: Vec<f64> = (0..xv.len())
+            .map(|i| match i % 13 {
+                2 => 0.0,
+                5 => -0.0,
+                9 => [f64::NAN, f64::INFINITY][i % 2],
+                _ => ((i * 7919) % 1000) as f64 / 997.0 - 0.5,
+            })
+            .collect();
+        let resid: Vec<f64> = (0..xv.len()).map(|i| ((i * 31) % 97) as f64).collect();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let tensor = |v: &[f64], shape: &[usize]| Tensor::from_vec(v.to_vec(), shape);
+        let shape = [2 * img_h, w];
+        // (scales, round, clamp, residual add before a later clamp)
+        let forms: [(&[f64], bool, bool, bool); 9] = [
+            (&[], false, false, false),
+            (&[0.25], false, false, false),
+            (&[8.0, 2f64.powi(-5)], false, false, false),
+            (&[], true, false, false),
+            (&[2f64.powi(-3)], true, false, false),
+            (&[], false, true, false),
+            (&[2f64.powi(-4)], true, true, false),
+            (&[2.0, 2f64.powi(-6)], true, true, false),
+            (&[2f64.powi(-2)], true, false, true),
+        ];
+        for (scales, round, clamp, residual) in forms {
+            let what = format!(
+                "{} {scales:?} round {round} clamp {clamp} residual {residual}",
+                mult.name()
+            );
+            // The unfused chain up to its clamp, whose output values
+            // supply the clamp edges.
+            let chain = |g: &Graph, x: &Var, k: &Var| {
+                let mut v = x.approx_conv2d_stacked(k, mult, img_h);
+                for &c in scales {
+                    v = v.mul_scalar(c);
+                }
+                if round {
+                    v = v.round_ste();
+                }
+                if residual {
+                    v = v.add(&g.constant(tensor(&resid, &shape)));
+                }
+                v
+            };
+            let g0 = Graph::new();
+            let pre = chain(&g0, &g0.var(tensor(&xv, &shape)), &g0.var(tensor(&kv, &[3, 3])));
+            let mut sorted = pre.value().into_data();
+            sorted.sort_by(f64::total_cmp);
+            let edges = (sorted[sorted.len() / 5], sorted[sorted.len() * 4 / 5]);
+            let clamped = |v: Var| if clamp || residual { v.clamp(edges.0, edges.1) } else { v };
+
+            let run = |fused: bool| {
+                let g = Graph::new();
+                let x = tensor(&xv, &shape);
+                let x = if x_is_var { g.var(x) } else { g.constant(x) };
+                let k = g.var(tensor(&kv, &[3, 3]));
+                let out = if fused {
+                    let mut stage = Epilogue::new();
+                    for &c in scales {
+                        stage = stage.scale(c);
+                    }
+                    if round {
+                        stage = stage.rounded();
+                    }
+                    if clamp {
+                        stage = stage.clamp(edges.0, edges.1);
+                    }
+                    let v = x.approx_conv2d_fused(&k, mult, img_h, stage);
+                    if residual {
+                        v.add(&g.constant(tensor(&resid, &shape))).clamp(edges.0, edges.1)
+                    } else {
+                        v
+                    }
+                } else {
+                    clamped(chain(&g, &x, &k))
+                };
+                let grads = g.backward(&out.mul(&g.constant(tensor(&rv, &shape))).sum());
+                (bits(&out.value()), bits(&grads.get(&x)), bits(&grads.get(&k)))
+            };
+            let (want, got) = (run(false), run(true));
+            let on_edge = pre.value().data().contains(&edges.0);
+            assert!(!clamp || on_edge, "{what}: no output on the edge");
+            assert_eq!(got.0, want.0, "{what}: values");
+            assert_eq!(got.1, want.1, "{what}: image gradient");
+            assert_eq!(got.2, want.2, "{what}: tap gradient");
         }
     }
 

@@ -18,6 +18,9 @@
 //!   from [`lac_hw`], backward with exact-product surrogate gradients;
 //! * [`Var::approx_block_transform`] — a stack of `C·X·Cᵀ` / `Cᵀ·X·C`
 //!   block transforms (the JPEG DCT/IDCT stages) as one tape node;
+//! * [`Epilogue`] — a datapath's output stage (shifts, round, clamp)
+//!   recorded inside the product's node
+//!   ([`Var::approx_conv2d_fused`], [`Var::approx_block_transform_clamped`]);
 //! * [`Adam`] / [`Sgd`] — optimizers over plain tensors;
 //! * [`check_gradients`] — finite-difference gradient verification.
 //!
@@ -68,7 +71,7 @@ pub mod pool;
 mod ste;
 mod tensor;
 
-pub use approx::BlockSide;
+pub use approx::{BlockSide, Epilogue};
 pub use gradcheck::{check_gradients, check_surrogate_gradients};
 pub use graph::{Gradients, Graph, Var};
 pub use ops::concat;

@@ -193,17 +193,20 @@ impl Var {
         let n = target.len();
         assert_eq!(self.with_value(Tensor::len), n, "mse_loss_to: length mismatch");
         assert!(n > 0, "mean of empty tensor");
-        let d: Vec<f64> =
-            self.with_value(|o| o.data().iter().zip(target).map(|(o, t)| o - t).collect());
-        let sq_sum: f64 = d.iter().map(|d| d * d).sum();
+        let d = self.with_value(|o| {
+            Tensor::build(&[n], |buf| buf.extend(o.data().iter().zip(target).map(|(o, t)| o - t)))
+        });
+        let sq_sum: f64 = d.data().iter().map(|d| d * d).sum();
         self.record_unary(Tensor::scalar(sq_sum / n as f64), || {
             let shape = self.shape();
             // The chain's backward: `mean` hands each element `g / n`, the
             // square node doubles `d·(g / n)`, `sub` and `reshape` pass it
-            // through.
+            // through. The differences become the gradient in place.
             move |g: &Tensor| {
                 let gv = g.item() / n as f64;
-                Tensor::from_vec(d.into_iter().map(|d| 2.0 * d * gv).collect(), &shape)
+                let mut d = d;
+                d.data_mut().iter_mut().for_each(|d| *d = 2.0 * *d * gv);
+                d.reshaped(&shape)
             }
         })
     }
@@ -541,16 +544,68 @@ impl ConvShape {
     /// outputs in ascending order, zero gradients skipped — bit-identical
     /// to the per-output walk (each output in row-major order, its taps
     /// in row-major order).
+    ///
+    /// One walk over the outputs advances every tap's sum together, so
+    /// the taps' add chains overlap instead of running one after another;
+    /// each chain still starts from `dk[t]` and takes its outputs in
+    /// ascending order.
     pub fn backward_taps(&self, x: &[f64], g: &[f64], dk: &mut [f64]) {
-        self.rows(0..self.kh * self.kw, |t, pixels, outs| {
-            let mut acc = dk[t];
-            for (&gv, &xv) in g[outs].iter().zip(&x[pixels]) {
-                if gv != 0.0 {
-                    acc += gv * xv;
+        match (self.kh, self.kw) {
+            (3, 3) => self.backward_taps_fixed::<3, 3>(x, g, dk),
+            _ => self.backward_taps_fixed::<0, 0>(x, g, dk),
+        }
+    }
+
+    /// [`ConvShape::backward_taps`] for a `KH × KW` kernel, with the
+    /// accumulators in registers; `KH == 0` reads the kernel size from
+    /// `self` and accumulates in `dk` itself.
+    #[inline(always)]
+    fn backward_taps_fixed<const KH: usize, const KW: usize>(
+        &self,
+        x: &[f64],
+        g: &[f64],
+        dk: &mut [f64],
+    ) {
+        let ConvShape { h, w, .. } = *self;
+        let (kh, kw) = if KH > 0 { (KH, KW) } else { (self.kh, self.kw) };
+        let (ph, pw) = (kh / 2, kw / 2);
+        let mut fixed = [[0.0; KW]; KH];
+        if KH > 0 {
+            for (t, &d) in dk.iter().enumerate() {
+                fixed[t / KW][t % KW] = d;
+            }
+        }
+        for (y, g_row) in g.chunks_exact(w).enumerate().take(h) {
+            for (xo, &gv) in g_row.iter().enumerate() {
+                if gv == 0.0 {
+                    continue;
+                }
+                for i in 0..kh {
+                    // Source row `y + i - ph` and column `xo + j - pw`
+                    // in bounds, else zero padding.
+                    if y + i < ph || y + i - ph >= h {
+                        continue;
+                    }
+                    let src = &x[(y + i - ph) * w..][..w];
+                    for j in 0..kw {
+                        if xo + j < pw || xo + j - pw >= w {
+                            continue;
+                        }
+                        let term = gv * src[xo + j - pw];
+                        if KH > 0 {
+                            fixed[i][j] += term;
+                        } else {
+                            dk[i * kw + j] += term;
+                        }
+                    }
                 }
             }
-            dk[t] = acc;
-        });
+        }
+        if KH > 0 {
+            for (t, d) in dk.iter_mut().enumerate() {
+                *d = fixed[t / KW][t % KW];
+            }
+        }
     }
 
     /// Exact image gradient of the forward walk under taps `k` and output

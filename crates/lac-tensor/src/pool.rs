@@ -25,6 +25,19 @@
 //! * The free list is capped at [`MAX_POOLED`] buffers; excess drops
 //!   free normally, bounding worst-case retention.
 //!
+//! # Size classes
+//!
+//! Idle buffers are binned by capacity into power-of-two classes: a
+//! buffer of capacity `c` sits in class `⌊log₂ c⌋`. A request for `n`
+//! elements looks at two places only — the most recently freed buffer
+//! of class `⌊log₂ n⌋`, taken if its capacity reaches `n`, and then any
+//! buffer of the next class up, whose capacity always does — and
+//! otherwise allocates exactly `n`. A step's tensors come in a handful
+//! of repeating sizes, so a request finds a freed buffer of its own size
+//! in O(1), and a small request never walks off with the large buffer
+//! the next large request needs (which would then have to grow a small
+//! one).
+//!
 //! Determinism is unaffected by construction: the pool changes where
 //! buffers come from, never what is written into them — every element of
 //! a pooled tensor is written before it is read.
@@ -34,13 +47,47 @@ use std::cell::RefCell;
 /// Maximum number of idle buffers retained per thread.
 pub(crate) const MAX_POOLED: usize = 256;
 
+/// One class per possible `⌊log₂ capacity⌋`.
+const CLASSES: usize = usize::BITS as usize;
+
 thread_local! {
-    static POOL: RefCell<Pool> = const { RefCell::new(Pool { free: Vec::new(), depth: 0 }) };
+    static POOL: RefCell<Pool> = const {
+        RefCell::new(Pool { free: [const { Vec::new() }; CLASSES], idle: 0, depth: 0 })
+    };
 }
 
 struct Pool {
-    free: Vec<Vec<f64>>,
+    /// Idle buffers by size class, most recently freed last.
+    free: [Vec<Vec<f64>>; CLASSES],
+    /// Idle buffers over all classes.
+    idle: usize,
     depth: usize,
+}
+
+/// The size class of a buffer of capacity `cap > 0`: `⌊log₂ cap⌋`.
+fn class(cap: usize) -> usize {
+    (usize::BITS - 1 - cap.leading_zeros()) as usize
+}
+
+impl Pool {
+    /// An idle buffer, emptied, with capacity at least `n`, if one of
+    /// the two classes a request looks at holds one.
+    #[inline]
+    fn take(&mut self, n: usize) -> Option<Vec<f64>> {
+        let c = class(n | 1);
+        let mut buf = match self.free[c].last() {
+            Some(top) if top.capacity() >= n => self.free[c].pop(),
+            _ => self.free.get_mut(c + 1).and_then(Vec::pop),
+        }?;
+        self.idle -= 1;
+        buf.clear();
+        Some(buf)
+    }
+
+    fn clear(&mut self) {
+        self.free.iter_mut().for_each(Vec::clear);
+        self.idle = 0;
+    }
 }
 
 /// Run `f` with buffer recycling enabled on the current thread.
@@ -55,7 +102,7 @@ pub fn scope<R>(f: impl FnOnce() -> R) -> R {
                 let mut p = p.borrow_mut();
                 p.depth -= 1;
                 if p.depth == 0 {
-                    p.free.clear();
+                    p.clear();
                 }
             });
         }
@@ -65,36 +112,29 @@ pub fn scope<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// An empty buffer, recycled when the pool is active. Always has
-/// `len() == 0`; capacity is whatever the recycled allocation had.
+/// An empty buffer with at least `cap` capacity, recycled when the pool
+/// is active and one of the size classes it looks at has one.
 #[inline]
-pub(crate) fn take() -> Vec<f64> {
+pub(crate) fn take_with_capacity(cap: usize) -> Vec<f64> {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
-        if p.depth > 0 {
-            if let Some(mut buf) = p.free.pop() {
-                buf.clear();
-                return buf;
-            }
-        }
-        Vec::new()
+        let recycled = if p.depth > 0 { p.take(cap) } else { None };
+        recycled.unwrap_or_else(|| Vec::with_capacity(cap))
     })
 }
 
-/// An empty buffer with at least `cap` capacity.
+/// A buffer of length `len`, every element `value`.
 #[inline]
-pub(crate) fn take_with_capacity(cap: usize) -> Vec<f64> {
-    let mut buf = take();
-    buf.reserve(cap);
+pub(crate) fn take_filled(len: usize, value: f64) -> Vec<f64> {
+    let mut buf = take_with_capacity(len);
+    buf.resize(len, value);
     buf
 }
 
 /// A zero-filled buffer of length `len`.
 #[inline]
 pub(crate) fn take_zeroed(len: usize) -> Vec<f64> {
-    let mut buf = take();
-    buf.resize(len, 0.0);
-    buf
+    take_filled(len, 0.0)
 }
 
 /// A buffer holding a copy of `src`.
@@ -114,8 +154,9 @@ pub(crate) fn give(buf: Vec<f64>) {
     }
     POOL.with(|p| {
         let mut p = p.borrow_mut();
-        if p.depth > 0 && p.free.len() < MAX_POOLED {
-            p.free.push(buf);
+        if p.depth > 0 && p.idle < MAX_POOLED {
+            p.idle += 1;
+            p.free[class(buf.capacity())].push(buf);
         }
     });
 }
@@ -124,7 +165,7 @@ pub(crate) fn give(buf: Vec<f64>) {
 /// (test/diagnostic hook).
 #[cfg(test)]
 pub(crate) fn idle_buffers() -> usize {
-    POOL.with(|p| p.borrow().free.len())
+    POOL.with(|p| p.borrow().idle)
 }
 
 #[cfg(test)]
@@ -199,6 +240,36 @@ mod tests {
             a.map(|v| v * 3.0)
         });
         assert_eq!(t.data(), &[3.0, 6.0]);
+    }
+
+    /// A request takes a freed buffer of its own size class (or the
+    /// next), never a far larger one another request will want, and
+    /// never a smaller one it would have to grow.
+    #[test]
+    fn requests_take_from_their_size_class() {
+        scope(|| {
+            let (small, large) = (Tensor::zeros(&[64]), Tensor::zeros(&[1024]));
+            let large_ptr = large.data().as_ptr();
+            drop(large);
+            drop(small);
+            // The most recently freed buffer is the small one, but the
+            // large request finds its own class.
+            let large = Tensor::zeros(&[1000]);
+            assert_eq!(large.data().as_ptr(), large_ptr);
+            assert_eq!(idle_buffers(), 1);
+            // A 9-element request leaves the 64-element buffer (class 6)
+            // to requests of 32 or more elements.
+            let taps = Tensor::zeros(&[9]);
+            assert_eq!(idle_buffers(), 1);
+            drop(taps);
+            let t = Tensor::zeros(&[33]);
+            assert_eq!(t.data().len(), 33);
+            assert_eq!(idle_buffers(), 1, "the 9-element buffer stays idle");
+            // A freed 9-element buffer (class 3) serves 8 to 9 elements.
+            let eight = Tensor::zeros(&[8]);
+            assert_eq!(idle_buffers(), 0);
+            drop(eight);
+        });
     }
 
     #[test]

@@ -67,9 +67,32 @@ impl Tensor {
 
     /// A tensor filled with a constant.
     pub fn full(shape: &[usize], value: f64) -> Self {
-        let mut data = pool::take();
-        data.resize(shape.iter().product(), value);
-        Tensor { shape: shape.to_vec(), data }
+        Tensor { shape: shape.to_vec(), data: pool::take_filled(shape.iter().product(), value) }
+    }
+
+    /// A tensor whose elements `fill` pushes, in row-major order, onto
+    /// an empty buffer — one pass, into storage drawn from the pool.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lac_tensor::Tensor;
+    ///
+    /// let t = Tensor::build(&[2, 2], |buf| {
+    ///     buf.extend_from_slice(&[1.0, 2.0]);
+    ///     buf.extend([3.0, 4.0]);
+    /// });
+    /// assert_eq!(t.data(), &[1.0, 2.0, 3.0, 4.0]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fill` pushes other than the shape's volume of elements.
+    pub fn build(shape: &[usize], fill: impl FnOnce(&mut Vec<f64>)) -> Self {
+        let volume: usize = shape.iter().product();
+        let mut data = pool::take_with_capacity(volume);
+        fill(&mut data);
+        Tensor::from_vec(data, shape)
     }
 
     /// A rank-0 scalar tensor.
@@ -173,9 +196,7 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn accumulate(&mut self, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "accumulate shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
+        add_assign(&mut self.data, &other.data);
     }
 
     /// Sum of all elements.
@@ -250,11 +271,28 @@ impl fmt::Display for Tensor {
     }
 }
 
+/// `acc[i] += other[i]` for every `i`: the loop behind
+/// [`Tensor::accumulate`], and so behind every gradient fold of
+/// [`Graph::backward`](crate::Graph::backward).
+///
+/// Kernels that replay a fold of the tape call this very body. Which
+/// operand's NaN an add returns depends on the operand order the
+/// compiler picks for it, so only a shared, never-inlined body keeps
+/// non-finite gradient bits equal too.
+#[inline(never)]
+pub(crate) fn add_assign(acc: &mut [f64], other: &[f64]) {
+    for (a, &b) in acc.iter_mut().zip(other) {
+        *a += b;
+    }
+}
+
 /// `a · b` added into `out`: `a` is `[m, k]`, `b` is `[k, n]` and `out`
 /// is `[m, n]`, all row-major. Row `i` of `out` gathers
 /// `a[i, p] · b[p, ..]` in ascending `p`, skipping zero `a[i, p]`, down
 /// contiguous rows. [`Tensor::matmul`] and the fused backward kernel
-/// `matmul_abt` both run this loop, so their sums agree bit for bit.
+/// `matmul_abt` both run this loop, so their sums agree bit for bit —
+/// non-finite ones too, as one never-inlined body (see [`add_assign`]).
+#[inline(never)]
 pub(crate) fn matmul_acc(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize) {
     if k == 0 || n == 0 {
         return;

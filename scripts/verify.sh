@@ -139,6 +139,23 @@ if [[ -n "${sched}" ]]; then
     exit 1
 fi
 
+# One-pass operand staging (DESIGN.md §7b): the apps build their pixel
+# operands from row slices of GrayImage::pixels in one pass. A
+# per-pixel GrayImage::at call (a bounds assert and a 2-D index per
+# pixel, typically into a zeroed tensor written a second time) in
+# lac-apps non-test code brings that cost back; `.at(` is matched too,
+# the method-call form. Comment lines and test modules (from a column-0
+# `#[cfg(test)]` line down) are exempt.
+echo "== staging guard: no GrayImage::at in lac-apps non-test code"
+at_calls=$(for f in crates/lac-apps/src/*.rs; do
+    awk '/^[[:space:]]*\/\//{next} /^#\[cfg\(test\)\]/{exit} /GrayImage::at\(|\.at\(/{print FILENAME": "$0}' "$f"
+done)
+if [[ -n "${at_calls}" ]]; then
+    echo "verify: FAIL — GrayImage::at in lac-apps non-test code (copy row slices of GrayImage::pixels):" >&2
+    echo "${at_calls}" >&2
+    exit 1
+fi
+
 # Fused JPEG stage battery (DESIGN.md §7d): each DCT/IDCT stage runs as
 # one approx_block_transform node over the stacked blocks, and must
 # reproduce the per-block tape it replaced bit-for-bit — values, input

@@ -13,7 +13,9 @@
 //! tabulated units, every catalog unit too wide to tabulate,
 //! sign-magnitude adapters and fault-injected specs. Upstream gradients
 //! carry non-integral values, zeros (the matmul kernels' zero-skip) and
-//! non-finite entries; operands are non-integral or out of range.
+//! non-finite entries; operands are non-integral or out of range. The
+//! clamping form of the node is held to the unclamped node followed by
+//! a `clamp` node.
 
 use std::sync::{Arc, OnceLock};
 
@@ -181,6 +183,73 @@ fn fused_stage_gradients_fold_blocks_in_tape_order() {
         for side in [BlockSide::Forward, BlockSide::Inverse] {
             for nb in [2, 16] {
                 check(&mult, side, (nb, 8), &x, &c, [0.5, 2f64.powi(-2), 2f64.powi(-6)], &r);
+            }
+        }
+    }
+}
+
+/// `approx_block_transform_clamped` against the unclamped node followed
+/// by a `clamp` node, the chain the JPEG IDCT recorded before its clamp
+/// moved into the node: values, input gradient and coefficient gradient,
+/// bit for bit. The clamp bounds sit on output values, so outputs lie
+/// exactly on each edge; upstream gradients hold ±0 and non-integral
+/// values. Units: exact, an unsigned table, the signed adapter over it,
+/// the untabulated `mul16s_GAT` and a fault-injected table.
+#[test]
+fn clamped_stage_matches_the_unfused_clamp() {
+    let fta = LutMultiplier::maybe_wrap(catalog::by_name("mul8u_FTA").unwrap());
+    let units: Vec<Arc<dyn Multiplier>> = vec![
+        catalog::by_name("exact8u").unwrap(),
+        Arc::clone(&fta),
+        LutMultiplier::maybe_wrap(signed_capable(fta)),
+        catalog::by_name("mul16s_GAT").unwrap(),
+        LutMultiplier::maybe_wrap(catalog::by_spec("mul8u_FTA!seed=5,flip=0.05").unwrap()),
+    ];
+    let c: Vec<f64> = (0..64).map(|i| ((i * 29 + 3) % 255) as f64 - 127.0).collect();
+    let x: Vec<f64> = (0..1024).map(|i| ((i * 97 + 13) % 256) as f64 - 40.0).collect();
+    let r: Vec<f64> = (0..1024)
+        .map(|i| match i % 7 {
+            2 => 0.0,
+            5 => -0.0,
+            _ => ((i * 6151) % 1009) as f64 / 1009.0 - 0.37,
+        })
+        .collect();
+    let scales = [2f64.powi(-3), 2f64.powi(-2), 2f64.powi(-6)];
+    for mult in &units {
+        for side in [BlockSide::Forward, BlockSide::Inverse] {
+            for nb in [1, 16] {
+                let len = nb * 64;
+                let run = |edges: Option<(f64, f64)>| {
+                    let g = Graph::new();
+                    let vx = g.var(Tensor::from_vec(x[..len].to_vec(), &[nb * 8, 8]));
+                    let vc = g.var(Tensor::from_vec(c.clone(), &[8, 8]));
+                    let out = match edges {
+                        Some(edges) => {
+                            vx.approx_block_transform_clamped(&vc, side, mult, scales, edges)
+                        }
+                        None => vx.approx_block_transform(&vc, side, mult, scales),
+                    };
+                    (g, vx, vc, out)
+                };
+                let (_, _, _, plain) = run(None);
+                let mut sorted = plain.value().into_data();
+                sorted.sort_by(f64::total_cmp);
+                let (lo, hi) = (sorted[len / 5], sorted[len * 4 / 5]);
+                let upstream =
+                    |g: &Graph| g.constant(Tensor::from_vec(r[..len].to_vec(), &[nb * 8, 8]));
+
+                let (g1, x1, c1, unclamped) = run(None);
+                let want = unclamped.clamp(lo, hi);
+                let gr1 = g1.backward(&want.mul(&upstream(&g1)).sum());
+                let (g2, x2, c2, got) = run(Some((lo, hi)));
+                let gr2 = g2.backward(&got.mul(&upstream(&g2)).sum());
+
+                let what = format!("{} {side:?} {nb} blocks clamped to [{lo}, {hi}]", mult.name());
+                assert_eq!(bits(got.value().data()), bits(want.value().data()), "{what}: forward");
+                let (dx, dc) = (gr2.get(&x2), gr2.get(&c2));
+                assert_eq!(bits(dx.data()), bits(gr1.get(&x1).data()), "{what}: input gradient");
+                let want_dc = gr1.get(&c1);
+                assert_eq!(bits(dc.data()), bits(want_dc.data()), "{what}: coefficient gradient");
             }
         }
     }
