@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use lac_data::CnnSample;
-use lac_hw::{signed_capable, LutMultiplier, Multiplier};
+use lac_hw::{adapt_unit, Multiplier, Signedness};
 use lac_rt::rng::{RngExt, SeedableRng, StdRng};
 use lac_tensor::{Epilogue, Graph, Tensor, Var};
 
@@ -150,9 +150,8 @@ impl Kernel for CnnApp {
     }
 
     fn adapt(&self, mult: &Arc<dyn Multiplier>) -> Arc<dyn Multiplier> {
-        // Taps and dense weights are signed; memoize the adapter's product
-        // table so the conv/matmul hot paths run on the LUT kernels.
-        LutMultiplier::maybe_wrap(signed_capable(Arc::clone(mult)))
+        // Taps and dense weights are signed.
+        adapt_unit(mult, Signedness::Signed)
     }
 
     fn init_coeffs(&self, mults: &[Arc<dyn Multiplier>]) -> Vec<Tensor> {

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use lac_hw::{signed_capable, LutMultiplier, Multiplier};
+use lac_hw::{adapt_unit, Multiplier, Signedness};
 use lac_tensor::{concat, Graph, Tensor, Var};
 
 use crate::kernel::{coeff_upscale, fit_shift, pixel_shift, Kernel, Metric};
@@ -110,9 +110,7 @@ impl Kernel for DftApp {
     }
 
     fn adapt(&self, mult: &Arc<dyn Multiplier>) -> Arc<dyn Multiplier> {
-        // Tabulate the signed adapter so approx_matmul takes the LUT fast
-        // path (bit-identical products; wide units pass through unwrapped).
-        LutMultiplier::maybe_wrap(signed_capable(Arc::clone(mult)))
+        adapt_unit(mult, Signedness::Signed)
     }
 
     fn init_coeffs(&self, mults: &[Arc<dyn Multiplier>]) -> Vec<Tensor> {

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use lac_hw::{signed_capable, Multiplier, Signedness};
+use lac_hw::{adapt_unit, Multiplier, Signedness};
 use lac_tensor::{Epilogue, Graph, Tensor, Var};
 
 use crate::kernel::{pixel_shift, Kernel, Metric};
@@ -121,11 +121,6 @@ impl FilterApp {
     /// Create a filter application for 32×32 inputs.
     pub fn new(kind: FilterKind, stage_mode: StageMode) -> Self {
         FilterApp { kind, stage_mode, width: 32, height: 32 }
-    }
-
-    /// Create a filter application for arbitrary input dimensions.
-    pub fn with_dims(kind: FilterKind, stage_mode: StageMode, width: usize, height: usize) -> Self {
-        FilterApp { kind, stage_mode, width, height }
     }
 
     /// The filter variant.
@@ -328,11 +323,7 @@ impl Kernel for FilterApp {
     }
 
     fn adapt(&self, mult: &Arc<dyn Multiplier>) -> Arc<dyn Multiplier> {
-        if self.kind.is_signed() {
-            signed_capable(Arc::clone(mult))
-        } else {
-            Arc::clone(mult)
-        }
+        adapt_unit(mult, natural_signedness(self.kind))
     }
 
     fn init_coeffs(&self, mults: &[Arc<dyn Multiplier>]) -> Vec<Tensor> {

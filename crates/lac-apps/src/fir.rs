@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use lac_hw::{signed_capable, Multiplier};
+use lac_hw::{adapt_unit, Multiplier, Signedness};
 use lac_tensor::{Graph, Tensor, Var};
 
 use crate::filters::output_shift;
@@ -156,11 +156,9 @@ impl Kernel for FirApp {
     }
 
     fn adapt(&self, mult: &Arc<dyn Multiplier>) -> Arc<dyn Multiplier> {
-        if self.kind.is_signed() {
-            signed_capable(Arc::clone(mult))
-        } else {
-            Arc::clone(mult)
-        }
+        let operands =
+            if self.kind.is_signed() { Signedness::Signed } else { Signedness::Unsigned };
+        adapt_unit(mult, operands)
     }
 
     fn init_coeffs(&self, mults: &[Arc<dyn Multiplier>]) -> Vec<Tensor> {

@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use lac_data::{inverse_kinematics, IkSample, LINK1, LINK2};
-use lac_hw::{signed_capable, Multiplier};
+use lac_hw::{adapt_unit, Multiplier, Signedness};
 use lac_tensor::{concat, Graph, Tensor, Var};
 
 use crate::kernel::{fit_shift, Kernel, Metric};
@@ -91,7 +91,7 @@ impl Kernel for InverseK2jApp {
 
     fn adapt(&self, mult: &Arc<dyn Multiplier>) -> Arc<dyn Multiplier> {
         // cos θ₂ may be negative, so the datapath is signed.
-        signed_capable(Arc::clone(mult))
+        adapt_unit(mult, Signedness::Signed)
     }
 
     fn init_coeffs(&self, mults: &[Arc<dyn Multiplier>]) -> Vec<Tensor> {

@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use lac_hw::{signed_capable, LutMultiplier, Multiplier};
+use lac_hw::{adapt_unit, Multiplier, Signedness};
 use lac_tensor::{BlockSide, Graph, Tensor, Var};
 
 use crate::kernel::{coeff_upscale, fit_shift, pixel_shift, Kernel, Metric};
@@ -233,11 +233,8 @@ impl Kernel for JpegApp {
     }
 
     fn adapt(&self, mult: &Arc<dyn Multiplier>) -> Arc<dyn Multiplier> {
-        // DCT coefficients and intermediate values are signed. Memoize the
-        // signed adapter's product table so the matmul-heavy pipeline runs
-        // on the devirtualized LUT kernels (bit-identical by construction;
-        // wide units pass through untabulated).
-        LutMultiplier::maybe_wrap(signed_capable(Arc::clone(mult)))
+        // DCT coefficients and intermediate values are signed.
+        adapt_unit(mult, Signedness::Signed)
     }
 
     fn init_coeffs(&self, mults: &[Arc<dyn Multiplier>]) -> Vec<Tensor> {

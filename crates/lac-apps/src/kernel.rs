@@ -151,8 +151,14 @@ pub trait Kernel {
     /// The application's quality metric.
     fn metric(&self) -> Metric;
 
-    /// Adapt a catalog multiplier to this kernel's operand signedness
-    /// (e.g. wrap unsigned cores in sign-magnitude for signed kernels).
+    /// The unit this kernel's ops run on, built from a catalog unit: one
+    /// call to [`lac_hw::adapt_unit`] with the kernel's operand
+    /// signedness. Units of at most [`lac_hw::MAX_LUT_BITS`] bits come
+    /// back tabulated (an unsigned core under a signed kernel as a table
+    /// of its [`SignMagnitude`](lac_hw::SignMagnitude) adapter), wider
+    /// units as the model itself, adapted if needed. Callers hand it the
+    /// raw catalog unit; adapting an adapted unit returns it unchanged,
+    /// and every product is bit-identical to the catalog model's.
     fn adapt(&self, mult: &Arc<dyn Multiplier>) -> Arc<dyn Multiplier>;
 
     /// Initial coefficient tensors (the application's original

@@ -224,7 +224,7 @@ impl AppKernel {
         }
     }
 
-    /// Adapt a catalog multiplier to the kernel's operand signedness.
+    /// The unit the kernel's ops run on ([`Kernel::adapt`]).
     pub fn adapt(&self, mult: &Arc<dyn Multiplier>) -> Arc<dyn Multiplier> {
         match self {
             AppKernel::Filter(app) => app.adapt(mult),

@@ -7,7 +7,7 @@
 use lac_apps::{FilterApp, FilterKind, Kernel, StageMode};
 use lac_core::batch_outputs;
 use lac_data::ImageDataset;
-use lac_hw::{catalog, LutMultiplier};
+use lac_hw::catalog;
 use lac_rt::bench::Harness;
 use std::hint::black_box;
 
@@ -16,7 +16,7 @@ fn main() {
     let mut group = h.group("batch_eval");
     let data = ImageDataset::generate(32, 2, 32, 32, 1);
     let app = FilterApp::new(FilterKind::GaussianBlur, StageMode::Single);
-    let m = app.adapt(&LutMultiplier::maybe_wrap(catalog::by_name("DRUM16-4").unwrap()));
+    let m = app.adapt(&catalog::by_name("DRUM16-4").unwrap());
     let mults = vec![m];
     let coeffs = app.init_coeffs(&mults);
     for threads in [1usize, 2, 4, 8] {

@@ -10,7 +10,7 @@
 use lac_apps::{FilterApp, FilterKind, Kernel, StageMode};
 use lac_core::{batch_grads, batch_references};
 use lac_data::ImageDataset;
-use lac_hw::{catalog, LutMultiplier};
+use lac_hw::catalog;
 use lac_rt::bench::Harness;
 use lac_tensor::Adam;
 use std::hint::black_box;
@@ -23,7 +23,7 @@ fn main() {
     let images = ImageDataset::generate(32, 2, 32, 32, 1);
 
     let blur = FilterApp::new(FilterKind::GaussianBlur, StageMode::Single);
-    let m = blur.adapt(&LutMultiplier::maybe_wrap(catalog::by_name("ETM8-k4").unwrap()));
+    let m = blur.adapt(&catalog::by_name("ETM8-k4").unwrap());
     let mults = vec![m];
     let refs = batch_references(&blur, &images.train);
 

@@ -7,7 +7,7 @@
 use lac_apps::{FilterApp, FilterKind, InverseK2jApp, JpegApp, JpegMode, Kernel, StageMode};
 use lac_core::{batch_grads, batch_references};
 use lac_data::{IkDataset, ImageDataset};
-use lac_hw::{catalog, LutMultiplier};
+use lac_hw::catalog;
 use lac_rt::bench::Harness;
 use std::hint::black_box;
 
@@ -17,7 +17,7 @@ fn main() {
     let images = ImageDataset::generate(8, 2, 32, 32, 1);
 
     let blur = FilterApp::new(FilterKind::GaussianBlur, StageMode::Single);
-    let m = blur.adapt(&LutMultiplier::maybe_wrap(catalog::by_name("ETM8-k4").unwrap()));
+    let m = blur.adapt(&catalog::by_name("ETM8-k4").unwrap());
     let mults = vec![m];
     let coeffs = blur.init_coeffs(&mults);
     let refs = batch_references(&blur, &images.train);
@@ -28,7 +28,7 @@ fn main() {
     });
 
     let jpeg = JpegApp::new(JpegMode::Single);
-    let m = jpeg.adapt(&LutMultiplier::maybe_wrap(catalog::by_name("mul8u_FTA").unwrap()));
+    let m = jpeg.adapt(&catalog::by_name("mul8u_FTA").unwrap());
     let mults = vec![m];
     let coeffs = jpeg.init_coeffs(&mults);
     let refs = batch_references(&jpeg, &images.train);

@@ -145,7 +145,7 @@ pub fn run_ablation(
 
 /// The fixed unit the optimizer ablations run on.
 fn etm_unit(app: &FilterApp) -> Arc<dyn Multiplier> {
-    app.adapt(&lac_hw::LutMultiplier::maybe_wrap(lac_hw::catalog::by_name("ETM8-k4").unwrap()))
+    app.adapt(&lac_hw::catalog::by_name("ETM8-k4").unwrap())
 }
 
 /// Fixed-hardware training with SGD in place of Adam.

@@ -11,7 +11,7 @@ use lac_apps::{output_shift, Kernel, Metric};
 use lac_core::{batch_grads, batch_references, quality, TrainConfig};
 use lac_data::GrayImage;
 use lac_hw::adders::{Adder, ExactAdder, LowerOrAdder};
-use lac_hw::{catalog, LutMultiplier, Multiplier};
+use lac_hw::{adapt_unit, catalog, Multiplier, Signedness};
 use lac_tensor::{Adam, Graph, Tensor, Var};
 
 use crate::driver::AppId;
@@ -37,7 +37,7 @@ impl Kernel for BlurWithAdder {
     }
 
     fn adapt(&self, mult: &Arc<dyn Multiplier>) -> Arc<dyn Multiplier> {
-        Arc::clone(mult)
+        adapt_unit(mult, Signedness::Unsigned)
     }
 
     fn init_coeffs(&self, _mults: &[Arc<dyn Multiplier>]) -> Vec<Tensor> {
@@ -123,12 +123,12 @@ pub fn run_adder_lac(or_bits: usize, threads: usize) -> (f64, f64) {
     let (sizing, lr) = AppId::Blur.sizing();
     let cfg = sizing.config(lr).threads(threads);
     let data = sizing.image_dataset();
-    let mult = LutMultiplier::maybe_wrap(catalog::by_name("mul8u_FTA").unwrap());
     let adder: Arc<dyn Adder> = if or_bits == 0 {
         Arc::new(ExactAdder::new(ACCUM_BITS))
     } else {
         Arc::new(LowerOrAdder::new(ACCUM_BITS, or_bits as u32))
     };
     let kernel = BlurWithAdder { adder };
+    let mult = kernel.adapt(&catalog::by_name("mul8u_FTA").unwrap());
     train(&kernel, &mult, &data, &cfg)
 }

@@ -77,7 +77,7 @@ fn main() {
         ]);
 
         // Brute force over k^n full trainings, estimated from one fixed run.
-        let k = lac_hw::catalog::paper_multipliers_accelerated().len() as f64;
+        let k = lac_hw::catalog::paper_multipliers().len() as f64;
         let per_config = bf_sec / k;
         let bf_estimate = per_config * k.powi(pipeline.num_stages() as i32);
         report.row(&[

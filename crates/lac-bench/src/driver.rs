@@ -200,19 +200,21 @@ pub fn fixed_spec_observed(
     threads: usize,
     obs: &mut dyn TrainObserver,
 ) -> Result<FixedResult, String> {
-    fn shim<K: Kernel + Sync>(
-        kernel: &K,
-        train: &[K::Sample],
-        test: &[K::Sample],
-        cfg: lac_core::TrainConfig,
-        spec: &str,
-        obs: &mut dyn TrainObserver,
-    ) -> Result<FixedResult, String> {
-        let raw = lac_hw::catalog::by_spec(spec)?;
-        let mult = kernel.adapt(&lac_hw::LutMultiplier::maybe_wrap(raw));
-        train_fixed_observed(kernel, &mult, train, test, &cfg, obs).map_err(|e| e.to_string())
-    }
-    dispatch!(app, threads, shim, spec, obs)
+    dispatch!(app, threads, fixed_cell, spec, obs)
+}
+
+/// The body of a fixed-hardware cell, shared by the paper apps
+/// ([`fixed_spec_observed`]) and the CNN ([`cnn_fixed_observed`]).
+fn fixed_cell<K: Kernel + Sync>(
+    kernel: &K,
+    train: &[K::Sample],
+    test: &[K::Sample],
+    cfg: lac_core::TrainConfig,
+    spec: &str,
+    obs: &mut dyn TrainObserver,
+) -> Result<FixedResult, String> {
+    let mult = kernel.adapt(&lac_hw::catalog::by_spec(spec)?);
+    train_fixed_observed(kernel, &mult, train, test, &cfg, obs).map_err(|e| e.to_string())
 }
 
 /// Multi-start fixed-hardware LAC for a multiplier spec: initializations
@@ -237,8 +239,7 @@ pub fn multistart_spec_observed(
         scale_bits: &[u32],
         obs: &mut dyn TrainObserver,
     ) -> Result<FixedResult, String> {
-        let raw = lac_hw::catalog::by_spec(spec)?;
-        let mult = kernel.adapt(&lac_hw::LutMultiplier::maybe_wrap(raw));
+        let mult = kernel.adapt(&lac_hw::catalog::by_spec(spec)?);
         train_fixed_multistart_observed(kernel, &mult, train, test, &cfg, scale_bits, obs)
             .map_err(|e| e.to_string())
     }
@@ -255,22 +256,24 @@ pub fn multistart_spec_observed(
 /// Returns a message naming the spec when the catalog lookup or fault
 /// parse fails.
 pub fn untrained_spec(app: AppId, spec: &str, threads: usize) -> Result<(String, f64), String> {
-    fn shim<K: Kernel + Sync>(
-        kernel: &K,
-        _train: &[K::Sample],
-        test: &[K::Sample],
-        cfg: lac_core::TrainConfig,
-        spec: &str,
-    ) -> Result<(String, f64), String> {
-        let raw = lac_hw::catalog::by_spec(spec)?;
-        let mult = kernel.adapt(&lac_hw::LutMultiplier::maybe_wrap(raw));
-        let refs = lac_core::batch_references(kernel, test);
-        let mults: Vec<Arc<dyn Multiplier>> = vec![Arc::clone(&mult); kernel.num_stages()];
-        let coeffs = kernel.init_coeffs(&mults);
-        let q = lac_core::quality(kernel, &coeffs, &mults, test, &refs, cfg.effective_threads());
-        Ok((mult.name().to_owned(), q))
-    }
-    dispatch!(app, threads, shim, spec)
+    dispatch!(app, threads, untrained_cell, spec)
+}
+
+/// The body of an untrained-quality cell, shared by the paper apps
+/// ([`untrained_spec`]) and the CNN ([`cnn_untrained`]).
+fn untrained_cell<K: Kernel + Sync>(
+    kernel: &K,
+    _train: &[K::Sample],
+    test: &[K::Sample],
+    cfg: lac_core::TrainConfig,
+    spec: &str,
+) -> Result<(String, f64), String> {
+    let mult = kernel.adapt(&lac_hw::catalog::by_spec(spec)?);
+    let refs = lac_core::batch_references(kernel, test);
+    let mults: Vec<Arc<dyn Multiplier>> = vec![Arc::clone(&mult); kernel.num_stages()];
+    let coeffs = kernel.init_coeffs(&mults);
+    let q = lac_core::quality(kernel, &coeffs, &mults, test, &refs, cfg.effective_threads());
+    Ok((mult.name().to_owned(), q))
 }
 
 /// NAS iteration budget: a multiple of the fixed-training epochs, since
@@ -514,11 +517,7 @@ pub fn cnn_fixed_observed(
     threads: usize,
     obs: &mut dyn TrainObserver,
 ) -> Result<FixedResult, String> {
-    with_cnn(threads, |kernel, train, test, cfg| {
-        let raw = lac_hw::catalog::by_spec(spec)?;
-        let mult = kernel.adapt(&raw);
-        train_fixed_observed(kernel, &mult, train, test, &cfg, obs).map_err(|e| e.to_string())
-    })
+    with_cnn(threads, |kernel, train, test, cfg| fixed_cell(kernel, train, test, cfg, spec, obs))
 }
 
 /// Untrained CNN accuracy for a multiplier spec: evaluate the seeded
@@ -530,15 +529,7 @@ pub fn cnn_fixed_observed(
 /// Returns a message naming the spec when the catalog lookup or fault
 /// parse fails.
 pub fn cnn_untrained(spec: &str, threads: usize) -> Result<(String, f64), String> {
-    with_cnn(threads, |kernel, _train, test, cfg| {
-        let raw = lac_hw::catalog::by_spec(spec)?;
-        let mult = kernel.adapt(&raw);
-        let refs = lac_core::batch_references(kernel, test);
-        let mults: Vec<Arc<dyn Multiplier>> = vec![Arc::clone(&mult); kernel.num_stages()];
-        let coeffs = kernel.init_coeffs(&mults);
-        let q = lac_core::quality(kernel, &coeffs, &mults, test, &refs, cfg.effective_threads());
-        Ok((mult.name().to_owned(), q))
-    })
+    with_cnn(threads, |kernel, train, test, cfg| untrained_cell(kernel, train, test, cfg, spec))
 }
 
 /// Per-layer hardware NAS over the CNN classifier: one binarized gate

@@ -17,13 +17,11 @@
 //! [`sweep_flags`].
 
 use std::fmt::Write as _;
-use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 use lac_apps::Kernel;
-use lac_core::{ErrorEvent, JsonlObserver, NullObserver, TrainConfig, TrainObserver};
+use lac_core::TrainConfig;
 use lac_data::{CnnDataset, IkDataset, ImageDataset};
 use lac_hw::Multiplier;
 
@@ -115,9 +113,9 @@ impl Sizing {
     }
 }
 
-/// Adapt the full accelerated Table I catalog to a kernel.
+/// Adapt the full Table I catalog to a kernel.
 pub fn adapted_catalog<K: Kernel>(kernel: &K) -> Vec<Arc<dyn Multiplier>> {
-    lac_hw::catalog::paper_multipliers_accelerated().iter().map(|m| kernel.adapt(m)).collect()
+    lac_hw::catalog::paper_multipliers().iter().map(|m| kernel.adapt(m)).collect()
 }
 
 /// A simple fixed-width text table that accumulates a CSV twin.
@@ -194,79 +192,6 @@ impl Report {
             Err(e) => eprintln!("[failed to write {}: {e}]", path.display()),
         }
     }
-}
-
-/// Directory for per-epoch JSONL run logs (`results/runs/`).
-pub fn runs_dir() -> PathBuf {
-    results_dir().join("runs")
-}
-
-/// The per-epoch telemetry sink for an experiment binary: streams JSON
-/// lines to `results/runs/<name>-seed<seed>.jsonl` (truncating any prior
-/// log of the same name). Falls back to a null observer — the experiment
-/// must not die for lack of a log file.
-pub fn run_logger(name: &str) -> Box<dyn TrainObserver> {
-    let path = runs_dir().join(format!("{name}-seed{}.jsonl", seed()));
-    match JsonlObserver::create(&path) {
-        Ok(obs) => {
-            println!("[run log: {}]", path.display());
-            Box::new(obs)
-        }
-        Err(e) => {
-            eprintln!("[no run log at {}: {e}]", path.display());
-            Box::new(NullObserver)
-        }
-    }
-}
-
-/// Run one sweep unit under a panic guard so a poisoned run cannot take
-/// the remaining sweep down with it.
-///
-/// On a panic the payload is rendered (`&str`/`String` payloads verbatim,
-/// anything else as `"non-string panic"`), recorded as a structured error
-/// row in the observer's run JSONL (an [`ErrorEvent`] with the given
-/// `run`/`detail` scope), echoed to stderr, and returned as `Err` so the
-/// caller can emit a placeholder row and move on.
-pub fn run_caught<T>(
-    run: &str,
-    detail: &str,
-    obs: &mut dyn TrainObserver,
-    body: impl FnOnce(&mut dyn TrainObserver) -> T,
-) -> Result<T, String> {
-    let start = Instant::now();
-    let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut *obs)));
-    match result {
-        Ok(v) => Ok(v),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic".to_owned());
-            let error = format!("panic: {msg}");
-            eprintln!("[{run}/{detail}] {error}");
-            obs.on_error(&ErrorEvent {
-                run,
-                detail,
-                error: &error,
-                seconds: start.elapsed().as_secs_f64(),
-            });
-            Err(error)
-        }
-    }
-}
-
-/// Record a recoverable (non-panic) sweep failure as a structured error
-/// row in the run JSONL and on stderr, then carry on.
-pub fn record_error_row(
-    run: &str,
-    detail: &str,
-    error: &str,
-    seconds: f64,
-    obs: &mut dyn TrainObserver,
-) {
-    eprintln!("[{run}/{detail}] error: {error}");
-    obs.on_error(&ErrorEvent { run, detail, error, seconds });
 }
 
 /// Directory for CSV outputs (`results/` next to the workspace root, or
@@ -391,38 +316,6 @@ mod tests {
         assert_eq!(fmt_opt(None), "-");
     }
 
-    #[test]
-    fn run_caught_passes_results_through() {
-        let mut obs = lac_core::MemoryObserver::new();
-        let out = run_caught("sweep", "unit-a", &mut obs, |_| 41 + 1);
-        assert_eq!(out, Ok(42));
-        assert!(obs.is_empty(), "healthy runs must not emit error rows");
-    }
-
-    #[test]
-    fn run_caught_turns_panics_into_error_rows() {
-        let mut obs = lac_core::MemoryObserver::new();
-        let out: Result<(), String> =
-            run_caught("sweep", "unit-b", &mut obs, |_| panic!("poisoned unit"));
-        let err = out.expect_err("panic must surface as Err");
-        assert!(err.contains("poisoned unit"), "{err}");
-        assert_eq!(obs.len(), 1, "exactly one structured error row");
-        let row = &obs.lines[0];
-        assert!(row.contains("\"run\":\"sweep\""), "{row}");
-        assert!(row.contains("\"detail\":\"unit-b\""), "{row}");
-        assert!(row.contains("poisoned unit"), "{row}");
-        // The sweep can keep using the same observer afterwards.
-        let again = run_caught("sweep", "unit-c", &mut obs, |_| 7);
-        assert_eq!(again, Ok(7));
-    }
-
-    #[test]
-    fn record_error_row_reaches_the_observer() {
-        let mut obs = lac_core::MemoryObserver::new();
-        record_error_row("sweep", "unit-d", "diverged", 1.25, &mut obs);
-        assert_eq!(obs.len(), 1);
-        assert!(obs.lines[0].contains("\"error\":\"diverged\""), "{}", obs.lines[0]);
-    }
     #[test]
     fn sweep_flags_parse_and_pass_rest_through() {
         let strs = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();

@@ -14,8 +14,7 @@
 //!   worker-count-invariant; see `lac_rt::par`).
 //! * **Failures are rows, not crashes**: a panicking or structurally
 //!   failing cell becomes `Err(message)` in its slot (and an
-//!   `ErrorEvent` in its run log), and the sweep continues — the PR 4
-//!   `run_caught` semantics, now per cell.
+//!   `ErrorEvent` in its run log), and the sweep continues.
 //!
 //! Completed cells are stored in a content-addressed cache
 //! (`results/cache/<fnv-hash>.json`, see [`crate::cache`]) keyed by a

@@ -35,7 +35,7 @@ use lac_core::{
     train_fixed_resumable_observed, JsonlObserver, NullObserver, TrainObserver,
 };
 use lac_data::{IkDataset, ImageDataset};
-use lac_hw::{catalog, characterize, ErrorMap, FaultConfig, LutMultiplier, Multiplier};
+use lac_hw::{catalog, characterize, ErrorMap, FaultConfig, Multiplier};
 
 mod args;
 mod serve_cmd;
@@ -217,20 +217,19 @@ fn cmd_characterize(name: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Resolve a catalog unit, inject the `--fault-rate` fault model if asked
-/// for (seeded by `--seed`), and tabulate the result for fast multiplies.
+/// Resolve a catalog unit and inject the `--fault-rate` fault model if
+/// asked for (seeded by `--seed`); the kernel's `adapt` tabulates it.
 fn resolve_mult(name: &str, opts: &Options) -> Result<Arc<dyn Multiplier>, CliError> {
     let raw = catalog::by_name(name)
         .ok_or_else(|| CliError::Usage(format!("unknown multiplier `{name}`")))?;
-    let faulted = match opts.fault_rate {
+    match opts.fault_rate {
         Some(rate) if rate > 0.0 => {
             let cfg = FaultConfig::new(opts.seed).flip_rate(rate);
             cfg.validate().map_err(CliError::Usage)?;
-            cfg.apply(raw)
+            Ok(cfg.apply(raw))
         }
-        _ => raw,
-    };
-    Ok(LutMultiplier::maybe_wrap(faulted))
+        _ => Ok(raw),
+    }
 }
 
 /// Monomorphized train/search drivers per application.
@@ -417,10 +416,8 @@ fn cmd_search(app: &str, opts: &Options) -> Result<(), CliError> {
     let constraint = opts.constraint();
     let mut obs = observer(opts)?;
     with_app!(app, opts, |kernel, train, test| {
-        let candidates: Vec<Arc<dyn Multiplier>> = catalog::paper_multipliers_accelerated()
-            .iter()
-            .map(|m| kernel.adapt(m))
-            .collect();
+        let candidates: Vec<Arc<dyn Multiplier>> =
+            catalog::paper_multipliers().iter().map(|m| kernel.adapt(m)).collect();
         let admitted = prune(&candidates, constraint);
         if admitted.is_empty() {
             return usage_err(format!("constraint {constraint:?} admits no candidates"));

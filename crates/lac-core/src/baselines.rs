@@ -29,13 +29,6 @@ pub struct BruteForceResult {
     pub seconds: f64,
 }
 
-impl BruteForceResult {
-    /// The best candidate's result.
-    pub fn best_result(&self) -> &FixedResult {
-        &self.results[self.best]
-    }
-}
-
 /// Brute-force trained-hardware search: train every candidate to
 /// convergence with fixed-hardware LAC and pick the best post-training
 /// quality — the exhaustive reference NAS is compared against.

@@ -52,17 +52,6 @@ impl Constraint {
             Constraint::Delay(max) => md.delay.is_some_and(|d| d <= max),
         }
     }
-
-    /// The metadata value this constraint budgets, if published.
-    pub fn cost_of(&self, mult: &dyn Multiplier) -> Option<f64> {
-        let md = mult.metadata();
-        match self {
-            Constraint::None => Some(0.0),
-            Constraint::Area(_) => Some(md.area),
-            Constraint::Power(_) => Some(md.power),
-            Constraint::Delay(_) => md.delay,
-        }
-    }
 }
 
 /// Remove candidates that violate the budget (single-multiplier pruning).

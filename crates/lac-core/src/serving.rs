@@ -19,10 +19,10 @@
 //!
 //! Which multiplier a kernel *runs* with is a runtime property, not a
 //! load-time constant. [`ServingModel::with_ladder`] expands a model
-//! over a [`ModeLadder`]: every rung's multiplier is adapted and
-//! LUT-wrapped **once** at load time into an immutable per-mode kernel
-//! state, and [`ServingModel::infer_mode`] picks a state per batch with
-//! no per-request setup cost. The mutable part — *which* rung is live —
+//! over a [`ModeLadder`]: every rung's multiplier is adapted (and so
+//! tabulated, when narrow) **once** at load time into an immutable
+//! per-mode kernel state, and [`ServingModel::infer_mode`] picks a
+//! state per batch with no per-request setup cost. The mutable part — *which* rung is live —
 //! lives outside the model in a [`ModeSelector`], a single atomic that
 //! a quality governor steps and that hot-swaps carry across model
 //! generations.
@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use lac_apps::serving::{AppKernel, ServeApp, ServeSample};
 use lac_data::{GrayImage, IkSample};
-use lac_hw::{catalog, LutMultiplier, ModeLadder, Multiplier, Signedness};
+use lac_hw::{catalog, ModeLadder, Multiplier, Signedness};
 use lac_tensor::Tensor;
 
 use crate::engine::SessionCheckpoint;
@@ -233,14 +233,10 @@ pub struct ServingModel {
 }
 
 fn mode_state(kernel: &AppKernel, spec: &str, unit: Arc<dyn Multiplier>) -> ModeState {
-    let area = unit.metadata().area;
-    // Memoize the unit's product table once per mode: every conv and
-    // matmul in the serving datapath then rides the devirtualized LUT
-    // fast paths (bit-identical to the trait-object path).
     ModeState {
         spec: spec.to_owned(),
-        area,
-        mults: vec![kernel.adapt(&LutMultiplier::maybe_wrap(unit))],
+        area: unit.metadata().area,
+        mults: vec![kernel.adapt(&unit)],
     }
 }
 
@@ -255,7 +251,7 @@ fn reference_mults(kernel: &AppKernel, like: &Arc<dyn Multiplier>) -> Vec<Arc<dy
     );
     let exact = catalog::by_name(&name)
         .unwrap_or_else(|| Arc::new(lac_hw::ExactMultiplier::new(like.bits(), like.signedness())));
-    vec![kernel.adapt(&LutMultiplier::maybe_wrap(exact))]
+    vec![kernel.adapt(&exact)]
 }
 
 impl ServingModel {
@@ -270,11 +266,6 @@ impl ServingModel {
             },
         })?;
         Self::from_checkpoint(&ck, &label)
-    }
-
-    /// Read a checkpoint file and expand the model over a mode ladder.
-    pub fn load_with_ladder(path: &Path, ladder: &ModeLadder) -> Result<Self, ServeError> {
-        Self::load(path)?.with_ladder(ladder)
     }
 
     /// Build a model from an in-memory checkpoint; `path` labels errors.

@@ -5,6 +5,10 @@
 //! (behavioral stand-ins; see `DESIGN.md` §4 and the [`crate::evo`] module
 //! docs). Area and power come from Table I, delays from Table III (only
 //! published for the EvoApprox subset).
+//!
+//! Every constructor returns the behavioral model itself. The unit a
+//! kernel runs on comes from [`crate::adapt_unit`] (what every
+//! `Kernel::adapt` calls), which tabulates and sign-adapts it.
 
 use std::sync::Arc;
 
@@ -13,7 +17,6 @@ use crate::drum::DrumMultiplier;
 use crate::etm::EtmMultiplier;
 use crate::evo::{OperandMaskMultiplier, TruncatedMultiplier};
 use crate::kulkarni::KulkarniMultiplier;
-use crate::lut::LutMultiplier;
 use crate::mitchell::{MitchellMultiplier, SsmMultiplier};
 use crate::mult::{ExactMultiplier, HwMetadata, Multiplier, Signedness};
 
@@ -160,18 +163,6 @@ pub const PAPER_NAMES: [&str; 11] = [
     "mul16s_GAT",
 ];
 
-/// Names of the seven EvoApprox-style units (the Table III subset with
-/// published delays).
-pub const EVOAPPROX_NAMES: [&str; 7] = [
-    "mul8u_JV3",
-    "mul8u_FTA",
-    "mul8u_185Q",
-    "mul8s_1KR3",
-    "mul8s_1KVL",
-    "mul16s_GK2",
-    "mul16s_GAT",
-];
-
 /// Names of the extra units beyond Table I (classic approximate
 /// multipliers and exact references) available for ablations.
 pub const EXTRA_NAMES: [&str; 12] = [
@@ -189,11 +180,6 @@ pub const EXTRA_NAMES: [&str; 12] = [
     "exact16s",
 ];
 
-/// The extra (non-Table-I) units.
-pub fn extra_multipliers() -> Vec<Arc<dyn Multiplier>> {
-    EXTRA_NAMES.iter().map(|n| by_name(n).expect("extra unit")).collect()
-}
-
 /// The full Table I multiplier set, in the paper's order.
 ///
 /// # Examples
@@ -208,17 +194,6 @@ pub fn paper_multipliers() -> Vec<Arc<dyn Multiplier>> {
     PAPER_NAMES.iter().map(|n| by_name(n).expect("paper unit")).collect()
 }
 
-/// The Table I set with 8-bit units wrapped in lookup tables for
-/// simulation throughput (semantics unchanged; see [`LutMultiplier`]).
-pub fn paper_multipliers_accelerated() -> Vec<Arc<dyn Multiplier>> {
-    paper_multipliers().into_iter().map(LutMultiplier::maybe_wrap).collect()
-}
-
-/// The EvoApprox-style subset (the units with Table III delays).
-pub fn evoapprox_multipliers() -> Vec<Arc<dyn Multiplier>> {
-    EVOAPPROX_NAMES.iter().map(|n| by_name(n).expect("evo unit")).collect()
-}
-
 /// Filter a unit list by signedness.
 pub fn with_signedness(
     units: &[Arc<dyn Multiplier>],
@@ -230,6 +205,7 @@ pub fn with_signedness(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lut::LutMultiplier;
     use crate::stats::characterize;
 
     #[test]
@@ -319,8 +295,8 @@ mod tests {
     #[test]
     fn accelerated_set_matches_raw_set() {
         let raw = paper_multipliers();
-        let fast = paper_multipliers_accelerated();
-        for (r, f) in raw.iter().zip(&fast) {
+        let fast = raw.iter().map(|r| LutMultiplier::maybe_wrap(Arc::clone(r)));
+        for (r, f) in raw.iter().zip(fast) {
             assert_eq!(r.name(), f.name());
             let (lo, hi) = r.operand_range();
             for &a in &[lo, 0.max(lo), hi / 3, hi] {

@@ -26,9 +26,9 @@
 //!
 //! Because a [`FaultyMultiplier`] is itself a well-behaved multiplier,
 //! it composes with the existing acceleration path:
-//! `LutMultiplier::maybe_wrap(Arc::new(faulty))` tabulates the *faulted*
-//! model, so training on degraded hardware keeps the devirtualized
-//! [`DenseLut`](crate::DenseLut) fast path.
+//! [`adapt_unit`](crate::adapt_unit) tabulates the *faulted* model like
+//! any other narrow unit, so training on degraded hardware keeps the
+//! devirtualized [`DenseLut`](crate::DenseLut) fast path.
 //!
 //! # Examples
 //!

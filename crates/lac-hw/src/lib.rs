@@ -15,7 +15,8 @@
 //! * ordered exact↔approximate catalog slices ([`ModeLadder`]) that give
 //!   runtime mode switching a validated, fingerprintable vocabulary;
 //! * lookup-table acceleration ([`LutMultiplier`]) and sign-magnitude
-//!   adaptation ([`SignMagnitude`]) wrappers;
+//!   adaptation ([`SignMagnitude`]) wrappers, and the one policy that
+//!   applies them to a kernel's unit ([`adapt_unit`]);
 //! * seeded deterministic fault injection over any unit — stuck-at bits,
 //!   transient bit-flips, LUT-cell corruption (module [`faults`]);
 //! * exhaustive and sampled error characterization (module [`stats`]);
@@ -60,7 +61,9 @@ pub use drum::DrumMultiplier;
 pub use etm::EtmMultiplier;
 pub use kulkarni::KulkarniMultiplier;
 pub use ladder::ModeLadder;
-pub use lut::{operand_offset, round_half_away, DenseLut, LutMultiplier, MAX_LUT_BITS};
+pub use lut::{
+    adapt_unit, operand_offset, round_half_away, DenseLut, LutMultiplier, MAX_LUT_BITS,
+};
 pub use mitchell::{MitchellMultiplier, SsmMultiplier};
 pub use error_map::ErrorMap;
 pub use netlist::NetlistMultiplier;

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use crate::mult::{HwMetadata, Multiplier, Signedness};
+use crate::mult::{signed_capable, HwMetadata, Multiplier, Signedness};
 
 /// Maximum operand width for which a full product table is built.
 ///
@@ -227,6 +227,37 @@ impl LutMultiplier {
     }
 }
 
+/// The unit a kernel's ops run on, built from a catalog unit: the one
+/// datapath policy behind every `Kernel::adapt`.
+///
+/// 1. A core of at most [`MAX_LUT_BITS`] bits is tabulated.
+/// 2. For signed `operands`, an unsigned core is wrapped in
+///    [`SignMagnitude`](crate::SignMagnitude).
+/// 3. That adapter is tabulated as well; its fill copies the core's
+///    table rows and makes no model call.
+///
+/// Wider units pass through untabulated, and an already adapted unit
+/// comes back as it is. Every product is bit-identical to the catalog
+/// unit's own model.
+///
+/// # Examples
+///
+/// ```
+/// use lac_hw::{adapt_unit, catalog, Multiplier, Signedness};
+///
+/// let fta = catalog::by_name("mul8u_FTA").unwrap();
+/// let signed = adapt_unit(&fta, Signedness::Signed);
+/// assert!(signed.as_lut().is_some());
+/// assert_eq!(signed.multiply(-200, 17), -fta.multiply(200, 17));
+/// ```
+pub fn adapt_unit(unit: &Arc<dyn Multiplier>, operands: Signedness) -> Arc<dyn Multiplier> {
+    let core = LutMultiplier::maybe_wrap(Arc::clone(unit));
+    match operands {
+        Signedness::Unsigned => core,
+        Signedness::Signed => LutMultiplier::maybe_wrap(signed_capable(core)),
+    }
+}
+
 impl Multiplier for LutMultiplier {
     fn name(&self) -> &str {
         self.inner.name()
@@ -277,7 +308,7 @@ mod tests {
     use super::*;
     use crate::etm::EtmMultiplier;
     use crate::kulkarni::KulkarniMultiplier;
-    use crate::mult::{signed_capable, ExactMultiplier};
+    use crate::mult::ExactMultiplier;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -310,6 +341,24 @@ mod tests {
         let wrapped = LutMultiplier::maybe_wrap(wide.clone());
         assert_eq!(wrapped.name(), wide.name());
         assert_eq!(wrapped.multiply(1234, 4321), 1234 * 4321);
+    }
+
+    #[test]
+    fn adapt_unit_leaves_wide_units_untabulated_and_is_idempotent() {
+        let wide: Arc<dyn Multiplier> =
+            Arc::new(ExactMultiplier::new(16, Signedness::Unsigned));
+        assert!(Arc::ptr_eq(&adapt_unit(&wide, Signedness::Unsigned), &wide));
+        let signed = adapt_unit(&wide, Signedness::Signed);
+        assert_eq!(signed.signedness(), Signedness::Signed);
+        assert!(signed.as_lut().is_none());
+        assert_eq!(signed.multiply(-1234, 4321), -1234 * 4321);
+        assert!(Arc::ptr_eq(&adapt_unit(&signed, Signedness::Signed), &signed));
+        let narrow: Arc<dyn Multiplier> = Arc::new(EtmMultiplier::new(8, 4));
+        for operands in [Signedness::Unsigned, Signedness::Signed] {
+            let adapted = adapt_unit(&narrow, operands);
+            assert!(adapted.as_lut().is_some());
+            assert!(Arc::ptr_eq(&adapt_unit(&adapted, operands), &adapted));
+        }
     }
 
     #[test]

@@ -295,12 +295,6 @@ impl QualityGovernor {
         }
     }
 
-    /// The current windowed quality mean for `app` (None while warming
-    /// up after a step).
-    pub fn window_mean(&self, app: ServeApp) -> Option<f64> {
-        self.apps[app.code() as usize].window.full_mean()
-    }
-
     /// Score one sampled batch and run the FSM. Replays the batch
     /// through the model's exact reference datapath with `threads`
     /// workers (bit-identical for any value), emits a `sample` event,

@@ -19,8 +19,7 @@ fn main() {
     // an area budget (Section IV: constrained searches shrink the space
     // instead of adding a loss term).
     let budget = Constraint::Area(0.30);
-    let candidates: Vec<_> =
-        catalog::paper_multipliers_accelerated().iter().map(|m| app.adapt(m)).collect();
+    let candidates: Vec<_> = catalog::paper_multipliers().iter().map(|m| app.adapt(m)).collect();
     let admitted = prune(&candidates, budget);
     println!("area budget 0.30 admits {} of {} candidates:", admitted.len(), candidates.len());
     for m in &admitted {

@@ -156,6 +156,23 @@ if [[ -n "${at_calls}" ]]; then
     exit 1
 fi
 
+# One datapath policy (DESIGN.md §7d): a catalog unit becomes the unit
+# an op runs on only in Kernel::adapt (lac_hw::adapt_unit), which
+# tabulates and sign-adapts it. A maybe_wrap( / LutMultiplier::new( /
+# paper_multipliers_accelerated in the non-test code of the crates that
+# hand units to kernels would pre-wrap them outside that one decision.
+# Comment lines and test modules (from a column-0 `#[cfg(test)]` line
+# down) are exempt.
+echo "== datapath guard: no unit pre-wrapping in lac-core/lac-serve/lac-cli/lac-bench non-test code"
+prewrap=$(find crates/{lac-core,lac-serve,lac-cli,lac-bench}/src -name '*.rs' | sort | while read -r f; do
+    awk '/^[[:space:]]*\/\//{next} /^#\[cfg\(test\)\]/{exit} /maybe_wrap\(|LutMultiplier::new\(|paper_multipliers_accelerated/{print FILENAME": "$0}' "$f"
+done)
+if [[ -n "${prewrap}" ]]; then
+    echo "verify: FAIL — unit pre-wrapping outside Kernel::adapt (hand the raw catalog unit to adapt):" >&2
+    echo "${prewrap}" >&2
+    exit 1
+fi
+
 # Fused JPEG stage battery (DESIGN.md §7d): each DCT/IDCT stage runs as
 # one approx_block_transform node over the stacked blocks, and must
 # reproduce the per-block tape it replaced bit-for-bit — values, input

@@ -75,7 +75,7 @@ fn untrained_quality_varies_strongly_across_hardware() {
     let refs = batch_references(&app, &images.test);
     let mut best = f64::NEG_INFINITY;
     let mut worst = f64::INFINITY;
-    for raw in catalog::paper_multipliers_accelerated() {
+    for raw in catalog::paper_multipliers() {
         let m = app.adapt(&raw);
         let mults = vec![m];
         let coeffs = app.init_coeffs(&mults);
