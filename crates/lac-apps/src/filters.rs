@@ -19,6 +19,7 @@ use lac_hw::{adapt_unit, Multiplier, Signedness};
 use lac_tensor::{Epilogue, Graph, Tensor, Var};
 
 use crate::kernel::{pixel_shift, Kernel, Metric};
+use crate::IMAGE_DIM;
 
 use lac_data::GrayImage;
 
@@ -113,14 +114,12 @@ pub enum StageMode {
 pub struct FilterApp {
     kind: FilterKind,
     stage_mode: StageMode,
-    width: usize,
-    height: usize,
 }
 
 impl FilterApp {
-    /// Create a filter application for 32×32 inputs.
+    /// Create a filter application for [`IMAGE_DIM`]×[`IMAGE_DIM`] inputs.
     pub fn new(kind: FilterKind, stage_mode: StageMode) -> Self {
-        FilterApp { kind, stage_mode, width: 32, height: 32 }
+        FilterApp { kind, stage_mode }
     }
 
     /// The filter variant.
@@ -146,7 +145,7 @@ impl FilterApp {
     /// vertically: one `height`-row band per sample, built in one pass
     /// from row slices.
     fn shifted_images(&self, imgs: &[GrayImage], dy: isize, dx: isize, shift: u32) -> Tensor {
-        let (w, h) = (self.width, self.height);
+        let (w, h) = (IMAGE_DIM, IMAGE_DIM);
         // Output column `x` reads source column `x + dx`: in bounds for
         // `x` in `x_lo..x_hi`, zero padding elsewhere.
         let clip = |v: isize| v.clamp(0, w as isize) as usize;
@@ -240,7 +239,7 @@ impl FilterApp {
                 if saturate {
                     stage = stage.clamp(0.0, 255.0);
                 }
-                img.approx_conv2d_fused(&kernel, mult, self.height, stage)
+                img.approx_conv2d_fused(&kernel, mult, IMAGE_DIM, stage)
             }
             // Per-tap multipliers (parallel multi-hardware NAS): each tap
             // keeps its own scalar stage.
@@ -275,7 +274,7 @@ impl FilterApp {
             return out;
         }
         let original = graph.constant(Tensor::build(
-            &[samples.len() * self.height, self.width],
+            &[samples.len() * IMAGE_DIM, IMAGE_DIM],
             |buf| samples.iter().for_each(|s| buf.extend_from_slice(s.pixels())),
         ));
         out.add(&original).clamp(0.0, 255.0)
@@ -284,11 +283,11 @@ impl FilterApp {
     fn check_sample(&self, img: &GrayImage) {
         assert_eq!(
             (img.width(), img.height()),
-            (self.width, self.height),
+            (IMAGE_DIM, IMAGE_DIM),
             "{}: expected {}x{} input",
             self.kind.display_name(),
-            self.width,
-            self.height,
+            IMAGE_DIM,
+            IMAGE_DIM,
         );
     }
 }
@@ -319,7 +318,7 @@ impl Kernel for FilterApp {
     }
 
     fn metric(&self) -> Metric {
-        Metric::Ssim { width: self.width, height: self.height }
+        Metric::Ssim { width: IMAGE_DIM, height: IMAGE_DIM }
     }
 
     fn adapt(&self, mult: &Arc<dyn Multiplier>) -> Arc<dyn Multiplier> {
@@ -376,7 +375,7 @@ impl Kernel for FilterApp {
         graph.reset();
         let leaves: Vec<Var> = coeffs.iter().map(|c| graph.constant(c.clone())).collect();
         let stacked = self.forward_stacked(graph, samples, &leaves, mults).value();
-        stacked.data().chunks(self.height * self.width).map(<[f64]>::to_vec).collect()
+        stacked.data().chunks(IMAGE_DIM * IMAGE_DIM).map(<[f64]>::to_vec).collect()
     }
 
     fn reference(&self, sample: &Self::Sample) -> Tensor {
@@ -386,7 +385,7 @@ impl Kernel for FilterApp {
         let graph = Graph::new();
         let img = graph.constant(Tensor::from_vec(
             sample.pixels().to_vec(),
-            &[self.height, self.width],
+            &[IMAGE_DIM, IMAGE_DIM],
         ));
         let kernel = graph.constant(Tensor::from_vec(self.kind.base_coeffs().to_vec(), &[3, 3]));
         let conv = img.conv2d(&kernel);

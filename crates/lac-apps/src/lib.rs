@@ -56,3 +56,7 @@ pub use inversek2j::InverseK2jApp;
 pub use jpeg::{dct_matrix, JpegApp, JpegMode, BLOCK as DCT_BLOCK, Q50};
 pub use kernel::{coeff_upscale, fit_shift, pixel_shift, Kernel, Metric};
 pub use serving::{AppKernel, ServeApp, ServeSample};
+
+/// Side length of the square images the filter kernels take and every
+/// image app is served on (the synthetic image datasets are 32×32).
+pub const IMAGE_DIM: usize = 32;

@@ -22,9 +22,7 @@ use crate::filters::{FilterApp, FilterKind, StageMode};
 use crate::inversek2j::InverseK2jApp;
 use crate::jpeg::{JpegApp, JpegMode};
 use crate::kernel::Kernel;
-
-/// Side length of the served image kernels' inputs.
-pub const SERVE_IMAGE_DIM: usize = 32;
+use crate::IMAGE_DIM;
 
 /// A servable application, identified on the wire by a one-byte code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,7 +127,7 @@ impl ServeApp {
     pub fn payload_len(self) -> usize {
         match self {
             ServeApp::InverseK2j => 2,
-            _ => SERVE_IMAGE_DIM * SERVE_IMAGE_DIM,
+            _ => IMAGE_DIM * IMAGE_DIM,
         }
     }
 
@@ -137,7 +135,7 @@ impl ServeApp {
     pub fn output_len(self) -> usize {
         match self {
             ServeApp::Blur | ServeApp::Edge | ServeApp::Sharpen | ServeApp::Jpeg => {
-                SERVE_IMAGE_DIM * SERVE_IMAGE_DIM
+                IMAGE_DIM * IMAGE_DIM
             }
             // Real and imaginary parts of the 12×12 spectrum.
             ServeApp::Dft => 2 * 12 * 12,
@@ -204,8 +202,8 @@ impl ServeApp {
                     ));
                 }
                 Ok(ServeSample::Image(GrayImage::from_pixels(
-                    SERVE_IMAGE_DIM,
-                    SERVE_IMAGE_DIM,
+                    IMAGE_DIM,
+                    IMAGE_DIM,
                     values.to_vec(),
                 )))
             }

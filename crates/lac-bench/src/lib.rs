@@ -2,10 +2,11 @@
 //!
 //! Every table and figure of the paper has a binary in `src/bin` that
 //! prints the corresponding rows/series and writes a CSV under
-//! `results/`. Sweep binaries declare their grid as a job list and hand
-//! it to the [`sched`] orchestrator, which executes it across a worker
-//! pool with deterministic output and a content-addressed result cache
-//! ([`cache`]). Environment knobs:
+//! `results/`. Sweep binaries declare their grid as a job list over the
+//! applications and pipelines named in [`driver`] and hand it to the
+//! [`sched`] orchestrator, which builds each cell's kernel and runs it
+//! through one cell body across a worker pool, with deterministic output
+//! and a content-addressed result cache ([`cache`]). Environment knobs:
 //!
 //! * `LAC_QUICK=1` — shrink datasets and epochs for a fast smoke run;
 //! * `LAC_EPOCHS` / `LAC_TRAIN` / `LAC_TEST` — override individual sizes;

@@ -2,7 +2,11 @@
 //!
 //! Every experiment binary's grid is turned into an explicit job list —
 //! one [`UnitJob`] per sweep cell — and executed across a configurable
-//! worker pool ([`lac_rt::par::run_indexed`]) with a determinism
+//! worker pool ([`lac_rt::par::run_indexed`]). Each kernel job names a
+//! target (a paper application, a multi-gate pipeline or the CNN); this
+//! module is the one place that turns a target into its kernel, dataset
+//! and base training config, and runs every kernel job kind through one
+//! generic cell body (`DESIGN.md` §5b). Execution keeps a determinism
 //! contract (see `DESIGN.md` §7c):
 //!
 //! * **Output order equals job-list order**, regardless of completion
@@ -33,19 +37,30 @@
 //! * `cache/<fingerprint>.json` — the content-addressed cell results.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
-use lac_core::{Constraint, ErrorEvent, MemoryObserver, MultiObjective, TrainObserver};
+use lac_apps::{
+    CnnApp, DftApp, FilterApp, FilterKind, InverseK2jApp, JpegApp, JpegMode, Kernel, StageMode,
+};
+use lac_core::{
+    brute_force_observed, greedy_multi_observed, search_accuracy_constrained_observed,
+    search_multi_observed, search_single_observed, train_fixed_multistart_observed,
+    train_fixed_observed, Constraint, ErrorEvent, FixedResult, MemoryObserver, MultiNasResult,
+    MultiObjective, NasResult, TrainConfig, TrainObserver,
+};
+use lac_hw::{catalog, Multiplier};
 use lac_rt::json::Value;
 use lac_rt::par;
 
-use crate::driver::{self, AppId, MultiPipeline};
 use crate::ablate::{run_ablation, AblationVariant};
-use crate::cache;
+use crate::driver::{self, AppId, MultiPipeline, NAS_EPOCH_FACTOR};
+use crate::{adapted_catalog, cache, quick, Sizing};
 
 /// One sweep cell, as data: what to train/search/evaluate. Binaries
 /// declare these; only the scheduler executes them (enforced by
-/// `scripts/verify.sh`, which greps `src/bin` for direct trainer calls).
+/// `scripts/verify.sh`, which greps `src/bin` for direct trainer calls
+/// and the rest of lac-bench's library for engine calls and app kernels).
 #[derive(Debug, Clone, PartialEq)]
 pub enum UnitJob {
     /// Fixed-hardware LAC for one multiplier spec (Figs. 3–4, fault
@@ -255,32 +270,55 @@ impl UnitJob {
         }
     }
 
-    /// The base training config and dataset sizes this cell derives its
-    /// work from (factors like `epoch_factor` are already part of the
-    /// unit spec). `None` for cells with no training config (the panic
-    /// probe).
-    fn base_config(&self) -> Option<(lac_core::TrainConfig, usize, usize)> {
-        let app = match self {
+    /// What the cell runs on, which fixes its sizing. The ablation and
+    /// adder cells train blur variants at blur's sizing; the panic probe
+    /// has none.
+    fn target(&self) -> Option<Target> {
+        match self {
             UnitJob::Fixed { app, .. }
             | UnitJob::Untrained { app, .. }
             | UnitJob::Multistart { app, .. }
             | UnitJob::Nas { app, .. }
             | UnitJob::NasAccuracy { app, .. }
-            | UnitJob::BruteForce { app } => *app,
+            | UnitJob::BruteForce { app } => Some(Target::App(*app)),
             UnitJob::MultiNas { pipeline, .. } | UnitJob::GreedyMulti { pipeline, .. } => {
-                pipeline.app_id()
+                Some(Target::Pipeline(*pipeline))
             }
-            UnitJob::Ablation { .. } | UnitJob::AdderLac { .. } => AppId::Blur,
+            UnitJob::Ablation { .. } | UnitJob::AdderLac { .. } => Some(Target::App(AppId::Blur)),
             UnitJob::CnnFixed { .. }
             | UnitJob::CnnUntrained { .. }
-            | UnitJob::CnnPerLayerNas { .. } => {
-                let (sizing, lr) = driver::cnn_sizing();
-                return Some((sizing.config(lr), sizing.train, sizing.test));
-            }
-            UnitJob::InjectedPanic { .. } => return None,
-        };
-        let (sizing, lr) = app.sizing();
+            | UnitJob::CnnPerLayerNas { .. } => Some(Target::Cnn),
+            UnitJob::InjectedPanic { .. } => None,
+        }
+    }
+
+    /// The base training config and dataset sizes this cell derives its
+    /// work from (factors like `epoch_factor` are already part of the
+    /// unit spec) — the same sizing [`execute`] runs it at. `None` for
+    /// the panic probe.
+    fn base_config(&self) -> Option<(TrainConfig, usize, usize)> {
+        let (sizing, lr) = self.target()?.sizing();
         Some((sizing.config(lr), sizing.train, sizing.test))
+    }
+}
+
+/// A kernel cell's application: one of the six paper apps, a multi-gate
+/// pipeline, or the CNN classifier.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    App(AppId),
+    Pipeline(MultiPipeline),
+    Cnn,
+}
+
+impl Target {
+    /// Dataset sizing and learning rate.
+    fn sizing(self) -> (Sizing, f64) {
+        match self {
+            Target::App(app) => app.sizing(),
+            Target::Pipeline(pipeline) => pipeline.app_id().sizing(),
+            Target::Cnn => driver::cnn_sizing(),
+        }
     }
 }
 
@@ -583,89 +621,10 @@ fn slug(detail: &str) -> String {
 }
 
 /// Execute one cell at the given thread budget, producing its canonical
-/// payload. This is the *only* place experiment cells call into the
-/// drivers.
+/// payload. The ablation, adder and panic-probe cells run their own
+/// bodies; every other kind runs [`kernel_cell`] on its [`Target`].
 fn execute(unit: &UnitJob, threads: usize, obs: &mut dyn TrainObserver) -> Result<Value, String> {
-    let num = |k: &str, v: f64| (k.to_owned(), Value::Num(v));
-    let text = |k: &str, v: &str| (k.to_owned(), Value::Str(v.to_owned()));
     match unit {
-        UnitJob::Fixed { app, spec } => {
-            let r = driver::fixed_spec_observed(*app, spec, threads, obs)?;
-            Ok(Value::Obj(vec![
-                text("multiplier", &r.multiplier),
-                num("before", r.before),
-                num("after", r.after),
-            ]))
-        }
-        UnitJob::Untrained { app, spec } => {
-            let (name, q) = driver::untrained_spec(*app, spec, threads)?;
-            Ok(Value::Obj(vec![text("multiplier", &name), num("quality", q)]))
-        }
-        UnitJob::Multistart { app, spec, scale_bits } => {
-            let r = driver::multistart_spec_observed(*app, spec, scale_bits, threads, obs)?;
-            Ok(Value::Obj(vec![
-                text("multiplier", &r.multiplier),
-                num("before", r.before),
-                num("after", r.after),
-            ]))
-        }
-        UnitJob::Nas { app, constraint, gate_lr, epoch_factor } => {
-            let r = driver::nas_search_budgeted_observed(
-                *app,
-                *constraint,
-                *gate_lr,
-                *epoch_factor,
-                threads,
-                obs,
-            );
-            Ok(Value::Obj(vec![
-                text("chosen", r.chosen_name()),
-                num("quality", r.quality),
-                num("area", r.area),
-            ]))
-        }
-        UnitJob::NasAccuracy { app, target, delta, gate_lr } => {
-            let r = driver::nas_accuracy_observed(*app, *target, *delta, *gate_lr, threads, obs);
-            Ok(Value::Obj(vec![
-                text("chosen", r.chosen_name()),
-                num("quality", r.quality),
-                num("area", r.area),
-            ]))
-        }
-        UnitJob::BruteForce { app } => {
-            let r = driver::brute_force_all_observed(*app, threads, obs)
-                .map_err(|e| e.to_string())?;
-            let rows = r
-                .results
-                .iter()
-                .map(|f| {
-                    Value::Obj(vec![
-                        text("multiplier", &f.multiplier),
-                        num("before", f.before),
-                        num("after", f.after),
-                    ])
-                })
-                .collect();
-            Ok(Value::Obj(vec![("results".to_owned(), Value::Arr(rows))]))
-        }
-        UnitJob::MultiNas { pipeline, epoch_factor, area_threshold, gamma, delta } => {
-            let objective = MultiObjective::AreaConstrained {
-                area_threshold: *area_threshold,
-                gamma: *gamma,
-                delta: *delta,
-            };
-            let r = driver::multi_nas_observed(*pipeline, *epoch_factor, objective, threads, obs);
-            Ok(multi_payload(&r))
-        }
-        UnitJob::GreedyMulti { pipeline, area_threshold, gamma, delta } => {
-            let objective = MultiObjective::AreaConstrained {
-                area_threshold: *area_threshold,
-                gamma: *gamma,
-                delta: *delta,
-            };
-            let r = driver::greedy_multi_pipeline_observed(*pipeline, objective, threads, obs);
-            Ok(multi_payload(&r))
-        }
         UnitJob::Ablation { variant } => {
             let out = run_ablation(*variant, threads, obs);
             Ok(Value::Obj(vec![
@@ -683,43 +642,197 @@ fn execute(unit: &UnitJob, threads: usize, obs: &mut dyn TrainObserver) -> Resul
                 num("after", after),
             ]))
         }
-        UnitJob::CnnFixed { spec } => {
-            let r = driver::cnn_fixed_observed(spec, threads, obs)?;
-            Ok(Value::Obj(vec![
-                text("multiplier", &r.multiplier),
-                num("before", r.before),
-                num("after", r.after),
-            ]))
-        }
-        UnitJob::CnnUntrained { spec } => {
-            let (name, q) = driver::cnn_untrained(spec, threads)?;
-            Ok(Value::Obj(vec![text("multiplier", &name), num("quality", q)]))
-        }
-        UnitJob::CnnPerLayerNas { epoch_factor, area_threshold, gamma, delta } => {
-            let r = driver::cnn_per_layer_nas_observed(
-                *epoch_factor,
-                *area_threshold,
-                *gamma,
-                *delta,
-                threads,
-                obs,
-            );
-            Ok(multi_payload(&r))
-        }
         UnitJob::InjectedPanic { message } => panic!("{}", message),
+        _ => {
+            let target = unit.target().expect("every kernel job names a target");
+            let (sizing, lr) = target.sizing();
+            let cfg = sizing.config(lr).threads(threads);
+            // The one place a sweep builds an application kernel: each
+            // arm monomorphizes the cell body for its kernel type.
+            macro_rules! run {
+                ($kernel:expr, $dataset:expr) => {{
+                    let ds = $dataset;
+                    kernel_cell(&$kernel, &ds.train, &ds.test, cfg, unit, obs)
+                }};
+            }
+            match target {
+                Target::App(AppId::Blur) => run!(
+                    FilterApp::new(FilterKind::GaussianBlur, StageMode::Single),
+                    sizing.image_dataset()
+                ),
+                Target::App(AppId::Edge) => run!(
+                    FilterApp::new(FilterKind::EdgeDetection, StageMode::Single),
+                    sizing.image_dataset()
+                ),
+                Target::App(AppId::Sharpen) => run!(
+                    FilterApp::new(FilterKind::Sharpening, StageMode::Single),
+                    sizing.image_dataset()
+                ),
+                Target::App(AppId::Jpeg) => {
+                    run!(JpegApp::new(JpegMode::Single), sizing.image_dataset())
+                }
+                Target::App(AppId::Dft) => run!(DftApp::new(), sizing.image_dataset()),
+                Target::App(AppId::Ik) => run!(InverseK2jApp::new(), sizing.ik_dataset()),
+                Target::Pipeline(MultiPipeline::BlurPerTap) => run!(
+                    FilterApp::new(FilterKind::GaussianBlur, StageMode::PerTap),
+                    sizing.image_dataset()
+                ),
+                Target::Pipeline(MultiPipeline::Jpeg3Stage) => {
+                    run!(JpegApp::new(JpegMode::ThreeStage), sizing.image_dataset())
+                }
+                Target::Cnn => run!(CnnApp::paper(), sizing.cnn_dataset()),
+            }
+        }
     }
 }
 
-/// Canonical payload of a multi-hardware result: per-stage assignment in
-/// stage order, mean area, achieved quality.
-fn multi_payload(r: &lac_core::MultiNasResult) -> Value {
-    let assignment: Vec<Value> =
-        r.assignment().into_iter().map(|(_, m)| Value::Str(m)).collect();
-    Value::Obj(vec![
-        ("assignment".to_owned(), Value::Arr(assignment)),
-        ("area".to_owned(), Value::Num(r.area)),
-        ("quality".to_owned(), Value::Num(r.quality)),
-    ])
+/// The body of every kernel job kind: adapt the named unit or the Table I
+/// catalog to `kernel`, call the engine entry point, and render the
+/// canonical payload.
+fn kernel_cell<K: Kernel + Sync>(
+    kernel: &K,
+    train: &[K::Sample],
+    test: &[K::Sample],
+    cfg: TrainConfig,
+    unit: &UnitJob,
+    obs: &mut dyn TrainObserver,
+) -> Result<Value, String> {
+    let fixed_payload = |r: &FixedResult| {
+        Value::Obj(vec![
+            text("multiplier", &r.multiplier),
+            num("before", r.before),
+            num("after", r.after),
+        ])
+    };
+    let nas_payload = |r: &NasResult| {
+        Value::Obj(vec![
+            text("chosen", r.chosen_name()),
+            num("quality", r.quality),
+            num("area", r.area),
+        ])
+    };
+    // Per-stage assignment in stage order, mean area, achieved quality.
+    let multi_payload = |r: &MultiNasResult| {
+        let assignment = r.assignment().into_iter().map(|(_, m)| Value::Str(m)).collect();
+        Value::Obj(vec![
+            ("assignment".to_owned(), Value::Arr(assignment)),
+            num("area", r.area),
+            num("quality", r.quality),
+        ])
+    };
+    // A catalog name with an optional `!key=value` fault suffix; unknown
+    // names and malformed faults become error rows.
+    let adapted = |spec: &str| catalog::by_spec(spec).map(|m| kernel.adapt(&m));
+    // Search budgets are multiples of the fixed-training epochs.
+    let scaled = |factor: usize| cfg.clone().epochs(cfg.epochs * factor);
+    let area_objective = |area_threshold: f64, gamma: f64, delta: f64| {
+        MultiObjective::AreaConstrained { area_threshold, gamma, delta }
+    };
+    match unit {
+        UnitJob::Fixed { spec, .. } | UnitJob::CnnFixed { spec } => {
+            let mult = adapted(spec)?;
+            let r = train_fixed_observed(kernel, &mult, train, test, &cfg, obs)
+                .map_err(|e| e.to_string())?;
+            Ok(fixed_payload(&r))
+        }
+        // The kernel's original coefficients on the test split: the "no
+        // retraining" side of fault sweeps and the untrained baselines.
+        UnitJob::Untrained { spec, .. } | UnitJob::CnnUntrained { spec } => {
+            let mult = adapted(spec)?;
+            let refs = lac_core::batch_references(kernel, test);
+            let mults: Vec<Arc<dyn Multiplier>> = vec![Arc::clone(&mult); kernel.num_stages()];
+            let coeffs = kernel.init_coeffs(&mults);
+            let threads = cfg.effective_threads();
+            let q = lac_core::quality(kernel, &coeffs, &mults, test, &refs, threads);
+            Ok(Value::Obj(vec![text("multiplier", mult.name()), num("quality", q)]))
+        }
+        UnitJob::Multistart { spec, scale_bits, .. } => {
+            let mult = adapted(spec)?;
+            let r = train_fixed_multistart_observed(
+                kernel, &mult, train, test, &cfg, scale_bits, obs,
+            )
+            .map_err(|e| e.to_string())?;
+            Ok(fixed_payload(&r))
+        }
+        UnitJob::Nas { constraint, gate_lr, epoch_factor, .. } => {
+            let cfg = scaled((*epoch_factor).max(1));
+            let candidates = lac_core::prune(&adapted_catalog(kernel), *constraint);
+            assert!(
+                !candidates.is_empty(),
+                "constraint {constraint:?} admits no candidates for {}",
+                kernel.name()
+            );
+            let r = search_single_observed(kernel, &candidates, train, test, &cfg, *gate_lr, obs);
+            Ok(nas_payload(&r))
+        }
+        UnitJob::NasAccuracy { target, delta, gate_lr, .. } => {
+            let cfg = scaled(NAS_EPOCH_FACTOR);
+            let candidates = adapted_catalog(kernel);
+            let r = search_accuracy_constrained_observed(
+                kernel, &candidates, train, test, &cfg, *gate_lr, *target, *delta, obs,
+            );
+            Ok(nas_payload(&r))
+        }
+        UnitJob::BruteForce { .. } => {
+            let candidates = adapted_catalog(kernel);
+            let r = brute_force_observed(kernel, &candidates, train, test, &cfg, obs)
+                .map_err(|e| e.to_string())?;
+            let rows = r.results.iter().map(fixed_payload).collect();
+            Ok(Value::Obj(vec![("results".to_owned(), Value::Arr(rows))]))
+        }
+        UnitJob::MultiNas { epoch_factor, area_threshold, gamma, delta, .. } => {
+            let cfg = scaled((*epoch_factor).max(1));
+            let objective = area_objective(*area_threshold, *gamma, *delta);
+            let candidates = adapted_catalog(kernel);
+            let r = search_multi_observed(
+                kernel, &candidates, train, test, &cfg, 1.0, objective, obs,
+            );
+            Ok(multi_payload(&r))
+        }
+        // Greedy trains every option for real: a quarter of the fixed
+        // budget per option, times stages × candidates (Table IV's
+        // runtime blow-up).
+        UnitJob::GreedyMulti { area_threshold, gamma, delta, .. } => {
+            let cfg = cfg.clone().epochs(if quick() { 2 } else { (cfg.epochs / 4).max(1) });
+            let objective = area_objective(*area_threshold, *gamma, *delta);
+            let candidates = adapted_catalog(kernel);
+            let r = greedy_multi_observed(kernel, &candidates, train, test, &cfg, objective, obs);
+            Ok(multi_payload(&r))
+        }
+        // The candidates are pruned to the *feasible* set first: a unit
+        // whose area exceeds `num_stages × area_threshold` cannot appear
+        // in any assignment meeting the mean-area budget, and keeping it
+        // in the supernet only dilutes the shared coefficients' training
+        // signal.
+        UnitJob::CnnPerLayerNas { epoch_factor, area_threshold, gamma, delta } => {
+            let cfg = scaled((*epoch_factor).max(1));
+            let objective = area_objective(*area_threshold, *gamma, *delta);
+            let feasible = Constraint::Area(kernel.num_stages() as f64 * area_threshold);
+            let candidates = lac_core::prune(&adapted_catalog(kernel), feasible);
+            assert!(
+                !candidates.is_empty(),
+                "area threshold {area_threshold} admits no candidates for {}",
+                kernel.name()
+            );
+            let r = search_multi_observed(
+                kernel, &candidates, train, test, &cfg, 1.0, objective, obs,
+            );
+            Ok(multi_payload(&r))
+        }
+        UnitJob::Ablation { .. } | UnitJob::AdderLac { .. } | UnitJob::InjectedPanic { .. } => {
+            unreachable!("{unit:?} runs outside the kernel cell body")
+        }
+    }
+}
+
+/// A numeric member of a canonical payload.
+fn num(key: &str, v: f64) -> (String, Value) {
+    (key.to_owned(), Value::Num(v))
+}
+
+/// A string member of a canonical payload.
+fn text(key: &str, v: &str) -> (String, Value) {
+    (key.to_owned(), Value::Str(v.to_owned()))
 }
 
 #[cfg(test)]

@@ -12,10 +12,11 @@
 //!
 //! [`TrainSession`]: crate::TrainSession
 
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
+
+use lac_rt::json::Value;
 
 /// One per-epoch telemetry record.
 ///
@@ -58,74 +59,37 @@ pub struct EpochEvent<'a> {
 
 impl EpochEvent<'_> {
     /// Serialize the event as one JSON object (no trailing newline).
+    /// Non-finite values use the `lac_rt::json` extension tokens, so a
+    /// diverged run's NaN/±inf loss survives a round trip through the run
+    /// log or result cache instead of decaying into `null`; an absent
+    /// value is `null`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"run\":");
-        push_json_string(&mut out, self.run);
-        out.push_str(",\"detail\":");
-        push_json_string(&mut out, self.detail);
-        let _ = write!(out, ",\"epoch\":{}", self.epoch);
-        let _ = write!(out, ",\"rollback\":{}", self.rollback);
-        let _ = write!(out, ",\"loss\":{}", json_f64_opt(self.loss));
-        let _ = write!(out, ",\"quality\":{}", json_f64_opt(self.quality));
-        let _ = write!(out, ",\"area\":{}", json_f64_opt(self.area));
-        let _ = write!(out, ",\"delay\":{}", json_f64_opt(self.delay));
-        out.push_str(",\"sampled\":[");
-        for (k, s) in self.sampled.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{s}");
-        }
-        out.push_str("],\"gate_probs\":[");
-        for (g, probs) in self.gate_probs.iter().enumerate() {
-            if g > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (k, p) in probs.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_f64(*p));
-            }
-            out.push(']');
-        }
-        let _ = write!(out, "],\"seconds\":{}}}", json_f64(self.seconds));
-        out
+        let opt = |v: Option<f64>| v.map_or(Value::Null, Value::Num);
+        let sampled = self.sampled.iter().map(|&s| Value::Num(s as f64)).collect();
+        let gate_probs = self
+            .gate_probs
+            .iter()
+            .map(|probs| Value::Arr(probs.iter().copied().map(Value::Num).collect()))
+            .collect();
+        Value::Obj(vec![
+            member("run", Value::Str(self.run.to_owned())),
+            member("detail", Value::Str(self.detail.to_owned())),
+            member("epoch", Value::Num(self.epoch as f64)),
+            member("rollback", Value::Bool(self.rollback)),
+            member("loss", opt(self.loss)),
+            member("quality", opt(self.quality)),
+            member("area", opt(self.area)),
+            member("delay", opt(self.delay)),
+            member("sampled", Value::Arr(sampled)),
+            member("gate_probs", Value::Arr(gate_probs)),
+            member("seconds", Value::Num(self.seconds)),
+        ])
+        .to_json()
     }
 }
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn json_f64(v: f64) -> String {
-    // Non-finite values use the lac_rt::json extension tokens so a
-    // diverged run's NaN/±inf loss survives a round trip through the
-    // run log or result cache instead of decaying into null.
-    lac_rt::json::Value::Num(v).to_json()
-}
-
-fn json_f64_opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) => json_f64(x),
-        None => "null".to_owned(),
-    }
+fn member(key: &str, value: Value) -> (String, Value) {
+    (key.to_owned(), value)
 }
 
 /// A structured training-failure record, emitted by the engine right
@@ -150,15 +114,13 @@ pub struct ErrorEvent<'a> {
 impl ErrorEvent<'_> {
     /// Serialize the event as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"run\":");
-        push_json_string(&mut out, self.run);
-        out.push_str(",\"detail\":");
-        push_json_string(&mut out, self.detail);
-        out.push_str(",\"error\":");
-        push_json_string(&mut out, self.error);
-        let _ = write!(out, ",\"seconds\":{}}}", json_f64(self.seconds));
-        out
+        Value::Obj(vec![
+            member("run", Value::Str(self.run.to_owned())),
+            member("detail", Value::Str(self.detail.to_owned())),
+            member("error", Value::Str(self.error.to_owned())),
+            member("seconds", Value::Num(self.seconds)),
+        ])
+        .to_json()
     }
 }
 
@@ -283,21 +245,51 @@ mod tests {
             gate_probs: &probs,
             seconds: 1.5,
         };
-        let json = e.to_json();
-        assert!(json.starts_with("{\"run\":\"search-single\""), "{json}");
-        assert!(json.contains("\"epoch\":3"), "{json}");
-        assert!(json.contains("\"loss\":0.5"), "{json}");
-        assert!(json.contains("\"quality\":null"), "{json}");
-        assert!(json.contains("\"sampled\":[1,0]"), "{json}");
-        assert!(json.contains("\"gate_probs\":[[0.25,0.75]]"), "{json}");
-        assert!(json.ends_with("\"seconds\":1.5}"), "{json}");
+        assert_eq!(
+            e.to_json(),
+            r#"{"run":"search-single","detail":"blur","epoch":3,"rollback":false,"loss":0.5,"quality":null,"area":0.125,"delay":null,"sampled":[1,0],"gate_probs":[[0.25,0.75]],"seconds":1.5}"#
+        );
+        // Every optional field absent, no gates.
+        assert_eq!(
+            EpochEvent::default().to_json(),
+            r#"{"run":"","detail":"","epoch":0,"rollback":false,"loss":null,"quality":null,"area":null,"delay":null,"sampled":[],"gate_probs":[],"seconds":0}"#
+        );
+        // Non-finite values and ragged per-gate probabilities, one gate empty.
+        let nested = vec![vec![0.5, 0.25, 0.25], vec![], vec![1.0]];
+        let sampled = [2usize, 0, 0];
+        let e = EpochEvent {
+            run: "search-multi",
+            detail: "tap00",
+            epoch: 12,
+            rollback: true,
+            loss: Some(f64::NAN),
+            quality: Some(f64::INFINITY),
+            area: Some(f64::NEG_INFINITY),
+            delay: Some(0.0625),
+            sampled: &sampled,
+            gate_probs: &nested,
+            seconds: 0.0,
+        };
+        assert_eq!(
+            e.to_json(),
+            r#"{"run":"search-multi","detail":"tap00","epoch":12,"rollback":true,"loss":NaN,"quality":Infinity,"area":-Infinity,"delay":0.0625,"sampled":[2,0,0],"gate_probs":[[0.5,0.25,0.25],[],[1]],"seconds":0}"#
+        );
     }
 
     #[test]
     fn strings_are_escaped() {
-        let e = EpochEvent { run: "a\"b\\c\nd", ..Default::default() };
-        let json = e.to_json();
-        assert!(json.contains("\"a\\\"b\\\\c\\nd\""), "{json}");
+        let esc = "q\"b\\s\nn\rr\tt\u{1}u";
+        let e = EpochEvent { run: esc, detail: esc, ..Default::default() };
+        assert_eq!(
+            e.to_json(),
+            r#"{"run":"q\"b\\s\nn\rr\tt\u0001u","detail":"q\"b\\s\nn\rr\tt\u0001u","epoch":0,"rollback":false,"loss":null,"quality":null,"area":null,"delay":null,"sampled":[],"gate_probs":[],"seconds":0}"#
+        );
+        let e =
+            ErrorEvent { run: esc, detail: "mul8u_FTA!flip=0.1", error: esc, seconds: f64::NAN };
+        assert_eq!(
+            e.to_json(),
+            r#"{"run":"q\"b\\s\nn\rr\tt\u0001u","detail":"mul8u_FTA!flip=0.1","error":"q\"b\\s\nn\rr\tt\u0001u","seconds":NaN}"#
+        );
     }
 
     #[test]

@@ -45,6 +45,8 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use crate::json::write_string;
+
 /// One recorded benchmark result.
 #[derive(Debug, Clone)]
 pub struct Record {
@@ -117,14 +119,14 @@ impl Harness {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"suite\":");
-        push_json_string(&mut out, &self.suite);
+        write_string(&mut out, &self.suite);
         out.push_str(",\"benches\":[");
         for (i, r) in self.records.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("{\"id\":");
-            push_json_string(&mut out, &r.id);
+            write_string(&mut out, &r.id);
             out.push_str(&format!(
                 ",\"median_ns\":{},\"mean_ns\":{},\"min_ns\":{},\"samples\":{},\"iters_per_sample\":{}}}",
                 json_f64(r.median_ns),
@@ -226,21 +228,6 @@ impl Bencher {
     }
 }
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Format a float as JSON (finite values only; NaN/inf become 0).
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
@@ -292,8 +279,8 @@ mod tests {
     #[test]
     fn json_escapes_strings() {
         let mut s = String::new();
-        push_json_string(&mut s, "a\"b\\c\nd");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
+        write_string(&mut s, "a\"b\\c\nd\re");
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\re\"");
     }
 
     #[test]

@@ -187,7 +187,10 @@ impl Value {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string: `"` and `\` escaped, `\n`, `\r` and
+/// `\t` as their short escapes, other control characters as `\u00XX`.
+/// The workspace's one JSON string writer.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -81,6 +81,24 @@ if grep -rn -E "_observed\(|train_fixed_|batch_grads\(|batch_outputs\(|search_si
     exit 1
 fi
 
+# One cell body (DESIGN.md §5b): the scheduler (lac-bench sched.rs)
+# turns every kernel UnitJob into its kernel, dataset and base config in
+# one place and runs it through one generic cell body. A lac-core
+# trainer/search entry point or an app kernel constructor anywhere else
+# in lac-bench's library code (ablate.rs and adder.rs run cells of their
+# own) would grow a second cell path beside it. Comment lines and test
+# modules (from a column-0 `#[cfg(test)]` line down) are exempt.
+echo "== cell guard: engine calls and app kernels only in lac-bench sched.rs/ablate.rs/adder.rs"
+cell_calls=$(for f in crates/lac-bench/src/*.rs; do
+    case "$f" in */sched.rs | */ablate.rs | */adder.rs) continue ;; esac
+    awk '/^[[:space:]]*\/\//{next} /^#\[cfg\(test\)\]/{exit} /_observed\(|train_fixed|search_|brute_force|greedy_multi|(FilterApp|JpegApp|DftApp|InverseK2jApp)::new\(|CnnApp::paper\(/{print FILENAME": "$0}' "$f"
+done)
+if [[ -n "${cell_calls}" ]]; then
+    echo "verify: FAIL — engine call or app kernel outside the scheduler's cell body (add a UnitJob kind to sched.rs instead):" >&2
+    echo "${cell_calls}" >&2
+    exit 1
+fi
+
 # The recovery suite is part of the workspace test run above (as are
 # the lac-hw fault and lac-core engine suites), but name it explicitly
 # so a filtered or partial CI configuration cannot silently skip it.
