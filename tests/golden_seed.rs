@@ -10,12 +10,14 @@
 
 use std::sync::Arc;
 
-use lac::apps::{DftApp, FilterApp, FilterKind, JpegApp, JpegMode, Kernel, StageMode};
+use lac::apps::{
+    DftApp, FilterApp, FilterKind, InverseK2jApp, JpegApp, JpegMode, Kernel, StageMode,
+};
 use lac::core::{
     greedy_multi, search_accuracy_constrained, search_multi, search_single, train_fixed,
     MultiObjective, TrainConfig,
 };
-use lac::data::{synth_image, GrayImage};
+use lac::data::{synth_image, GrayImage, IkDataset};
 use lac::hw::{catalog, Multiplier};
 use lac::tensor::Tensor;
 
@@ -220,7 +222,9 @@ fn dft_train_fixed_on_wide_unit_matches_per_product_bits() {
 /// as one fused node.
 #[test]
 fn jpeg_three_stage_train_fixed_on_mixed_plan_matches_per_block_bits() {
-    use lac::core::{batch_references, quality, HardwarePlan, NullObserver, RunScope, TrainSession};
+    use lac::core::{
+        batch_references, quality, HardwarePlan, NullObserver, RunScope, TrainSession,
+    };
 
     let app = JpegApp::new(JpegMode::ThreeStage);
     let mults: Vec<Arc<dyn Multiplier>> = ["DRUM16-6", "mul16s_GK2", "mul8u_FTA"]
@@ -251,5 +255,51 @@ fn jpeg_three_stage_train_fixed_on_mixed_plan_matches_per_block_bits() {
     assert_eq!(
         got,
         (0x403e245cf9821802, 0x403ddfdbc82af30a, 0xb9d91018ec9946db, 0x0f9cc8ce21b619d0)
+    );
+}
+
+/// Smoke-scale `train_fixed` of `app` on the catalog unit `unit`,
+/// adapted as every pin above adapts its unit: `(before, after,
+/// loss-trajectory hash, coefficient hash)`.
+fn unit_train_fixed<K: Kernel + Sync>(
+    app: &K,
+    unit: &str,
+    (train, test): (&[K::Sample], &[K::Sample]),
+    cfg: &TrainConfig,
+) -> (u64, u64, u64, u64) {
+    let mult = app.adapt(&catalog::by_name(unit).unwrap());
+    let r = train_fixed(app, &mult, train, test, cfg).expect("training");
+    assert_eq!(r.loss_history.len(), cfg.epochs);
+    (r.before.to_bits(), r.after.to_bits(), hash_f64s(&r.loss_history), hash_tensors(&r.coeffs))
+}
+
+/// Inversek2j on `DRUM16-4`, the benchmark's ik unit: a chain of scalar
+/// tape nodes (quantizers, elementwise and scalar products, trig,
+/// `atan2`, `concat`) per sample. Constants captured on the closure
+/// tape, before the typed tape replaced it.
+#[test]
+fn ik_train_fixed_on_drum_matches_closure_tape_bits() {
+    let ds = IkDataset::generate(32, 16, 5);
+    let cfg = TrainConfig::new().epochs(4).learning_rate(50.0).minibatch(8).seed(31).threads(2);
+    let got = unit_train_fixed(&InverseK2jApp::new(), "DRUM16-4", (&ds.train, &ds.test), &cfg);
+    assert_eq!(
+        got,
+        (0x3fda8b04a1b038a9, 0x3fc5fa2bfd63dbd7, 0xd392e35a9557a841, 0x52dbecf532192c67)
+    );
+}
+
+/// DFT on the tabulated `mul8u_FTA`, the benchmark's dft unit: the real
+/// and imaginary tile products run the LUT matmul kernel. Constants
+/// captured on the closure tape, before the typed tape replaced it.
+#[test]
+fn dft_train_fixed_on_fta_matches_closure_tape_bits() {
+    let (train, test) = (images(0..4), images(100..102));
+    let cfg = TrainConfig::new().epochs(4).learning_rate(2.0).minibatch(2).seed(37).threads(2);
+    let got = unit_train_fixed(&DftApp::new(), "mul8u_FTA", (&train, &test), &cfg);
+    // The initial tiles are already the best iterate on the held-out
+    // images, so before == after; the loss trajectory pins every step.
+    assert_eq!(
+        got,
+        (0x4046c84685931486, 0x4046c84685931486, 0x1ee3f4b8ee92e0b6, 0x0c671782274099a5)
     );
 }

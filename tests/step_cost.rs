@@ -19,8 +19,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use lac::apps::{FilterApp, FilterKind, JpegApp, JpegMode, Kernel, StageMode};
-use lac::data::{synth_image, GrayImage};
+use lac::apps::{
+    CnnApp, DftApp, FilterApp, FilterKind, InverseK2jApp, JpegApp, JpegMode, Kernel, StageMode,
+};
+use lac::data::{synth_image, CnnDataset, GrayImage, IkDataset};
 use lac::hw::{catalog, LutMultiplier, Multiplier};
 use lac::tensor::{pool, Graph, Tensor, Var};
 
@@ -72,25 +74,25 @@ struct StepCost {
     nodes: usize,
 }
 
-/// The cost of one training sample of `kernel` on `mul8u_FTA`, tabulated
-/// and adapted as a training session adapts it.
-fn step_cost<K: Kernel<Sample = GrayImage>>(kernel: &K) -> StepCost {
-    let unit = LutMultiplier::maybe_wrap(catalog::by_spec("mul8u_FTA").unwrap());
+/// The cost of one training sample of `kernel` on the catalog unit
+/// `spec`, tabulated and adapted as a training session adapts it, over
+/// three samples: two warm-ups, then the counted one.
+fn step_cost<K: Kernel>(kernel: &K, spec: &str, samples: &[K::Sample]) -> StepCost {
+    let unit = LutMultiplier::maybe_wrap(catalog::by_spec(spec).unwrap());
     let mults: Vec<Arc<dyn Multiplier>> = vec![kernel.adapt(&unit); kernel.num_stages()];
     // Off-grid coefficients, as mid-training: the quantizers round.
     let coeffs: Vec<Tensor> =
         kernel.init_coeffs(&mults).iter().map(|c| c.map(|v| v + 0.3)).collect();
-    let images: Vec<_> = (0..3).map(|s| synth_image(32, 32, s)).collect();
     let references: Vec<Vec<f64>> =
-        images.iter().map(|i| kernel.reference(i).into_data()).collect();
+        samples.iter().map(|s| kernel.reference(s).into_data()).collect();
     pool::scope(|| {
         let graph = Graph::new();
         let mut cost = StepCost { heap_calls: 0, nodes: 0 };
-        for (image, reference) in images.iter().zip(&references) {
+        for (sample, reference) in samples.iter().zip(&references) {
             let before = HEAP_CALLS.with(Cell::get);
             graph.reset();
             let vars: Vec<Var> = coeffs.iter().map(|c| graph.var(c.clone())).collect();
-            let loss = kernel.forward_approx(&graph, image, &vars, &mults).mse_loss_to(reference);
+            let loss = kernel.forward_approx(&graph, sample, &vars, &mults).mse_loss_to(reference);
             let nodes = graph.len();
             let grads = graph.backward(&loss);
             let sample_grads: Vec<Tensor> = vars.iter().map(|v| grads.get(v)).collect();
@@ -99,6 +101,10 @@ fn step_cost<K: Kernel<Sample = GrayImage>>(kernel: &K) -> StepCost {
         }
         cost
     })
+}
+
+fn images() -> Vec<GrayImage> {
+    (0..3).map(|s| synth_image(32, 32, s)).collect()
 }
 
 fn check(name: &str, got: StepCost, bound: StepCost) {
@@ -111,7 +117,28 @@ fn check(name: &str, got: StepCost, bound: StepCost) {
 #[test]
 fn blur_and_jpeg_samples_stay_within_their_step_cost() {
     let blur = FilterApp::new(FilterKind::GaussianBlur, StageMode::Single);
-    check("blur", step_cost(&blur), StepCost { heap_calls: 79, nodes: 23 });
+    check("blur", step_cost(&blur, "mul8u_FTA", &images()), StepCost { heap_calls: 79, nodes: 23 });
     let jpeg = JpegApp::new(JpegMode::Single);
-    check("jpeg", step_cost(&jpeg), StepCost { heap_calls: 99, nodes: 15 });
+    check("jpeg", step_cost(&jpeg, "mul8u_FTA", &images()), StepCost { heap_calls: 99, nodes: 15 });
+}
+
+#[test]
+fn dft_ik_and_cnn_samples_stay_within_their_step_cost() {
+    check(
+        "dft",
+        step_cost(&DftApp::new(), "mul8u_FTA", &images()),
+        StepCost { heap_calls: 156, nodes: 23 },
+    );
+    let ik = IkDataset::generate(3, 0, 1).train;
+    check(
+        "ik",
+        step_cost(&InverseK2jApp::new(), "DRUM16-4", &ik),
+        StepCost { heap_calls: 85, nodes: 33 },
+    );
+    let cnn = CnnDataset::generate(3, 0, 16, 16, 1).train;
+    check(
+        "cnn",
+        step_cost(&CnnApp::paper(), "mul8u_FTA", &cnn),
+        StepCost { heap_calls: 87, nodes: 13 },
+    );
 }
