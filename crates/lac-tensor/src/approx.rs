@@ -771,20 +771,19 @@ impl Var {
             assert_eq!(c.len(), 1, "approx_scale coefficient must be a single element");
             c.data()[0]
         });
-        let value = self.with_value(|x| match ProductRows::new(&**mult, &[cv], x.data(), x.len()) {
-            Some(rows) => x.map(|v| rows.get(0, rows.col(v)) as f64),
-            None => x.map(|v| approx_product(&**mult, cv, v) as f64),
-        });
+        let value =
+            self.with_value(|x| match ProductRows::new(&**mult, &[cv], x.data(), x.len()) {
+                Some(rows) => x.map(|v| rows.get(0, rows.col(v)) as f64),
+                None => x.map(|v| approx_product(&**mult, cv, v) as f64),
+            });
         self.record_binary(coeff, value, |nx, nc| {
             // `dc` reads the pixels; `dx` only the scalar `cv`.
-            let x_shape = nc.then(|| (self.value(), coeff.shape()));
+            let x_shape = nc.then(|| (self.value(), coeff.inline_shape()));
             move |g: &Tensor| {
                 let dx = nx.then(|| g.map(|gv| gv * cv));
                 let dc = x_shape.map(|(x, shape)| {
-                    Tensor::from_vec(
-                        vec![g.data().iter().zip(x.data()).map(|(&gv, &xv)| gv * xv).sum()],
-                        &shape,
-                    )
+                    let dc: f64 = g.data().iter().zip(x.data()).map(|(&gv, &xv)| gv * xv).sum();
+                    Tensor::filled(shape, dc)
                 });
                 [dx, dc]
             }

@@ -25,7 +25,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::tensor::Tensor;
+use crate::tensor::{Shape, Tensor};
 
 /// Backward closure: maps the gradient flowing into a node to the gradient
 /// contributions of its parents, aligned with the node's parent list —
@@ -233,6 +233,11 @@ impl Var {
     /// Panics if the node holds more than one element.
     pub fn item(&self) -> f64 {
         self.tape.borrow().nodes[self.id].value.item()
+    }
+
+    /// Shape of this node's value, inline.
+    pub(crate) fn inline_shape(&self) -> Shape {
+        self.tape.borrow().nodes[self.id].value.inline_shape()
     }
 
     /// Whether this node needs a gradient: a [`Graph::var`] leaf, or an

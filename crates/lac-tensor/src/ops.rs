@@ -8,7 +8,8 @@
 use std::ops::Range;
 
 use crate::graph::{BackwardFn, Var};
-use crate::tensor::Tensor;
+use crate::pool;
+use crate::tensor::{Shape, Tensor};
 
 impl Var {
     fn binary_guard(&self, other: &Var, what: &str) {
@@ -91,9 +92,7 @@ impl Var {
         let value = self.with_value(|a| a.map(|v| v.clamp(lo, hi)));
         self.record_unary(value, || {
             let a = self.value();
-            move |g: &Tensor| {
-                g.zip_map(&a, |gv, av| if (lo..=hi).contains(&av) { gv } else { 0.0 })
-            }
+            move |g: &Tensor| g.zip_map(&a, |gv, av| if (lo..=hi).contains(&av) { gv } else { 0.0 })
         })
     }
 
@@ -101,8 +100,8 @@ impl Var {
     pub fn sum(&self) -> Var {
         let value = Tensor::scalar(self.with_value(Tensor::sum));
         self.record_unary(value, || {
-            let shape = self.shape();
-            move |g: &Tensor| Tensor::full(&shape, g.item())
+            let shape = self.inline_shape();
+            move |g: &Tensor| Tensor::filled(shape, g.item())
         })
     }
 
@@ -114,9 +113,9 @@ impl Var {
     pub fn mean(&self) -> Var {
         let value = Tensor::scalar(self.with_value(Tensor::mean));
         self.record_unary(value, || {
-            let shape = self.shape();
-            let n = shape.iter().product::<usize>() as f64;
-            move |g: &Tensor| Tensor::full(&shape, g.item() / n)
+            let shape = self.inline_shape();
+            let n = shape.volume() as f64;
+            move |g: &Tensor| Tensor::filled(shape, g.item() / n)
         })
     }
 
@@ -198,7 +197,7 @@ impl Var {
         });
         let sq_sum: f64 = d.data().iter().map(|d| d * d).sum();
         self.record_unary(Tensor::scalar(sq_sum / n as f64), || {
-            let shape = self.shape();
+            let shape = self.inline_shape();
             // The chain's backward: `mean` hands each element `g / n`, the
             // square node doubles `d·(g / n)`, `sub` and `reshape` pass it
             // through. The differences become the gradient in place.
@@ -206,7 +205,7 @@ impl Var {
                 let gv = g.item() / n as f64;
                 let mut d = d;
                 d.data_mut().iter_mut().for_each(|d| *d = 2.0 * *d * gv);
-                d.reshaped(&shape)
+                d.reshaped_to(shape)
             }
         })
     }
@@ -239,12 +238,12 @@ impl Var {
     /// Panics if the new shape's volume differs from the node's element
     /// count.
     pub fn reshape(&self, shape: &[usize]) -> Var {
-        let old_shape = self.shape();
-        if old_shape == shape {
+        let old_shape = self.inline_shape();
+        if old_shape.dims() == shape {
             return self.clone();
         }
         let value = self.value().reshaped(shape);
-        self.record_unary(value, || move |g: &Tensor| g.clone().reshaped(&old_shape))
+        self.record_unary(value, || move |g: &Tensor| g.clone().reshaped_to(old_shape))
     }
 
     /// 2-D transpose.
@@ -336,10 +335,7 @@ pub(crate) fn product_rule(
     let b = na.then(|| b.value());
     let a = nb.then(|| a.value());
     move |g| {
-        [
-            b.map(|b| g.zip_map(&b, |gv, bv| gv * bv)),
-            a.map(|a| g.zip_map(&a, |gv, av| gv * av)),
-        ]
+        [b.map(|b| g.zip_map(&b, |gv, bv| gv * bv)), a.map(|a| g.zip_map(&a, |gv, av| gv * av))]
     }
 }
 
@@ -436,16 +432,16 @@ pub fn concat(vars: &[Var]) -> Var {
     let total = data.len();
     let need: Vec<bool> = vars.iter().map(Var::needs_grad).collect();
     let closure = need.contains(&true).then(|| {
-        let shapes: Vec<Vec<usize>> = vars.iter().map(Var::shape).collect();
+        let shapes: Vec<Shape> = vars.iter().map(Var::inline_shape).collect();
         Box::new(move |g: &Tensor| {
             let mut offset = 0;
             need.iter()
                 .zip(&shapes)
                 .map(|(&needed, shape)| {
-                    let len = shape.iter().product::<usize>();
+                    let len = shape.volume();
                     let chunk = &g.data()[offset..offset + len];
                     offset += len;
-                    needed.then(|| Tensor::from_vec(chunk.to_vec(), shape))
+                    needed.then(|| Tensor::with_shape(pool::take_copy(chunk), *shape))
                 })
                 .collect()
         }) as BackwardFn

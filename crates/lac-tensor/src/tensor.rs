@@ -27,13 +27,59 @@ use crate::pool;
 /// ```
 #[derive(Debug, PartialEq)]
 pub struct Tensor {
-    shape: Vec<usize>,
+    shape: Shape,
     data: Vec<f64>,
+}
+
+/// The largest rank a [`Tensor`] holds.
+pub(crate) const MAX_RANK: usize = 4;
+
+/// A tensor's dimensions, held inline: copying a shape never allocates.
+/// Dimensions past the rank are zero, so the derived equality is the
+/// slices' equality.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Shape {
+    dims: [usize; MAX_RANK],
+    rank: u8,
+}
+
+impl Shape {
+    /// The shape with dimensions `dims`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` has more than [`MAX_RANK`] entries.
+    pub(crate) fn new(dims: &[usize]) -> Shape {
+        assert!(
+            dims.len() <= MAX_RANK,
+            "tensor rank {} exceeds MAX_RANK = {MAX_RANK}: shape {dims:?}",
+            dims.len()
+        );
+        let mut inline = [0; MAX_RANK];
+        inline[..dims.len()].copy_from_slice(dims);
+        Shape { dims: inline, rank: dims.len() as u8 }
+    }
+
+    /// The dimensions, outermost first.
+    pub(crate) fn dims(&self) -> &[usize] {
+        &self.dims[..usize::from(self.rank)]
+    }
+
+    /// The number of elements.
+    pub(crate) fn volume(&self) -> usize {
+        self.dims().iter().product()
+    }
+}
+
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.dims().fmt(f)
+    }
 }
 
 impl Clone for Tensor {
     fn clone(&self) -> Self {
-        Tensor { shape: self.shape.clone(), data: pool::take_copy(&self.data) }
+        Tensor { shape: self.shape, data: pool::take_copy(&self.data) }
     }
 }
 
@@ -48,16 +94,26 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if the buffer length does not match the shape volume.
+    /// Panics if the buffer length does not match the shape volume, or
+    /// the shape's rank exceeds four.
     pub fn from_vec(data: Vec<f64>, shape: &[usize]) -> Self {
-        let volume: usize = shape.iter().product();
+        Self::with_shape(data, Shape::new(shape))
+    }
+
+    /// [`Tensor::from_vec`] under an inline shape.
+    pub(crate) fn with_shape(data: Vec<f64>, shape: Shape) -> Self {
+        let volume = shape.volume();
         assert_eq!(data.len(), volume, "data length {} != shape volume {volume}", data.len());
-        Tensor { shape: shape.to_vec(), data }
+        Tensor { shape, data }
     }
 
     /// A tensor of zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape's rank exceeds four.
     pub fn zeros(shape: &[usize]) -> Self {
-        Tensor { shape: shape.to_vec(), data: pool::take_zeroed(shape.iter().product()) }
+        Self::full(shape, 0.0)
     }
 
     /// A tensor of ones.
@@ -67,7 +123,12 @@ impl Tensor {
 
     /// A tensor filled with a constant.
     pub fn full(shape: &[usize], value: f64) -> Self {
-        Tensor { shape: shape.to_vec(), data: pool::take_filled(shape.iter().product(), value) }
+        Self::filled(Shape::new(shape), value)
+    }
+
+    /// [`Tensor::full`] under an inline shape.
+    pub(crate) fn filled(shape: Shape, value: f64) -> Self {
+        Tensor { shape, data: pool::take_filled(shape.volume(), value) }
     }
 
     /// A tensor whose elements `fill` pushes, in row-major order, onto
@@ -89,15 +150,15 @@ impl Tensor {
     ///
     /// Panics if `fill` pushes other than the shape's volume of elements.
     pub fn build(shape: &[usize], fill: impl FnOnce(&mut Vec<f64>)) -> Self {
-        let volume: usize = shape.iter().product();
-        let mut data = pool::take_with_capacity(volume);
+        let shape = Shape::new(shape);
+        let mut data = pool::take_with_capacity(shape.volume());
         fill(&mut data);
-        Tensor::from_vec(data, shape)
+        Tensor::with_shape(data, shape)
     }
 
     /// A rank-0 scalar tensor.
     pub fn scalar(value: f64) -> Self {
-        Tensor { shape: vec![], data: vec![value] }
+        Self::filled(Shape::new(&[]), value)
     }
 
     /// The `n × n` identity matrix.
@@ -111,7 +172,12 @@ impl Tensor {
 
     /// Tensor shape.
     pub fn shape(&self) -> &[usize] {
-        &self.shape
+        self.shape.dims()
+    }
+
+    /// The shape, inline: a copy that never allocates.
+    pub(crate) fn inline_shape(&self) -> Shape {
+        self.shape
     }
 
     /// Number of elements.
@@ -147,16 +213,19 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the new shape's volume differs from the element count.
-    pub fn reshaped(mut self, shape: &[usize]) -> Tensor {
-        let volume: usize = shape.iter().product();
+    pub fn reshaped(self, shape: &[usize]) -> Tensor {
+        self.reshaped_to(Shape::new(shape))
+    }
+
+    /// [`Tensor::reshaped`] under an inline shape.
+    pub(crate) fn reshaped_to(mut self, shape: Shape) -> Tensor {
         assert_eq!(
             self.data.len(),
-            volume,
+            shape.volume(),
             "reshape volume mismatch: {} elements into shape {shape:?}",
             self.data.len()
         );
-        self.shape.clear();
-        self.shape.extend_from_slice(shape);
+        self.shape = shape;
         self
     }
 
@@ -174,7 +243,7 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
         let mut data = pool::take_with_capacity(self.data.len());
         data.extend(self.data.iter().map(|&v| f(v)));
-        Tensor { shape: self.shape.clone(), data }
+        Tensor { shape: self.shape, data }
     }
 
     /// Elementwise combination of two same-shaped tensors.
@@ -186,7 +255,7 @@ impl Tensor {
         assert_eq!(self.shape, other.shape, "zip_map shape mismatch");
         let mut data = pool::take_with_capacity(self.data.len());
         data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
-        Tensor { shape: self.shape.clone(), data }
+        Tensor { shape: self.shape, data }
     }
 
     /// In-place elementwise accumulation `self += other`.
@@ -250,8 +319,10 @@ impl Tensor {
     ///
     /// Panics (with `context` in the message) unless the tensor is 2-D.
     pub fn dims2(&self, context: &str) -> (usize, usize) {
-        assert_eq!(self.shape.len(), 2, "{context}: expected 2-D tensor, got {:?}", self.shape);
-        (self.shape[0], self.shape[1])
+        match *self.shape() {
+            [rows, cols] => (rows, cols),
+            _ => panic!("{context}: expected 2-D tensor, got {:?}", self.shape),
+        }
     }
 
     /// Maximum absolute element (0 for empty tensors).
@@ -325,6 +396,21 @@ mod tests {
     #[should_panic(expected = "shape volume")]
     fn construction_validates_volume() {
         Tensor::from_vec(vec![1.0], &[2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_RANK")]
+    fn construction_rejects_rank_five() {
+        Tensor::zeros(&[1, 1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn shapes_up_to_rank_four_round_trip() {
+        for dims in [&[][..], &[3], &[2, 3], &[1, 2, 3], &[2, 1, 2, 3]] {
+            let t = Tensor::from_vec(vec![0.5; dims.iter().product()], dims);
+            assert_eq!(t.shape(), dims);
+            assert_eq!(t.clone().reshaped(&[t.len()]).reshaped(dims), t);
+        }
     }
 
     #[test]

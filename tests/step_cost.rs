@@ -117,9 +117,9 @@ fn check(name: &str, got: StepCost, bound: StepCost) {
 #[test]
 fn blur_and_jpeg_samples_stay_within_their_step_cost() {
     let blur = FilterApp::new(FilterKind::GaussianBlur, StageMode::Single);
-    check("blur", step_cost(&blur, "mul8u_FTA", &images()), StepCost { heap_calls: 79, nodes: 23 });
+    check("blur", step_cost(&blur, "mul8u_FTA", &images()), StepCost { heap_calls: 55, nodes: 23 });
     let jpeg = JpegApp::new(JpegMode::Single);
-    check("jpeg", step_cost(&jpeg, "mul8u_FTA", &images()), StepCost { heap_calls: 99, nodes: 15 });
+    check("jpeg", step_cost(&jpeg, "mul8u_FTA", &images()), StepCost { heap_calls: 46, nodes: 15 });
 }
 
 #[test]
@@ -127,18 +127,18 @@ fn dft_ik_and_cnn_samples_stay_within_their_step_cost() {
     check(
         "dft",
         step_cost(&DftApp::new(), "mul8u_FTA", &images()),
-        StepCost { heap_calls: 156, nodes: 23 },
+        StepCost { heap_calls: 85, nodes: 23 },
     );
     let ik = IkDataset::generate(3, 0, 1).train;
     check(
         "ik",
         step_cost(&InverseK2jApp::new(), "DRUM16-4", &ik),
-        StepCost { heap_calls: 85, nodes: 33 },
+        StepCost { heap_calls: 73, nodes: 33 },
     );
     let cnn = CnnDataset::generate(3, 0, 16, 16, 1).train;
     check(
         "cnn",
         step_cost(&CnnApp::paper(), "mul8u_FTA", &cnn),
-        StepCost { heap_calls: 87, nodes: 13 },
+        StepCost { heap_calls: 43, nodes: 13 },
     );
 }
