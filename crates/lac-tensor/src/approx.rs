@@ -18,9 +18,9 @@ use std::sync::Arc;
 
 use lac_hw::{operand_offset, round_half_away, Multiplier};
 
-use crate::graph::Var;
+use crate::graph::{Op, Slots, Var};
 use crate::matmul_fast;
-use crate::ops::{conv_rule, matmul_rule, product_rule, ConvShape};
+use crate::ops::ConvShape;
 use crate::pool;
 use crate::tensor::{add_assign, matmul_acc, Tensor};
 
@@ -329,7 +329,7 @@ impl Epilogue {
     /// The gradient entering the product from the node's gradient `g`:
     /// `g` itself for the empty stage, else the chain's maps in the
     /// tape's order. `pre` is what [`Epilogue::forward`] kept.
-    fn backward<'g>(&self, g: &'g Tensor, pre: Option<&Tensor>) -> Cow<'g, Tensor> {
+    pub(crate) fn backward<'g>(&self, g: &'g Tensor, pre: Option<&Tensor>) -> Cow<'g, Tensor> {
         let mut scales = self.scales().iter().rev();
         let mut g = match (self.clamp, pre) {
             (Some((lo, hi)), Some(pre)) => {
@@ -356,6 +356,82 @@ pub enum BlockSide {
     Forward,
     /// `Cᵀ·X·C`: the inverse DCT.
     Inverse,
+}
+
+impl BlockSide {
+    /// `(L, R)` of the block product `L·X·R`, for the coefficient matrix
+    /// `c` and its transpose `ct`.
+    fn operands<'t>(self, c: &'t Tensor, ct: &'t Tensor) -> (&'t Tensor, &'t Tensor) {
+        match self {
+            BlockSide::Forward => (c, ct),
+            BlockSide::Inverse => (ct, c),
+        }
+    }
+}
+
+/// The gradients `[d_blocks, d_coeff]` of a block transform node whose
+/// output stage has already mapped the node's gradient to `gs`, the
+/// gradient of the second product; each only where that parent needs
+/// one. `mid` is the node's rounded first products, kept when the
+/// coefficient needs a gradient.
+///
+/// The second product `mid ⊛ R`'s input gradient runs once over the
+/// whole stack; then straight through the `s_mid` round and into the
+/// first product `L ⊛ X` under `s_in`: two multiplies, as the two tape
+/// nodes of the per-block chain apply them. The blocks' gradient reads
+/// `L`; the coefficient's reads the blocks and `mid`.
+pub(crate) fn block_transform_grads(
+    side: BlockSide,
+    [s_in, s_mid]: [f64; 2],
+    mid: Option<&Tensor>,
+    gs: &Tensor,
+    slots: &Slots<'_>,
+) -> [Option<Tensor>; 2] {
+    let (x, c) = (slots.value(0), slots.value(1));
+    let ct = c.transpose();
+    let (l, r) = side.operands(c, &ct);
+    let k = c.shape()[0];
+    let (blk, dims) = (k * k, (k, k, k));
+    let mut d_mid = Tensor::filled(gs.inline_shape(), 0.0);
+    let stack = (gs.len() / k, k, k);
+    matmul_fast::matmul_abt(gs.data(), r.data(), d_mid.data_mut(), stack);
+    for d in d_mid.data_mut() {
+        *d = *d * s_mid * s_in;
+    }
+    let dx = slots.needs(0).then(|| {
+        let mut dx = Tensor::filled(gs.inline_shape(), 0.0);
+        for (dxb, db) in dx.data_mut().chunks_mut(blk).zip(d_mid.data().chunks(blk)) {
+            matmul_fast::matmul_atb(l.data(), db, dxb, dims);
+        }
+        dx
+    });
+    // `C` enters the second product transposed on the forward side and
+    // the first product transposed on the inverse.
+    let r_is_ct = side == BlockSide::Forward;
+    let dc = mid.filter(|_| slots.needs(1)).map(|mid| {
+        let mut dc = Tensor::zeros(&[k, k]);
+        // `R`'s partial, `L`'s partial, and a transposed block.
+        let mut scratch = pool::take_filled(3 * blk, 0.0);
+        let (d_r, rest) = scratch.split_at_mut(blk);
+        let (d_l, t) = rest.split_at_mut(blk);
+        let mut first = true;
+        for b in (0..gs.len() / blk).rev() {
+            let at = b * blk..(b + 1) * blk;
+            d_r.fill(0.0);
+            let (mid_b, gs_b) = (&mid.data()[at.clone()], &gs.data()[at.clone()]);
+            matmul_fast::matmul_atb(mid_b, gs_b, d_r, dims);
+            // `d_mid · Xᵀ`: `matmul_abt`'s loop over the block transposed
+            // into scratch.
+            transpose_block(&x.data()[at.clone()], t, k);
+            d_l.fill(0.0);
+            matmul_acc(&d_mid.data()[at], t, d_l, k, k);
+            fold_block_grad(dc.data_mut(), d_r, t, (k, r_is_ct), &mut first);
+            fold_block_grad(dc.data_mut(), d_l, t, (k, !r_is_ct), &mut first);
+        }
+        pool::give(scratch);
+        dc
+    });
+    [dx, dc]
 }
 
 /// `dst = srcᵀ` for `k × k` blocks.
@@ -458,13 +534,10 @@ impl Var {
         op: &str,
         epilogue: Epilogue,
     ) -> Var {
-        assert!(self.same_tape(other), "{op}: operands belong to different graphs");
+        self.same_graph(other, op);
         let product = self.with_values(other, |a, b| approx_matmul_forward(a, b, mult));
         let (value, _) = epilogue.forward(product, false);
-        self.record_binary(other, value, |na, nb| {
-            let rule = matmul_rule(self, other, na, nb);
-            move |g: &Tensor| rule(&epilogue.backward(g, None))
-        })
+        self.binary(other, value, Op::Matmul(epilogue))
     }
 
     /// Two-sided block transform on approximate hardware: every `k × k`
@@ -560,12 +633,9 @@ impl Var {
         [s_in, s_mid]: [f64; 2],
         epilogue: Epilogue,
     ) -> Var {
-        assert!(
-            self.same_tape(coeff),
-            "approx_block_transform: operands belong to different graphs"
-        );
-        let keep_pre = self.needs_grad() || coeff.needs_grad();
-        let ((out, pre), mid, ct) = self.with_values(coeff, |x, c| {
+        self.same_graph(coeff, "approx_block_transform");
+        let keep = self.needs_grad() || coeff.needs_grad();
+        let ((out, pre), mid) = self.with_values(coeff, |x, c| {
             let (k, kc) = c.dims2("approx_block_transform coefficient");
             let (rows, cols) = x.dims2("approx_block_transform blocks");
             assert!(
@@ -573,10 +643,7 @@ impl Var {
                 "approx_block_transform: blocks [{rows}, {cols}] do not stack [{k}, {kc}] blocks"
             );
             let ct = c.transpose();
-            let (l, r) = match side {
-                BlockSide::Forward => (c, &ct),
-                BlockSide::Inverse => (&ct, c),
-            };
+            let (l, r) = side.operands(c, &ct);
             let (blk, nb) = (k * k, rows / k);
             // First product for every block at once: the blocks side by
             // side, `[k, nb·k]` (row `i` of block `b` at columns
@@ -604,70 +671,11 @@ impl Var {
                     }
                 }
             });
-            (epilogue.forward(approx_matmul_forward(&mid, r, mult), keep_pre), mid, ct)
+            let out = epilogue.forward(approx_matmul_forward(&mid, r, mult), keep);
+            (out, coeff.needs_grad().then_some(mid))
         });
-
-        self.record_binary(coeff, out, |nx, nc| {
-            let c = coeff.value();
-            let k = ct.shape()[0];
-            let (l, r) = match side {
-                BlockSide::Forward => (c, ct),
-                BlockSide::Inverse => (ct, c),
-            };
-            // `dx` reads `L`; the gradient of `C` reads the blocks and
-            // `mid`. Both read `R`, through `d_mid`.
-            let l = nx.then_some(l);
-            let x_mid = nc.then(|| (self.value(), mid));
-            move |g: &Tensor| {
-                let (blk, dims) = (k * k, (k, k, k));
-                // The output stage, then the second product `mid ⊛ R`'s
-                // input gradient for the whole stack; then straight
-                // through the `s_mid` round and into the first product
-                // `L ⊛ X` under `s_in`: two multiplies, as the two tape
-                // nodes apply them.
-                let gs = epilogue.backward(g, pre.as_ref());
-                let mut d_mid = Tensor::zeros(g.shape());
-                let stack = (g.len() / k, k, k);
-                matmul_fast::matmul_abt(gs.data(), r.data(), d_mid.data_mut(), stack);
-                for d in d_mid.data_mut() {
-                    *d = *d * s_mid * s_in;
-                }
-                let dx = l.map(|l| {
-                    let mut dx = Tensor::zeros(g.shape());
-                    for (dxb, db) in dx.data_mut().chunks_mut(blk).zip(d_mid.data().chunks(blk)) {
-                        matmul_fast::matmul_atb(l.data(), db, dxb, dims);
-                    }
-                    dx
-                });
-                // `C` enters the second product transposed on the forward
-                // side and the first product transposed on the inverse.
-                let r_is_ct = side == BlockSide::Forward;
-                let dc = x_mid.map(|(x, mid)| {
-                    let mut dc = Tensor::zeros(&[k, k]);
-                    // `R`'s partial, `L`'s partial, and a transposed block.
-                    let mut scratch = pool::take_zeroed(3 * blk);
-                    let (d_r, rest) = scratch.split_at_mut(blk);
-                    let (d_l, t) = rest.split_at_mut(blk);
-                    let mut first = true;
-                    for b in (0..g.len() / blk).rev() {
-                        let at = b * blk..(b + 1) * blk;
-                        d_r.fill(0.0);
-                        let (mid_b, gs_b) = (&mid.data()[at.clone()], &gs.data()[at.clone()]);
-                        matmul_fast::matmul_atb(mid_b, gs_b, d_r, dims);
-                        // `d_mid · Xᵀ`: `matmul_abt`'s loop over the block
-                        // transposed into scratch.
-                        transpose_block(&x.data()[at.clone()], t, k);
-                        d_l.fill(0.0);
-                        matmul_acc(&d_mid.data()[at], t, d_l, k, k);
-                        fold_block_grad(dc.data_mut(), d_r, t, (k, r_is_ct), &mut first);
-                        fold_block_grad(dc.data_mut(), d_l, t, (k, !r_is_ct), &mut first);
-                    }
-                    pool::give(scratch);
-                    dc
-                });
-                [dx, dc]
-            }
-        })
+        let op = Op::BlockTransform { side, scales: [s_in, s_mid], epilogue, pre, mid };
+        self.binary(coeff, out, op)
     }
 
     /// Same-padded 2-D convolution computed on approximate hardware.
@@ -720,7 +728,7 @@ impl Var {
     /// applied to every output in the same node: bit-identical, values
     /// and gradients, to the conv node followed by the epilogue's
     /// unfused chain (see [`Epilogue`]) — one node, one output tensor
-    /// and one backward closure where the chain records up to five.
+    /// and one backward op where the chain records up to five.
     ///
     /// # Panics
     ///
@@ -732,13 +740,10 @@ impl Var {
         img_h: usize,
         epilogue: Epilogue,
     ) -> Var {
-        assert!(
-            self.same_tape(kernel),
-            "approx_conv2d_stacked: operands belong to different graphs"
-        );
+        self.same_graph(kernel, "approx_conv2d_stacked");
         assert!(img_h > 0, "approx_conv2d_stacked: img_h must be positive");
         let keep_pre = self.needs_grad() || kernel.needs_grad();
-        let ((out, pre), s) = self.with_values(kernel, |x, k| {
+        let ((out, pre), shape) = self.with_values(kernel, |x, k| {
             let (h, w) = x.dims2("conv2d stacked image");
             assert!(
                 h % img_h == 0,
@@ -747,10 +752,7 @@ impl Var {
             let sums = approx_conv2d_bands(x, k, img_h, &**mult);
             (epilogue.forward(sums, keep_pre), ConvShape::new(img_h, w, k))
         });
-        self.record_binary(kernel, out, |nx, nk| {
-            let rule = conv_rule(self, kernel, s, nx, nk);
-            move |g: &Tensor| rule(&epilogue.backward(g, pre.as_ref()))
-        })
+        self.binary(kernel, out, Op::Conv { shape, epilogue, pre })
     }
 
     /// Multiply every element of `self` by the scalar coefficient `coeff`
@@ -766,7 +768,7 @@ impl Var {
     /// Panics if `coeff` does not hold exactly one element or the operands
     /// belong to different graphs.
     pub fn approx_scale(&self, coeff: &Var, mult: &Arc<dyn Multiplier>) -> Var {
-        assert!(self.same_tape(coeff), "approx_scale: operands belong to different graphs");
+        self.same_graph(coeff, "approx_scale");
         let cv = coeff.with_value(|c| {
             assert_eq!(c.len(), 1, "approx_scale coefficient must be a single element");
             c.data()[0]
@@ -776,19 +778,20 @@ impl Var {
                 Some(rows) => x.map(|v| rows.get(0, rows.col(v)) as f64),
                 None => x.map(|v| approx_product(&**mult, cv, v) as f64),
             });
-        self.record_binary(coeff, value, |nx, nc| {
-            // `dc` reads the pixels; `dx` only the scalar `cv`.
-            let x_shape = nc.then(|| (self.value(), coeff.inline_shape()));
-            move |g: &Tensor| {
-                let dx = nx.then(|| g.map(|gv| gv * cv));
-                let dc = x_shape.map(|(x, shape)| {
-                    let dc: f64 = g.data().iter().zip(x.data()).map(|(&gv, &xv)| gv * xv).sum();
-                    Tensor::filled(shape, dc)
-                });
-                [dx, dc]
-            }
-        })
+        self.binary(coeff, value, Op::ApproxScale(cv))
     }
+}
+
+/// The gradients `[dx, dc]` of `approx_scale` by the coefficient value
+/// `cv` under `g`, each only where that parent needs one: `dx` reads only
+/// `cv`, `dc` the pixels.
+pub(crate) fn approx_scale_grads(cv: f64, g: &Tensor, slots: &Slots<'_>) -> [Option<Tensor>; 2] {
+    let dx = slots.needs(0).then(|| g.map(|gv| gv * cv));
+    let dc = slots.value_for(0, 1).map(|x| {
+        let dc: f64 = g.data().iter().zip(x.data()).map(|(&gv, &xv)| gv * xv).sum();
+        Tensor::filled(slots.value(1).inline_shape(), dc)
+    });
+    [dx, dc]
 }
 
 impl Var {
@@ -829,16 +832,13 @@ impl Var {
         op: &str,
         epilogue: Epilogue,
     ) -> Var {
-        assert!(self.same_tape(other), "{op}: operands belong to different graphs");
+        self.same_graph(other, op);
         let product = self.with_values(other, |a, b| match mult.as_lut() {
             Some(lut) => a.zip_map(b, |x, y| lut.product(lut.row(x), lut.col(y))),
             None => a.zip_map(b, |x, y| approx_product(mult, x, y) as f64),
         });
         let (value, _) = epilogue.forward(product, false);
-        self.record_binary(other, value, |na, nb| {
-            let rule = product_rule(self, other, na, nb);
-            move |g: &Tensor| rule(&epilogue.backward(g, None))
-        })
+        self.binary(other, value, Op::Product(epilogue))
     }
 }
 

@@ -19,8 +19,9 @@ use std::sync::Arc;
 use lac_hw::adders::Adder;
 use lac_hw::Multiplier;
 
-use crate::graph::Var;
-use crate::ops::{conv_rule, ConvShape};
+use crate::approx::Epilogue;
+use crate::graph::{Op, Var};
+use crate::ops::ConvShape;
 use crate::tensor::Tensor;
 
 /// Add two signed values on an unsigned adder model using sign-magnitude
@@ -53,10 +54,7 @@ impl Var {
         mult: &Arc<dyn Multiplier>,
         adder: &Arc<dyn Adder>,
     ) -> Var {
-        assert!(
-            self.same_tape(kernel),
-            "approx_conv2d_accum: operands belong to different graphs"
-        );
+        self.same_graph(kernel, "approx_conv2d_accum");
         let (out, s) = self.with_values(kernel, |x, k| {
             let (h, w) = x.dims2("approx_conv2d_accum image");
             let s = ConvShape::new(h, w, k);
@@ -69,9 +67,9 @@ impl Var {
                     *a = approx_add_signed(&**adder, *a, mult.multiply(tap, pixel.round() as i64));
                 }
             });
-            (Tensor::from_vec(acc.into_iter().map(|a| a as f64).collect(), &[h, w]), s)
+            (Tensor::build(&[h, w], |buf| buf.extend(acc.iter().map(|&a| a as f64))), s)
         });
-        self.record_binary(kernel, out, |nx, nk| conv_rule(self, kernel, s, nx, nk))
+        self.binary(kernel, out, Op::Conv { shape: s, epilogue: Epilogue::new(), pre: None })
     }
 }
 

@@ -38,40 +38,7 @@ pub fn check_gradients(
     eps: f64,
     tol: f64,
 ) {
-    // Analytic gradients.
-    let graph = Graph::new();
-    let vars: Vec<Var> = leaves.iter().map(|t| graph.var(t.clone())).collect();
-    let loss = build(&graph, &vars);
-    assert_eq!(loss.value().len(), 1, "check_gradients requires a scalar loss");
-    let grads = graph.backward(&loss);
-    let analytic: Vec<Tensor> = vars.iter().map(|v| grads.get(v)).collect();
-
-    // Numerical gradients by central differences.
-    let eval = |leaves: &[Tensor]| -> f64 {
-        let g = Graph::new();
-        let vars: Vec<Var> = leaves.iter().map(|t| g.var(t.clone())).collect();
-        build(&g, &vars).item()
-    };
-
-    let mut perturbed: Vec<Tensor> = leaves.to_vec();
-    for (li, leaf) in leaves.iter().enumerate() {
-        for ei in 0..leaf.len() {
-            let orig = leaf.data()[ei];
-            perturbed[li].data_mut()[ei] = orig + eps;
-            let plus = eval(&perturbed);
-            perturbed[li].data_mut()[ei] = orig - eps;
-            let minus = eval(&perturbed);
-            perturbed[li].data_mut()[ei] = orig;
-
-            let numeric = (plus - minus) / (2.0 * eps);
-            let got = analytic[li].data()[ei];
-            let scale = 1.0f64.max(numeric.abs());
-            assert!(
-                (got - numeric).abs() <= tol * scale,
-                "gradient mismatch at leaf {li} element {ei}: analytic {got}, numeric {numeric}"
-            );
-        }
-    }
+    check_surrogate_gradients(leaves, &build, &build, eps, tol);
 }
 
 /// Verify straight-through surrogate gradients against a smooth reference.
@@ -123,7 +90,7 @@ pub fn check_surrogate_gradients(
     let graph = Graph::new();
     let vars: Vec<Var> = leaves.iter().map(|t| graph.var(t.clone())).collect();
     let loss = surrogate(&graph, &vars);
-    assert_eq!(loss.value().len(), 1, "check_surrogate_gradients requires a scalar loss");
+    assert_eq!(loss.value().len(), 1, "a gradient check requires a scalar loss");
     let grads = graph.backward(&loss);
     let analytic: Vec<Tensor> = vars.iter().map(|v| grads.get(v)).collect();
 
@@ -132,7 +99,7 @@ pub fn check_surrogate_gradients(
         let g = Graph::new();
         let vars: Vec<Var> = leaves.iter().map(|t| g.var(t.clone())).collect();
         let loss = smooth(&g, &vars);
-        assert_eq!(loss.value().len(), 1, "check_surrogate_gradients requires a scalar loss");
+        assert_eq!(loss.value().len(), 1, "a gradient check requires a scalar loss");
         loss.item()
     };
 
@@ -151,8 +118,7 @@ pub fn check_surrogate_gradients(
             let scale = 1.0f64.max(numeric.abs());
             assert!(
                 (got - numeric).abs() <= tol * scale,
-                "surrogate gradient mismatch at leaf {li} element {ei}: \
-                 analytic {got}, numeric {numeric}"
+                "gradient mismatch at leaf {li} element {ei}: analytic {got}, numeric {numeric}"
             );
         }
     }

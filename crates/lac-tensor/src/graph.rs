@@ -7,41 +7,177 @@
 //! the returned [`Gradients`] map — the same discipline as a define-by-run
 //! framework like the PyTorch setup the LAC paper trains with.
 //!
+//! # Nodes are data
+//!
+//! A node is its value, a span of the tape's one parent-id list, a
+//! `needs_grad` flag and an [`Op`]: the rule its backward runs, holding
+//! only what the rule reads beyond the parents' values on the tape. So
+//! recording copies no operand and, with a warm buffer pool, allocates
+//! nothing (DESIGN.md §7b).
+//!
 //! # What needs a gradient
 //!
 //! Every node carries a `needs_grad` flag, fixed when it is recorded:
 //! [`Graph::var`] leaves need a gradient, [`Graph::constant`] leaves do
 //! not, and an op node needs one iff at least one of its parents does
 //! (`requires_grad` in PyTorch terms). Only a node that needs a gradient
-//! stores a backward closure, and an op builds that closure — copying the
-//! inputs its backward reads — only then; otherwise the op computes its
-//! value from borrowed inputs and records nothing else. Within a closure,
-//! the gradient of an operand that needs none is never computed, and
-//! [`Graph::backward`] never sends a gradient to such a parent, so
-//! [`Gradients::get`] of a constant is zeros. A graph built from
-//! constants alone (an inference pass) records no closure at all;
-//! [`Graph::backward_closures`] counts them.
+//! keeps its op and parents; an op computes the values its backward
+//! saves only then. Within a backward, the gradient of an operand that
+//! needs none is never computed, and [`Graph::backward`] never sends a
+//! gradient to such a parent, so [`Gradients::get`] of a constant is
+//! zeros. A graph built from constants alone (an inference pass) keeps no
+//! op at all; [`Graph::backward_closures`] counts them.
+//!
+//! # Fold order
+//!
+//! [`Graph::backward`] visits nodes in descending id. A node's op sends
+//! each parent its contribution, in parent order, straight into that
+//! parent's slot: moved into an empty slot, added into a filled one by
+//! [`Tensor::accumulate`]'s never-inlined loop.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 
+use crate::approx::{BlockSide, Epilogue};
+use crate::ops::ConvShape;
 use crate::tensor::{Shape, Tensor};
 
-/// Backward closure: maps the gradient flowing into a node to the gradient
-/// contributions of its parents, aligned with the node's parent list —
-/// `None` for a parent that needs no gradient.
-pub(crate) type BackwardFn = Box<dyn FnOnce(&Tensor) -> Vec<Option<Tensor>>>;
+/// How an op node's backward maps its gradient `g` to its parents'
+/// (whose values it reads off the tape): one variant per backward rule,
+/// holding only what the rule reads beyond `g` and those values.
+pub(crate) enum Op {
+    Pass, // every parent receives `g`: add, add_scalar, round_ste
+    Sub,
+    Neg,
+    Scale(f64), // mul_scalar, scale_round_ste
+    Square,
+    Clamp(f64, f64),
+    QuantizeSte(f64, f64),
+    Sum,
+    Mean,
+    MseTo(Tensor), // the differences to the target
+    Reshape,
+    Transpose,
+    Sin,
+    Cos,
+    Acos,
+    Atan2,
+    Concat,
+    Product(Epilogue), // mul, mul_round_ste, approx_mul_elem(_scale)
+    Matmul(Epilogue),  // matmul, approx_matmul(_scale_round)
+    // Exact and approximate convolutions of an image stack; `pre` holds
+    // the pre-clamp values a clamping stage masks with.
+    Conv {
+        shape: ConvShape,
+        epilogue: Epilogue,
+        pre: Option<Tensor>,
+    },
+    // The shifts into the second product, the output stage, and the
+    // rounded first products `mid` the coefficient's gradient reads.
+    BlockTransform {
+        side: BlockSide,
+        scales: [f64; 2],
+        epilogue: Epilogue,
+        pre: Option<Tensor>,
+        mid: Option<Tensor>,
+    },
+    ApproxScale(f64), // the scalar coefficient's value
+}
 
 pub(crate) struct Node {
     pub(crate) value: Tensor,
-    pub(crate) parents: Vec<usize>,
+    /// The node's span of [`Tape::parent_ids`]; empty for a leaf and an
+    /// op node that needs no gradient.
+    parents: Range<u32>,
     pub(crate) needs_grad: bool,
-    pub(crate) backward: Option<BackwardFn>,
+    /// `None` for a leaf, an op node that needs no gradient, and a node
+    /// whose backward has run.
+    op: Option<Op>,
 }
 
 #[derive(Default)]
 pub(crate) struct Tape {
     pub(crate) nodes: Vec<Node>,
+    /// Every node's parent ids, in recording order: one list, reused
+    /// across [`Graph::reset`], whatever a node's parent count.
+    parent_ids: Vec<u32>,
+}
+
+impl Tape {
+    /// Append a node over `parents`, which it keeps only when it keeps an
+    /// op, and return its id.
+    fn push(
+        &mut self,
+        value: Tensor,
+        parents: impl Iterator<Item = usize>,
+        needs_grad: bool,
+        op: Option<Op>,
+    ) -> usize {
+        let id = |n: usize| u32::try_from(n).expect("a tape holds fewer than 2^32 nodes");
+        let start = id(self.parent_ids.len());
+        if op.is_some() {
+            self.parent_ids.extend(parents.map(id));
+        }
+        let parents = start..id(self.parent_ids.len());
+        self.nodes.push(Node { value, parents, needs_grad, op });
+        self.nodes.len() - 1
+    }
+}
+
+/// The gradient slots a node's backward writes: its parents', below the
+/// node on the tape.
+pub(crate) struct Slots<'t> {
+    nodes: &'t [Node],
+    grads: &'t mut [Option<Tensor>],
+    parents: &'t [u32],
+}
+
+impl Slots<'_> {
+    pub(crate) fn len(&self) -> usize {
+        self.parents.len()
+    }
+
+    /// Whether parent `i` needs a gradient.
+    pub(crate) fn needs(&self, i: usize) -> bool {
+        self.nodes[self.parents[i] as usize].needs_grad
+    }
+
+    pub(crate) fn value(&self, i: usize) -> &Tensor {
+        &self.nodes[self.parents[i] as usize].value
+    }
+
+    /// Parent `i`'s value when parent `needer` needs a gradient.
+    pub(crate) fn value_for(&self, i: usize, needer: usize) -> Option<&Tensor> {
+        self.needs(needer).then(|| self.value(i))
+    }
+
+    /// Fold `grad` into parent `i`'s slot: moved into an empty slot,
+    /// added into a filled one. Dropped for a parent that needs none.
+    pub(crate) fn put(&mut self, i: usize, grad: Tensor) {
+        let p = self.parents[i] as usize;
+        if !self.nodes[p].needs_grad {
+            return;
+        }
+        match &mut self.grads[p] {
+            Some(acc) => acc.accumulate(&grad),
+            slot @ None => *slot = Some(grad),
+        }
+    }
+
+    /// [`Slots::put`] of `g ⊙ f(a)` elementwise to the only parent `a`.
+    fn put_map(&mut self, g: &Tensor, f: impl Fn(f64, f64) -> f64) {
+        self.put(0, g.zip_map(self.value(0), f));
+    }
+
+    /// [`Slots::put`] for each present contribution, in parent order.
+    pub(crate) fn put_each<const N: usize>(&mut self, grads: [Option<Tensor>; N]) {
+        for (i, grad) in grads.into_iter().enumerate() {
+            if let Some(grad) = grad {
+                self.put(i, grad);
+            }
+        }
+    }
 }
 
 /// A dynamic computation graph (autodiff tape).
@@ -88,7 +224,7 @@ impl Graph {
     /// fixed table — data, never differentiated.
     ///
     /// Ops whose operands are all constants record their value and no
-    /// backward closure; an op mixing a constant with a [`Graph::var`]
+    /// backward op; an op mixing a constant with a [`Graph::var`]
     /// skips the constant's side of its backward. [`Gradients::get`] of
     /// a constant is zeros.
     ///
@@ -100,7 +236,7 @@ impl Graph {
     /// let g = Graph::new();
     /// let x = g.constant(Tensor::from_vec(vec![2.0, 3.0], &[2]));
     /// let w = g.var(Tensor::from_vec(vec![0.5, -1.0], &[2]));
-    /// let y = x.square(); // constant-only: no closure
+    /// let y = x.square(); // constant-only: no backward op
     /// assert_eq!(g.backward_closures(), 0);
     /// let grads = g.backward(&y.mul(&w).sum());
     /// assert_eq!(grads.get(&w).data(), &[4.0, 9.0]);
@@ -111,9 +247,8 @@ impl Graph {
     }
 
     fn leaf(&self, value: Tensor, needs_grad: bool) -> Var {
-        let mut tape = self.tape.borrow_mut();
-        tape.nodes.push(Node { value, parents: Vec::new(), needs_grad, backward: None });
-        Var { tape: Rc::clone(&self.tape), id: tape.nodes.len() - 1 }
+        let id = self.tape.borrow_mut().push(value, std::iter::empty(), needs_grad, None);
+        Var { tape: Rc::clone(&self.tape), id }
     }
 
     /// Clear the tape for reuse, keeping the node list's capacity.
@@ -126,7 +261,9 @@ impl Graph {
     /// Callers must drop them first; this is the same single-owner
     /// discipline as "build a fresh graph per step", minus the allocation.
     pub fn reset(&self) {
-        self.tape.borrow_mut().nodes.clear();
+        let mut tape = self.tape.borrow_mut();
+        tape.nodes.clear();
+        tape.parent_ids.clear();
     }
 
     /// Number of recorded nodes.
@@ -139,20 +276,20 @@ impl Graph {
         self.len() == 0
     }
 
-    /// Number of recorded nodes holding a backward closure not yet
-    /// consumed by [`Graph::backward`]: the op nodes that need a
-    /// gradient. Zero for a graph built from constants alone.
+    /// Number of recorded op nodes whose backward has not yet run: the op
+    /// nodes that need a gradient, until [`Graph::backward`] consumes
+    /// them. Zero for a graph built from constants alone.
     pub fn backward_closures(&self) -> usize {
-        self.tape.borrow().nodes.iter().filter(|n| n.backward.is_some()).count()
+        self.tape.borrow().nodes.iter().filter(|n| n.op.is_some()).count()
     }
 
-    /// Run the backward pass from `loss`, consuming the tape's closures.
+    /// Run the backward pass from `loss`, consuming the tape's ops.
     ///
     /// Returns the gradient of `loss` with respect to every recorded node
     /// that needs one; nodes that need none (constants and ops over
     /// constants only) are skipped and read as zeros.
     /// A second call on the same graph yields zero gradients because the
-    /// closures have been consumed — build a fresh graph per step instead.
+    /// ops have been consumed — build a fresh graph per step instead.
     ///
     /// # Panics
     ///
@@ -163,36 +300,19 @@ impl Graph {
             "backward() called with a Var from a different graph"
         );
         let mut tape = self.tape.borrow_mut();
-        let n = tape.nodes.len();
-        let mut grads: Vec<Option<Tensor>> = vec![None; n];
-        grads[loss.id] = Some(Tensor::ones(tape.nodes[loss.id].value.shape()));
-
-        for id in (0..n).rev() {
+        let Tape { nodes, parent_ids } = &mut *tape;
+        let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
+        grads[loss.id] = Some(Tensor::filled(nodes[loss.id].value.inline_shape(), 1.0));
+        for id in (0..nodes.len()).rev() {
             if grads[id].is_none() {
                 continue;
             }
-            let Some(backward) = tape.nodes[id].backward.take() else { continue };
-            // Move the node's gradient out for the closure call and put it
-            // back afterwards: same values as a clone, without the deep
-            // copy of a tensor (and a parents vec) per node.
-            let grad = grads[id].take().expect("checked above");
-            let parents = std::mem::take(&mut tape.nodes[id].parents);
-            let parent_grads = backward(&grad);
-            grads[id] = Some(grad);
-            assert_eq!(
-                parent_grads.len(),
-                parents.len(),
-                "backward fn of node {id} returned {} grads for {} parents",
-                parent_grads.len(),
-                parents.len()
-            );
-            for (pid, pgrad) in parents.into_iter().zip(parent_grads) {
-                let Some(pgrad) = pgrad.filter(|_| tape.nodes[pid].needs_grad) else { continue };
-                match &mut grads[pid] {
-                    Some(existing) => existing.accumulate(&pgrad),
-                    slot @ None => *slot = Some(pgrad),
-                }
-            }
+            let Some(op) = nodes[id].op.take() else { continue };
+            let (below, here) = grads.split_at_mut(id);
+            let g = here[0].as_ref().expect("checked above");
+            let (nodes, node) = (&nodes[..id], &nodes[id]);
+            let parents = &parent_ids[node.parents.start as usize..node.parents.end as usize];
+            op.backward(g, &mut Slots { nodes, grads: below, parents });
         }
         Gradients { grads, tape: Rc::clone(&self.tape) }
     }
@@ -258,61 +378,116 @@ impl Var {
         self.with_value(|a| other.with_value(|b| f(a, b)))
     }
 
-    pub(crate) fn same_tape(&self, other: &Var) -> bool {
-        Rc::ptr_eq(&self.tape, &other.tape)
+    /// Panic, naming `op`, unless `other` lives on this node's graph.
+    pub(crate) fn same_graph(&self, other: &Var, op: &str) {
+        assert!(Rc::ptr_eq(&self.tape, &other.tape), "{op}: operands belong to different graphs");
     }
 
     /// Record an op node holding `value` over the nodes `parents` of
-    /// this tape. A `backward` closure — which an op builds only when
-    /// some parent needs a gradient, copying the inputs it reads then and
-    /// never before — makes the node need a gradient; without one the
-    /// node keeps neither closure nor parent list.
+    /// this tape. The node needs a gradient iff some parent does; only
+    /// then does it keep `op` and its parent list (an op computes any
+    /// value `op` saves only then too).
     pub(crate) fn record(
         &self,
-        parents: &[usize],
+        parents: impl Iterator<Item = usize> + Clone,
         value: Tensor,
-        backward: Option<BackwardFn>,
+        op: Op,
     ) -> Var {
-        let parents = if backward.is_some() { parents.to_vec() } else { Vec::new() };
-        let needs_grad = backward.is_some();
         let mut tape = self.tape.borrow_mut();
-        tape.nodes.push(Node { value, parents, needs_grad, backward });
-        Var { tape: Rc::clone(&self.tape), id: tape.nodes.len() - 1 }
+        let needs_grad = parents.clone().any(|p| tape.nodes[p].needs_grad);
+        let id = tape.push(value, parents, needs_grad, needs_grad.then_some(op));
+        Var { tape: Rc::clone(&self.tape), id }
     }
 
-    /// [`Var::record`] for a one-input op: `backward` builds the map from
-    /// the node's gradient to this input's, called only when this input
-    /// needs a gradient.
-    pub(crate) fn record_unary<F>(&self, value: Tensor, backward: impl FnOnce() -> F) -> Var
-    where
-        F: FnOnce(&Tensor) -> Tensor + 'static,
-    {
-        let closure = self.needs_grad().then(|| {
-            let f = backward();
-            Box::new(move |g: &Tensor| vec![Some(f(g))]) as BackwardFn
-        });
-        self.record(&[self.id], value, closure)
+    /// [`Var::record`] for a one-input op over `self`.
+    pub(crate) fn unary(&self, value: Tensor, op: Op) -> Var {
+        self.record([self.id].into_iter(), value, op)
     }
 
-    /// [`Var::record`] for a two-input op `self ∘ other`: `backward`
-    /// receives whether `self` and `other` need a gradient — called only
-    /// when one does — and builds the map to their two gradients, `None`
-    /// where one is not needed.
-    pub(crate) fn record_binary<F>(
-        &self,
-        other: &Var,
-        value: Tensor,
-        backward: impl FnOnce(bool, bool) -> F,
-    ) -> Var
-    where
-        F: FnOnce(&Tensor) -> [Option<Tensor>; 2] + 'static,
-    {
-        let (na, nb) = (self.needs_grad(), other.needs_grad());
-        let closure = (na || nb).then(|| {
-            let f = backward(na, nb);
-            Box::new(move |g: &Tensor| Vec::from(f(g))) as BackwardFn
-        });
-        self.record(&[self.id, other.id], value, closure)
+    /// [`Var::record`] for a two-input op `self ∘ other`.
+    pub(crate) fn binary(&self, other: &Var, value: Tensor, op: Op) -> Var {
+        self.record([self.id, other.id].into_iter(), value, op)
+    }
+}
+
+impl Op {
+    /// The backward rule: send each parent that needs one its share of
+    /// the node's gradient `g`, in parent order.
+    fn backward(self, g: &Tensor, slots: &mut Slots<'_>) {
+        use crate::{approx, matmul_fast, ops};
+        match self {
+            Op::Pass => {
+                for i in 0..slots.len() {
+                    if slots.needs(i) {
+                        slots.put(i, g.clone());
+                    }
+                }
+            }
+            Op::Sub => {
+                let grads =
+                    [slots.needs(0).then(|| g.clone()), slots.needs(1).then(|| g.map(|v| -v))];
+                slots.put_each(grads);
+            }
+            Op::Neg => slots.put(0, g.map(|v| -v)),
+            Op::Scale(c) => slots.put(0, g.map(|v| v * c)),
+            Op::Square => slots.put_map(g, |gv, av| 2.0 * av * gv),
+            Op::Clamp(lo, hi) => {
+                slots.put_map(g, |gv, av| if (lo..=hi).contains(&av) { gv } else { 0.0 })
+            }
+            // The clipped straight-through estimator: blocked once the
+            // master value has left the representable range.
+            Op::QuantizeSte(lo, hi) => {
+                slots.put_map(g, |gv, av| if av < lo || av > hi { 0.0 } else { gv })
+            }
+            Op::Sum => slots.put(0, Tensor::filled(slots.value(0).inline_shape(), g.item())),
+            Op::Mean => {
+                let shape = slots.value(0).inline_shape();
+                slots.put(0, Tensor::filled(shape, g.item() / shape.volume() as f64));
+            }
+            // The loss chain's backward: `mean` hands each element `g / n`,
+            // the square doubles `d·(g / n)`, `sub` and `reshape` pass it on.
+            Op::MseTo(mut d) => {
+                let gv = g.item() / d.len() as f64;
+                d.data_mut().iter_mut().for_each(|d| *d = 2.0 * *d * gv);
+                slots.put(0, d.reshaped_to(slots.value(0).inline_shape()));
+            }
+            Op::Reshape => slots.put(0, g.clone().reshaped_to(slots.value(0).inline_shape())),
+            Op::Transpose => slots.put(0, g.transpose()),
+            Op::Sin => slots.put_map(g, |gv, av| gv * av.cos()),
+            Op::Cos => slots.put_map(g, |gv, av| -gv * av.sin()),
+            Op::Acos => slots.put_map(g, |gv, av| {
+                let c = av.clamp(-0.999, 0.999);
+                -gv / (1.0 - c * c).sqrt()
+            }),
+            Op::Atan2 => slots.put_each(ops::atan2_grads(g, slots)),
+            Op::Concat => ops::concat_grads(g, slots),
+            Op::Product(epilogue) => {
+                let g = epilogue.backward(g, None);
+                let (a, b) = (slots.value_for(0, 1), slots.value_for(1, 0));
+                slots.put_each(ops::product_grads(&g, a, b));
+            }
+            Op::Matmul(epilogue) => {
+                let g = epilogue.backward(g, None);
+                let (a, b) = (slots.value_for(0, 1), slots.value_for(1, 0));
+                slots.put_each(matmul_fast::matmul_grads(a, b, &g));
+            }
+            Op::Conv { shape, epilogue, pre } => {
+                let g = epilogue.backward(g, pre.as_ref());
+                let (pixels, taps) = (slots.value_for(0, 1), slots.value_for(1, 0));
+                slots.put_each(ops::conv_grads(shape, taps, pixels, &g));
+            }
+            Op::BlockTransform { side, scales, epilogue, pre, mid } => {
+                let g = epilogue.backward(g, pre.as_ref());
+                slots.put_each(approx::block_transform_grads(
+                    side,
+                    scales,
+                    mid.as_ref(),
+                    &g,
+                    slots,
+                ));
+            }
+            Op::ApproxScale(cv) => slots.put_each(approx::approx_scale_grads(cv, g, slots)),
+        }
     }
 }
 
@@ -347,7 +522,7 @@ impl Gradients {
         );
         match &self.grads[var.id] {
             Some(g) => g.clone(),
-            None => Tensor::zeros(self.tape.borrow().nodes[var.id].value.shape()),
+            None => Tensor::filled(self.tape.borrow().nodes[var.id].value.inline_shape(), 0.0),
         }
     }
 }
@@ -432,7 +607,7 @@ mod tests {
         // `w`'s reshape, the product and the sum; not `y`'s reshape.
         assert_eq!(g.backward_closures(), 3);
         g.backward(&z);
-        assert_eq!(g.backward_closures(), 0, "backward consumes every closure");
+        assert_eq!(g.backward_closures(), 0, "backward consumes every op");
     }
 
     #[test]

@@ -57,6 +57,7 @@
 //! assert!(trained_error < initial_error);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

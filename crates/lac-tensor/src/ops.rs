@@ -7,26 +7,21 @@
 
 use std::ops::Range;
 
-use crate::graph::{BackwardFn, Var};
+use crate::approx::Epilogue;
+use crate::graph::{Op, Slots, Var};
 use crate::pool;
-use crate::tensor::{Shape, Tensor};
+use crate::tensor::Tensor;
 
 impl Var {
-    fn binary_guard(&self, other: &Var, what: &str) {
-        assert!(self.same_tape(other), "{what}: operands belong to different graphs");
-    }
-
     /// Elementwise addition.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch or cross-graph operands.
     pub fn add(&self, other: &Var) -> Var {
-        self.binary_guard(other, "add");
+        self.same_graph(other, "add");
         let value = self.with_values(other, |a, b| a.zip_map(b, |a, b| a + b));
-        self.record_binary(other, value, |na, nb| {
-            move |g: &Tensor| [na.then(|| g.clone()), nb.then(|| g.clone())]
-        })
+        self.binary(other, value, Op::Pass)
     }
 
     /// Elementwise subtraction `self - other`.
@@ -35,11 +30,9 @@ impl Var {
     ///
     /// Panics on shape mismatch or cross-graph operands.
     pub fn sub(&self, other: &Var) -> Var {
-        self.binary_guard(other, "sub");
+        self.same_graph(other, "sub");
         let value = self.with_values(other, |a, b| a.zip_map(b, |a, b| a - b));
-        self.record_binary(other, value, |na, nb| {
-            move |g: &Tensor| [na.then(|| g.clone()), nb.then(|| g.map(|v| -v))]
-        })
+        self.binary(other, value, Op::Sub)
     }
 
     /// Elementwise (Hadamard) product.
@@ -48,37 +41,34 @@ impl Var {
     ///
     /// Panics on shape mismatch or cross-graph operands.
     pub fn mul(&self, other: &Var) -> Var {
-        self.binary_guard(other, "mul");
+        self.same_graph(other, "mul");
         let value = self.with_values(other, |a, b| a.zip_map(b, |x, y| x * y));
-        self.record_binary(other, value, |na, nb| product_rule(self, other, na, nb))
+        self.binary(other, value, Op::Product(Epilogue::new()))
     }
 
     /// Elementwise negation.
     pub fn neg(&self) -> Var {
         let value = self.with_value(|a| a.map(|v| -v));
-        self.record_unary(value, || |g: &Tensor| g.map(|v| -v))
+        self.unary(value, Op::Neg)
     }
 
     /// Add a scalar constant to every element.
     pub fn add_scalar(&self, c: f64) -> Var {
         let value = self.with_value(|a| a.map(|v| v + c));
-        self.record_unary(value, || |g: &Tensor| g.clone())
+        self.unary(value, Op::Pass)
     }
 
     /// Multiply every element by a scalar constant (e.g. an exact
     /// power-of-two bit shift in the datapath).
     pub fn mul_scalar(&self, c: f64) -> Var {
         let value = self.with_value(|a| a.map(|v| v * c));
-        self.record_unary(value, || move |g: &Tensor| g.map(|v| v * c))
+        self.unary(value, Op::Scale(c))
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Var {
         let value = self.with_value(|a| a.map(|v| v * v));
-        self.record_unary(value, || {
-            let a = self.value();
-            move |g: &Tensor| g.zip_map(&a, |gv, av| 2.0 * av * gv)
-        })
+        self.unary(value, Op::Square)
     }
 
     /// Clamp into `[lo, hi]`; gradient passes through inside the range and
@@ -90,19 +80,13 @@ impl Var {
     pub fn clamp(&self, lo: f64, hi: f64) -> Var {
         assert!(lo <= hi, "clamp bounds inverted: [{lo}, {hi}]");
         let value = self.with_value(|a| a.map(|v| v.clamp(lo, hi)));
-        self.record_unary(value, || {
-            let a = self.value();
-            move |g: &Tensor| g.zip_map(&a, |gv, av| if (lo..=hi).contains(&av) { gv } else { 0.0 })
-        })
+        self.unary(value, Op::Clamp(lo, hi))
     }
 
     /// Sum all elements into a scalar.
     pub fn sum(&self) -> Var {
         let value = Tensor::scalar(self.with_value(Tensor::sum));
-        self.record_unary(value, || {
-            let shape = self.inline_shape();
-            move |g: &Tensor| Tensor::filled(shape, g.item())
-        })
+        self.unary(value, Op::Sum)
     }
 
     /// Mean of all elements as a scalar.
@@ -112,11 +96,7 @@ impl Var {
     /// Panics on an empty tensor.
     pub fn mean(&self) -> Var {
         let value = Tensor::scalar(self.with_value(Tensor::mean));
-        self.record_unary(value, || {
-            let shape = self.inline_shape();
-            let n = shape.volume() as f64;
-            move |g: &Tensor| Tensor::filled(shape, g.item() / n)
-        })
+        self.unary(value, Op::Mean)
     }
 
     /// 2-D matrix product.
@@ -126,9 +106,9 @@ impl Var {
     /// Panics unless `self` is `[m, k]`, `other` is `[k, n]`, and both live
     /// on the same graph.
     pub fn matmul(&self, other: &Var) -> Var {
-        self.binary_guard(other, "matmul");
+        self.same_graph(other, "matmul");
         let value = self.with_values(other, Tensor::matmul);
-        self.record_binary(other, value, |na, nb| matmul_rule(self, other, na, nb))
+        self.binary(other, value, Op::Matmul(Epilogue::new()))
     }
 
     /// 2-D convolution with an odd-sized kernel and same-size zero padding.
@@ -141,7 +121,7 @@ impl Var {
     /// Panics if either operand is not 2-D, if the kernel has even
     /// dimensions, or on cross-graph operands.
     pub fn conv2d(&self, kernel: &Var) -> Var {
-        self.binary_guard(kernel, "conv2d");
+        self.same_graph(kernel, "conv2d");
         let (value, s) = self.with_values(kernel, |x, k| {
             let (h, w) = x.dims2("conv2d image");
             let s = ConvShape::new(h, w, k);
@@ -153,7 +133,7 @@ impl Var {
             });
             (value, s)
         });
-        self.record_binary(kernel, value, |nx, nk| conv_rule(self, kernel, s, nx, nk))
+        self.binary(kernel, value, Op::Conv { shape: s, epilogue: Epilogue::new(), pre: None })
     }
 
     /// Mean-squared-error loss against `target`: `mean((self - target)²)`.
@@ -196,18 +176,7 @@ impl Var {
             Tensor::build(&[n], |buf| buf.extend(o.data().iter().zip(target).map(|(o, t)| o - t)))
         });
         let sq_sum: f64 = d.data().iter().map(|d| d * d).sum();
-        self.record_unary(Tensor::scalar(sq_sum / n as f64), || {
-            let shape = self.inline_shape();
-            // The chain's backward: `mean` hands each element `g / n`, the
-            // square node doubles `d·(g / n)`, `sub` and `reshape` pass it
-            // through. The differences become the gradient in place.
-            move |g: &Tensor| {
-                let gv = g.item() / n as f64;
-                let mut d = d;
-                d.data_mut().iter_mut().for_each(|d| *d = 2.0 * *d * gv);
-                d.reshaped_to(shape)
-            }
-        })
+        self.unary(Tensor::scalar(sq_sum / n as f64), Op::MseTo(d))
     }
 
     /// Reinterpret this node's value under a new shape of equal volume —
@@ -216,9 +185,8 @@ impl Var {
     /// When the shape already matches, this is free: the same node handle
     /// is returned and nothing is recorded on the tape. Otherwise one
     /// pass-through node is recorded whose value is one copy of the
-    /// input's buffer under the new shape, and whose backward (recorded
-    /// only when the input needs a gradient) moves the incoming
-    /// gradient's buffer back under the old shape without copying it.
+    /// input's buffer under the new shape, and whose backward moves a
+    /// copy of the incoming gradient back under the old shape.
     ///
     /// # Examples
     ///
@@ -238,12 +206,11 @@ impl Var {
     /// Panics if the new shape's volume differs from the node's element
     /// count.
     pub fn reshape(&self, shape: &[usize]) -> Var {
-        let old_shape = self.inline_shape();
-        if old_shape.dims() == shape {
+        if self.inline_shape().dims() == shape {
             return self.clone();
         }
         let value = self.value().reshaped(shape);
-        self.record_unary(value, || move |g: &Tensor| g.clone().reshaped_to(old_shape))
+        self.unary(value, Op::Reshape)
     }
 
     /// 2-D transpose.
@@ -253,25 +220,19 @@ impl Var {
     /// Panics unless the tensor is 2-D.
     pub fn transpose(&self) -> Var {
         let value = self.with_value(Tensor::transpose);
-        self.record_unary(value, || |g: &Tensor| g.transpose())
+        self.unary(value, Op::Transpose)
     }
 
     /// Elementwise sine.
     pub fn sin(&self) -> Var {
         let value = self.with_value(|a| a.map(f64::sin));
-        self.record_unary(value, || {
-            let a = self.value();
-            move |g: &Tensor| g.zip_map(&a, |gv, av| gv * av.cos())
-        })
+        self.unary(value, Op::Sin)
     }
 
     /// Elementwise cosine.
     pub fn cos(&self) -> Var {
         let value = self.with_value(|a| a.map(f64::cos));
-        self.record_unary(value, || {
-            let a = self.value();
-            move |g: &Tensor| g.zip_map(&a, |gv, av| -gv * av.sin())
-        })
+        self.unary(value, Op::Cos)
     }
 
     /// Elementwise arccosine with the argument clamped into `[-1, 1]`.
@@ -282,15 +243,7 @@ impl Var {
     /// to exactly ±1.
     pub fn acos_clamped(&self) -> Var {
         let value = self.with_value(|a| a.map(|v| v.clamp(-1.0, 1.0).acos()));
-        self.record_unary(value, || {
-            let a = self.value();
-            move |g: &Tensor| {
-                g.zip_map(&a, |gv, av| {
-                    let c = av.clamp(-0.999, 0.999);
-                    -gv / (1.0 - c * c).sqrt()
-                })
-            }
-        })
+        self.unary(value, Op::Acos)
     }
 
     /// Elementwise four-quadrant arctangent `atan2(self, x)` (self is the
@@ -300,100 +253,90 @@ impl Var {
     ///
     /// Panics on shape mismatch or cross-graph operands.
     pub fn atan2(&self, x: &Var) -> Var {
-        self.binary_guard(x, "atan2");
+        self.same_graph(x, "atan2");
         let value = self.with_values(x, |y, x| y.zip_map(x, f64::atan2));
-        self.record_binary(x, value, |ny, nx| {
-            let (yv, xv) = (self.value(), x.value());
-            move |g: &Tensor| {
-                let mut dy = ny.then(|| Tensor::zeros(yv.shape()));
-                let mut dx = nx.then(|| Tensor::zeros(xv.shape()));
-                for i in 0..yv.len() {
-                    let (y, x) = (yv.data()[i], xv.data()[i]);
-                    let r2 = (x * x + y * y).max(1e-12);
-                    if let Some(dy) = &mut dy {
-                        dy.data_mut()[i] = g.data()[i] * x / r2;
-                    }
-                    if let Some(dx) = &mut dx {
-                        dx.data_mut()[i] = -g.data()[i] * y / r2;
-                    }
-                }
-                [dy, dx]
-            }
-        })
+        self.binary(x, value, Op::Atan2)
     }
 }
 
-/// The product rule of `a ⊙ b`: the map from the node's gradient `g` to
-/// `[g ⊙ b, g ⊙ a]`, each side only where `na` / `nb` says it is needed.
-/// Each gradient reads the other operand, copied here only then.
-pub(crate) fn product_rule(
-    a: &Var,
-    b: &Var,
-    na: bool,
-    nb: bool,
-) -> impl FnOnce(&Tensor) -> [Option<Tensor>; 2] + 'static {
-    let b = na.then(|| b.value());
-    let a = nb.then(|| a.value());
-    move |g| {
-        [b.map(|b| g.zip_map(&b, |gv, bv| gv * bv)), a.map(|a| g.zip_map(&a, |gv, av| gv * av))]
+/// The gradients `[dy, dx]` of `atan2(y, x)` under `g`, each only where
+/// that parent needs one.
+pub(crate) fn atan2_grads(g: &Tensor, slots: &Slots<'_>) -> [Option<Tensor>; 2] {
+    let (yv, xv) = (slots.value(0), slots.value(1));
+    let mut dy = slots.needs(0).then(|| Tensor::filled(yv.inline_shape(), 0.0));
+    let mut dx = slots.needs(1).then(|| Tensor::filled(xv.inline_shape(), 0.0));
+    for i in 0..yv.len() {
+        let (y, x) = (yv.data()[i], xv.data()[i]);
+        let r2 = (x * x + y * y).max(1e-12);
+        if let Some(dy) = &mut dy {
+            dy.data_mut()[i] = g.data()[i] * x / r2;
+        }
+        if let Some(dx) = &mut dx {
+            dx.data_mut()[i] = -g.data()[i] * y / r2;
+        }
+    }
+    [dy, dx]
+}
+
+/// `concat`'s backward: each parent that needs a gradient receives a
+/// copy of its span of `g`, under its own shape, in parent order.
+pub(crate) fn concat_grads(g: &Tensor, slots: &mut Slots<'_>) {
+    let mut offset = 0;
+    for i in 0..slots.len() {
+        let shape = slots.value(i).inline_shape();
+        let chunk = &g.data()[offset..offset + shape.volume()];
+        offset += chunk.len();
+        if slots.needs(i) {
+            slots.put(i, Tensor::with_shape(pool::take_copy(chunk), shape));
+        }
     }
 }
 
-/// The gradients of the matrix product `a · b`: the map from the node's
-/// gradient `g` to `[g · bᵀ, aᵀ · g]`, each only where `na` / `nb` says
-/// it is needed, by the fused transposed kernels of `matmul_fast` —
-/// bit-identical to transposing, then multiplying. Each gradient reads
-/// the other operand, copied here only then.
-pub(crate) fn matmul_rule(
-    a: &Var,
-    b: &Var,
-    na: bool,
-    nb: bool,
-) -> impl FnOnce(&Tensor) -> [Option<Tensor>; 2] + 'static {
-    let b = na.then(|| b.value());
-    let a = nb.then(|| a.value());
-    move |g| crate::matmul_fast::matmul_grads(a.as_ref(), b.as_ref(), g)
+/// The product rule of `a ⊙ b` under `g`: `[g ⊙ b, g ⊙ a]`. Each
+/// gradient reads the other operand: `g ⊙ b` is computed when `b` is
+/// given and `g ⊙ a` when `a` is.
+pub(crate) fn product_grads(
+    g: &Tensor,
+    a: Option<&Tensor>,
+    b: Option<&Tensor>,
+) -> [Option<Tensor>; 2] {
+    [b.map(|b| g.zip_map(b, |gv, bv| gv * bv)), a.map(|a| g.zip_map(a, |gv, av| gv * av))]
 }
 
-/// The exact gradients of a same-padded convolution of `x` under taps
-/// `k` — one image, or images stacked in bands of `s.h` rows each
-/// convolved on its own: the map from the node's gradient to
-/// `[d_image, d_kernel]`, each only where `nx` / `nk` says it is needed.
-/// `d_image` reads the taps and `d_kernel` the pixels, each copied here
-/// only then. `d_kernel` sums per band, then folds the bands in stacking
-/// order.
-pub(crate) fn conv_rule(
-    x: &Var,
-    k: &Var,
+/// The exact gradients `[d_image, d_kernel]` of a same-padded
+/// convolution of `x` under taps `k` — one image, or images stacked in
+/// bands of `s.h` rows each convolved on its own — under `g`.
+/// `d_image` is computed when the `taps` are given and `d_kernel` when
+/// the `pixels` are. `d_kernel` sums per band, then folds the bands in
+/// stacking order.
+pub(crate) fn conv_grads(
     s: ConvShape,
-    nx: bool,
-    nk: bool,
-) -> impl FnOnce(&Tensor) -> [Option<Tensor>; 2] + 'static {
-    let taps = nx.then(|| k.value());
-    let pixels = nk.then(|| x.value());
-    move |g| {
-        let band = (s.h * s.w).max(1);
-        let dx = taps.map(|k| {
-            let mut dx = Tensor::zeros(g.shape());
-            for (bdx, bg) in dx.data_mut().chunks_mut(band).zip(g.data().chunks(band)) {
-                s.backward_pixels(k.data(), bg, bdx);
+    taps: Option<&Tensor>,
+    pixels: Option<&Tensor>,
+    g: &Tensor,
+) -> [Option<Tensor>; 2] {
+    let band = (s.h * s.w).max(1);
+    let dx = taps.map(|k| {
+        let mut dx = Tensor::filled(g.inline_shape(), 0.0);
+        for (bdx, bg) in dx.data_mut().chunks_mut(band).zip(g.data().chunks(band)) {
+            s.backward_pixels(k.data(), bg, bdx);
+        }
+        dx
+    });
+    let dk = pixels.map(|x| {
+        let mut dk = Tensor::zeros(&[s.kh, s.kw]);
+        let mut band_dk = pool::take_filled(s.kh * s.kw, 0.0);
+        for (img, bg) in x.data().chunks(band).zip(g.data().chunks(band)) {
+            band_dk.fill(0.0);
+            s.backward_taps(img, bg, &mut band_dk);
+            for (acc, d) in dk.data_mut().iter_mut().zip(&band_dk) {
+                *acc += d;
             }
-            dx
-        });
-        let dk = pixels.map(|x| {
-            let mut dk = Tensor::zeros(&[s.kh, s.kw]);
-            let mut band_dk = vec![0.0; s.kh * s.kw];
-            for (img, bg) in x.data().chunks(band).zip(g.data().chunks(band)) {
-                band_dk.fill(0.0);
-                s.backward_taps(img, bg, &mut band_dk);
-                for (acc, d) in dk.data_mut().iter_mut().zip(&band_dk) {
-                    *acc += d;
-                }
-            }
-            dk
-        });
-        [dx, dk]
-    }
+        }
+        pool::give(band_dk);
+        dk
+    });
+    [dx, dk]
 }
 
 /// Concatenate the flattened values of several `Var`s into one 1-D `Var`.
@@ -423,31 +366,15 @@ pub(crate) fn conv_rule(
 pub fn concat(vars: &[Var]) -> Var {
     assert!(!vars.is_empty(), "concat of zero vars");
     for v in &vars[1..] {
-        assert!(vars[0].same_tape(v), "concat: operands belong to different graphs");
+        vars[0].same_graph(v, "concat");
     }
-    let mut data = Vec::new();
-    for v in vars {
-        v.with_value(|t| data.extend_from_slice(t.data()));
-    }
-    let total = data.len();
-    let need: Vec<bool> = vars.iter().map(Var::needs_grad).collect();
-    let closure = need.contains(&true).then(|| {
-        let shapes: Vec<Shape> = vars.iter().map(Var::inline_shape).collect();
-        Box::new(move |g: &Tensor| {
-            let mut offset = 0;
-            need.iter()
-                .zip(&shapes)
-                .map(|(&needed, shape)| {
-                    let len = shape.volume();
-                    let chunk = &g.data()[offset..offset + len];
-                    offset += len;
-                    needed.then(|| Tensor::with_shape(pool::take_copy(chunk), *shape))
-                })
-                .collect()
-        }) as BackwardFn
+    let total: usize = vars.iter().map(|v| v.with_value(Tensor::len)).sum();
+    let value = Tensor::build(&[total], |buf| {
+        for v in vars {
+            v.with_value(|t| buf.extend_from_slice(t.data()));
+        }
     });
-    let parents: Vec<usize> = vars.iter().map(|v| v.id).collect();
-    vars[0].record(&parents, Tensor::from_vec(data, &[total]), closure)
+    vars[0].record(vars.iter().map(|v| v.id), value, Op::Concat)
 }
 
 /// Geometry of one same-padded 2-D convolution: an `h × w` image under

@@ -11,9 +11,8 @@
 
 use lac_hw::round_half_away;
 
-use crate::graph::Var;
-use crate::ops::product_rule;
-use crate::tensor::Tensor;
+use crate::approx::Epilogue;
+use crate::graph::{Op, Var};
 
 impl Var {
     /// Round to the nearest integer and clamp into `[lo, hi]`; gradients
@@ -45,20 +44,7 @@ impl Var {
     pub fn quantize_ste(&self, lo: f64, hi: f64) -> Var {
         assert!(lo <= hi, "quantize_ste bounds inverted: [{lo}, {hi}]");
         let value = self.with_value(|a| a.map(|v| round_half_away(v).clamp(lo, hi)));
-        self.record_unary(value, || {
-            let a = self.value();
-            move |g: &Tensor| {
-                g.zip_map(&a, |gv, av| {
-                    // Clipped STE: block the gradient once the master value
-                    // has left the representable range.
-                    if av < lo || av > hi {
-                        0.0
-                    } else {
-                        gv
-                    }
-                })
-            }
-        })
+        self.unary(value, Op::QuantizeSte(lo, hi))
     }
 
     /// Round to the nearest integer with a plain straight-through gradient
@@ -66,7 +52,7 @@ impl Var {
     /// re-quantized between stages.
     pub fn round_ste(&self) -> Var {
         let value = self.with_value(|a| a.map(round_half_away));
-        self.record_unary(value, || |g: &Tensor| g.clone())
+        self.unary(value, Op::Pass)
     }
 
     /// Fused `mul_scalar(c).round_ste()`: scale by an exact constant (a
@@ -75,7 +61,7 @@ impl Var {
     /// `g · c` are bit-identical to the unfused pair.
     pub fn scale_round_ste(&self, c: f64) -> Var {
         let value = self.with_value(|a| a.map(|v| round_half_away(v * c)));
-        self.record_unary(value, || move |g: &Tensor| g.map(|gv| gv * c))
+        self.unary(value, Op::Scale(c))
     }
 
     /// Fused `mul(other).round_ste()`: elementwise product followed by
@@ -87,9 +73,9 @@ impl Var {
     ///
     /// Panics on shape mismatch or cross-graph operands.
     pub fn mul_round_ste(&self, other: &Var) -> Var {
-        assert!(self.same_tape(other), "mul_round_ste: operands belong to different graphs");
+        self.same_graph(other, "mul_round_ste");
         let value = self.with_values(other, |a, b| a.zip_map(b, |x, y| round_half_away(x * y)));
-        self.record_binary(other, value, |na, nb| product_rule(self, other, na, nb))
+        self.binary(other, value, Op::Product(Epilogue::new()))
     }
 }
 
@@ -97,6 +83,7 @@ impl Var {
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use crate::tensor::Tensor;
 
     #[test]
     fn forward_rounds_and_clamps() {

@@ -141,6 +141,22 @@ if [[ -n "${tls}" ]]; then
     exit 1
 fi
 
+# Typed tape (DESIGN.md §7b): a tape node is data — an `Op` variant
+# holding what its backward reads — and `Graph::backward` is one match
+# over it. A boxed backward closure (`Box<dyn FnOnce`, the old
+# `BackwardFn`) in lac-tensor non-test code would bring back a heap
+# allocation per node. Comment lines and test modules (from a column-0
+# `#[cfg(test)]` line down) are exempt.
+echo "== typed-tape guard: no boxed backward closure in lac-tensor non-test code"
+closures=$(for f in crates/lac-tensor/src/*.rs; do
+    awk '/^[[:space:]]*\/\//{next} /^#\[cfg\(test\)\]/{exit} /Box<dyn FnOnce|BackwardFn/{print FILENAME": "$0}' "$f"
+done)
+if [[ -n "${closures}" ]]; then
+    echo "verify: FAIL — boxed backward closure in lac-tensor non-test code (add an Op variant instead):" >&2
+    echo "${closures}" >&2
+    exit 1
+fi
+
 # One partition policy (DESIGN.md §8): training, evaluation and serving
 # split samples only in lac-core's eval (EVAL_CHUNK); lac-apps kernels
 # answer whatever chunk they are handed and schedule nothing. A

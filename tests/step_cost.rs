@@ -11,6 +11,13 @@
 //! that adds a node or an allocation to the step fails here and must
 //! justify the new bound; a change that removes some should lower it.
 //!
+//! What a sample still allocates: the step's own lists of leaves and
+//! gradients, the backward pass's gradient-slot list, the apps' small
+//! coefficient lists, and the integer scratch of the LUT kernels (the
+//! quantized operand offsets and `i64` sums of every approximate matmul
+//! and convolution), which the `f64` buffer pool does not hold. Tape
+//! nodes themselves allocate nothing.
+//!
 //! A counting global allocator tallies allocations and reallocations
 //! per thread, so test threads running beside this one do not disturb
 //! the count.
@@ -117,9 +124,9 @@ fn check(name: &str, got: StepCost, bound: StepCost) {
 #[test]
 fn blur_and_jpeg_samples_stay_within_their_step_cost() {
     let blur = FilterApp::new(FilterKind::GaussianBlur, StageMode::Single);
-    check("blur", step_cost(&blur, "mul8u_FTA", &images()), StepCost { heap_calls: 55, nodes: 23 });
+    check("blur", step_cost(&blur, "mul8u_FTA", &images()), StepCost { heap_calls: 9, nodes: 23 });
     let jpeg = JpegApp::new(JpegMode::Single);
-    check("jpeg", step_cost(&jpeg, "mul8u_FTA", &images()), StepCost { heap_calls: 46, nodes: 15 });
+    check("jpeg", step_cost(&jpeg, "mul8u_FTA", &images()), StepCost { heap_calls: 16, nodes: 15 });
 }
 
 #[test]
@@ -127,18 +134,18 @@ fn dft_ik_and_cnn_samples_stay_within_their_step_cost() {
     check(
         "dft",
         step_cost(&DftApp::new(), "mul8u_FTA", &images()),
-        StepCost { heap_calls: 85, nodes: 23 },
+        StepCost { heap_calls: 22, nodes: 23 },
     );
     let ik = IkDataset::generate(3, 0, 1).train;
     check(
         "ik",
         step_cost(&InverseK2jApp::new(), "DRUM16-4", &ik),
-        StepCost { heap_calls: 73, nodes: 33 },
+        StepCost { heap_calls: 4, nodes: 33 },
     );
     let cnn = CnnDataset::generate(3, 0, 16, 16, 1).train;
     check(
         "cnn",
         step_cost(&CnnApp::paper(), "mul8u_FTA", &cnn),
-        StepCost { heap_calls: 43, nodes: 13 },
+        StepCost { heap_calls: 14, nodes: 13 },
     );
 }
