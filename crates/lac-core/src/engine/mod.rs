@@ -33,7 +33,7 @@ use std::fmt;
 use std::time::Instant;
 
 use lac_apps::{Kernel, Metric};
-use lac_tensor::{Adam, Tensor};
+use lac_tensor::{pool, Adam, Tensor};
 
 use crate::config::TrainConfig;
 use crate::constraints::{accuracy_hinge, hinge_area};
@@ -367,20 +367,25 @@ impl TrainSession {
         let mut history = Vec::with_capacity(config.epochs);
         let mut stale = 0usize;
         let mut rollbacks_left = config.rollbacks;
-        self.run_span(
-            kernel,
-            plan,
-            train,
-            train_refs,
-            config,
-            threads,
-            scope,
-            observer,
-            config.epochs,
-            &mut stale,
-            &mut rollbacks_left,
-            &mut history,
-        )?;
+        // One buffer pool for the whole session: the per-chunk scopes of
+        // `eval` nest inside it on this thread, so buffers stay warm
+        // across chunks and steps, and it empties when the session ends.
+        pool::scope(|| {
+            self.run_span(
+                kernel,
+                plan,
+                train,
+                train_refs,
+                config,
+                threads,
+                scope,
+                observer,
+                config.epochs,
+                &mut stale,
+                &mut rollbacks_left,
+                &mut history,
+            )
+        })?;
         Ok(history)
     }
 

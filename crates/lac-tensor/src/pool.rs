@@ -17,13 +17,19 @@
 //!   never opt in pay only an untaken branch.
 //! * Scopes nest; the free list is emptied when the outermost scope
 //!   exits (including on panic), so pooled memory never outlives the
-//!   evaluation call that created it.
+//!   call that opened it. A training session (`TrainSession::run` in
+//!   `lac-core`) opens the outermost scope for its whole run: on one
+//!   thread, every chunk's scope nests inside it, so buffers stay warm
+//!   across chunks and steps, and the session's end empties the pool —
+//!   nothing carries over into the next session. Worker threads of a
+//!   multi-threaded step open their own per-chunk scopes.
 //! * Tensors may freely *escape* a scope (e.g. per-chunk gradient
 //!   results sent back to the reducing thread): a tensor owns its buffer
 //!   wherever it goes, and a drop on a thread or time without an active
 //!   scope is an ordinary free.
 //! * The free list is capped at [`MAX_POOLED`] buffers; excess drops
-//!   free normally, bounding worst-case retention.
+//!   free normally, bounding worst-case retention however long a scope
+//!   lasts.
 //!
 //! # Size classes
 //!
@@ -129,12 +135,6 @@ pub(crate) fn take_filled(len: usize, value: f64) -> Vec<f64> {
     let mut buf = take_with_capacity(len);
     buf.resize(len, value);
     buf
-}
-
-/// A zero-filled buffer of length `len`.
-#[inline]
-pub(crate) fn take_zeroed(len: usize) -> Vec<f64> {
-    take_filled(len, 0.0)
 }
 
 /// A buffer holding a copy of `src`.
