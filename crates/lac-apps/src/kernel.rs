@@ -183,7 +183,7 @@ pub trait Kernel {
 
     /// The approximate branch's outputs for `samples`, in order, as an
     /// inference pass: `coeffs` are recorded as constants, so the pass
-    /// records no backward closure. Each output is bit-identical to the
+    /// records no backward op. Each output is bit-identical to the
     /// default, one [`forward_approx`](Kernel::forward_approx) per sample
     /// on `graph`, reset before each; a kernel may override it with one
     /// pass over the whole slice.

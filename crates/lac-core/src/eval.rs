@@ -34,7 +34,7 @@
 //! Samples, references and quantization tables enter every graph as
 //! constants, so backward passes compute coefficient gradients only.
 //! [`batch_outputs`] and [`batch_loss`] record the coefficients as
-//! constants too: their graphs hold no backward closure at all.
+//! constants too: their graphs hold no backward op at all.
 //! [`batch_outputs`] hands each chunk to [`Kernel::infer`] whole, so a
 //! kernel that can (the 3×3 filters) answers a chunk with one stacked
 //! pass.
@@ -65,7 +65,7 @@ pub fn batch_references<K: Kernel + Sync>(kernel: &K, samples: &[K::Sample]) -> 
 
 /// Approximate-branch outputs for every sample, in order: one
 /// [`Kernel::infer`] inference pass per chunk, which records no backward
-/// closure. Outputs are bit-identical for every `threads` value.
+/// op. Outputs are bit-identical for every `threads` value.
 pub fn batch_outputs<K: Kernel + Sync>(
     kernel: &K,
     coeffs: &[Tensor],
@@ -150,7 +150,7 @@ fn batch_grads_with_chunk<K: Kernel + Sync>(
 
 /// The loss of [`batch_grads`] alone, bit-identical to it: the same
 /// per-sample MSE and the same strict left fold, with the coefficients
-/// recorded as constants so no graph holds a backward closure. For
+/// recorded as constants so no graph holds a backward op. For
 /// scoring an iterate without stepping it.
 ///
 /// # Panics

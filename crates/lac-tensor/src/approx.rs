@@ -369,17 +369,10 @@ impl BlockSide {
     }
 }
 
-/// The gradients `[d_blocks, d_coeff]` of a block transform node whose
-/// output stage has already mapped the node's gradient to `gs`, the
-/// gradient of the second product; each only where that parent needs
-/// one. `mid` is the node's rounded first products, kept when the
-/// coefficient needs a gradient.
-///
-/// The second product `mid ⊛ R`'s input gradient runs once over the
-/// whole stack; then straight through the `s_mid` round and into the
-/// first product `L ⊛ X` under `s_in`: two multiplies, as the two tape
-/// nodes of the per-block chain apply them. The blocks' gradient reads
-/// `L`; the coefficient's reads the blocks and `mid`.
+/// The gradients `[d_blocks, d_coeff]` of a block transform node (see
+/// [`Var::approx_block_transform`]) from `gs`, the node's gradient past
+/// its output stage, each only where that parent needs one. `mid` holds
+/// the rounded first products, kept when the coefficient needs one.
 pub(crate) fn block_transform_grads(
     side: BlockSide,
     [s_in, s_mid]: [f64; 2],
@@ -392,14 +385,19 @@ pub(crate) fn block_transform_grads(
     let (l, r) = side.operands(c, &ct);
     let k = c.shape()[0];
     let (blk, dims) = (k * k, (k, k, k));
-    let mut d_mid = Tensor::filled(gs.inline_shape(), 0.0);
+    // The second product `mid ⊛ R`'s input gradient for the whole stack,
+    // then straight through the `s_mid` round and into the first product
+    // under `s_in`: two multiplies, as the per-block chain's nodes apply
+    // them. The blocks' gradient reads `L`; the coefficient's, the blocks
+    // and `mid`.
+    let mut d_mid = Tensor::zeros(gs.shape());
     let stack = (gs.len() / k, k, k);
     matmul_fast::matmul_abt(gs.data(), r.data(), d_mid.data_mut(), stack);
     for d in d_mid.data_mut() {
         *d = *d * s_mid * s_in;
     }
     let dx = slots.needs(0).then(|| {
-        let mut dx = Tensor::filled(gs.inline_shape(), 0.0);
+        let mut dx = Tensor::zeros(gs.shape());
         for (dxb, db) in dx.data_mut().chunks_mut(blk).zip(d_mid.data().chunks(blk)) {
             matmul_fast::matmul_atb(l.data(), db, dxb, dims);
         }
@@ -537,7 +535,7 @@ impl Var {
         self.same_graph(other, op);
         let product = self.with_values(other, |a, b| approx_matmul_forward(a, b, mult));
         let (value, _) = epilogue.forward(product, false);
-        self.binary(other, value, Op::Matmul(epilogue))
+        self.record([self.id, other.id], value, Op::Matmul(epilogue))
     }
 
     /// Two-sided block transform on approximate hardware: every `k × k`
@@ -675,7 +673,7 @@ impl Var {
             (out, coeff.needs_grad().then_some(mid))
         });
         let op = Op::BlockTransform { side, scales: [s_in, s_mid], epilogue, pre, mid };
-        self.binary(coeff, out, op)
+        self.record([self.id, coeff.id], out, op)
     }
 
     /// Same-padded 2-D convolution computed on approximate hardware.
@@ -752,7 +750,7 @@ impl Var {
             let sums = approx_conv2d_bands(x, k, img_h, &**mult);
             (epilogue.forward(sums, keep_pre), ConvShape::new(img_h, w, k))
         });
-        self.binary(kernel, out, Op::Conv { shape, epilogue, pre })
+        self.record([self.id, kernel.id], out, Op::Conv { shape, epilogue, pre })
     }
 
     /// Multiply every element of `self` by the scalar coefficient `coeff`
@@ -778,20 +776,8 @@ impl Var {
                 Some(rows) => x.map(|v| rows.get(0, rows.col(v)) as f64),
                 None => x.map(|v| approx_product(&**mult, cv, v) as f64),
             });
-        self.binary(coeff, value, Op::ApproxScale(cv))
+        self.record([self.id, coeff.id], value, Op::ApproxScale(cv))
     }
-}
-
-/// The gradients `[dx, dc]` of `approx_scale` by the coefficient value
-/// `cv` under `g`, each only where that parent needs one: `dx` reads only
-/// `cv`, `dc` the pixels.
-pub(crate) fn approx_scale_grads(cv: f64, g: &Tensor, slots: &Slots<'_>) -> [Option<Tensor>; 2] {
-    let dx = slots.needs(0).then(|| g.map(|gv| gv * cv));
-    let dc = slots.value_for(0, 1).map(|x| {
-        let dc: f64 = g.data().iter().zip(x.data()).map(|(&gv, &xv)| gv * xv).sum();
-        Tensor::filled(slots.value(1).inline_shape(), dc)
-    });
-    [dx, dc]
 }
 
 impl Var {
@@ -838,7 +824,7 @@ impl Var {
             None => a.zip_map(b, |x, y| approx_product(mult, x, y) as f64),
         });
         let (value, _) = epilogue.forward(product, false);
-        self.binary(other, value, Op::Product(epilogue))
+        self.record([self.id, other.id], value, Op::Product(epilogue))
     }
 }
 

@@ -69,7 +69,8 @@ impl Var {
             });
             (Tensor::build(&[h, w], |buf| buf.extend(acc.iter().map(|&a| a as f64))), s)
         });
-        self.binary(kernel, out, Op::Conv { shape: s, epilogue: Epilogue::new(), pre: None })
+        let op = Op::Conv { shape: s, epilogue: Epilogue::new(), pre: None };
+        self.record([self.id, kernel.id], out, op)
     }
 }
 

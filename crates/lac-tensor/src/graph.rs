@@ -41,7 +41,7 @@ use std::rc::Rc;
 
 use crate::approx::{BlockSide, Epilogue};
 use crate::ops::ConvShape;
-use crate::tensor::{Shape, Tensor};
+use crate::tensor::Tensor;
 
 /// How an op node's backward maps its gradient `g` to its parents'
 /// (whose values it reads off the tape): one variant per backward rule,
@@ -302,7 +302,7 @@ impl Graph {
         let mut tape = self.tape.borrow_mut();
         let Tape { nodes, parent_ids } = &mut *tape;
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
-        grads[loss.id] = Some(Tensor::filled(nodes[loss.id].value.inline_shape(), 1.0));
+        grads[loss.id] = Some(Tensor::ones(nodes[loss.id].value.shape()));
         for id in (0..nodes.len()).rev() {
             if grads[id].is_none() {
                 continue;
@@ -355,11 +355,6 @@ impl Var {
         self.tape.borrow().nodes[self.id].value.item()
     }
 
-    /// Shape of this node's value, inline.
-    pub(crate) fn inline_shape(&self) -> Shape {
-        self.tape.borrow().nodes[self.id].value.inline_shape()
-    }
-
     /// Whether this node needs a gradient: a [`Graph::var`] leaf, or an
     /// op with at least one parent that needs one.
     pub(crate) fn needs_grad(&self) -> bool {
@@ -387,26 +382,16 @@ impl Var {
     /// this tape. The node needs a gradient iff some parent does; only
     /// then does it keep `op` and its parent list (an op computes any
     /// value `op` saves only then too).
-    pub(crate) fn record(
-        &self,
-        parents: impl Iterator<Item = usize> + Clone,
-        value: Tensor,
-        op: Op,
-    ) -> Var {
+    pub(crate) fn record<P>(&self, parents: P, value: Tensor, op: Op) -> Var
+    where
+        P: IntoIterator<Item = usize>,
+        P::IntoIter: Clone,
+    {
+        let parents = parents.into_iter();
         let mut tape = self.tape.borrow_mut();
         let needs_grad = parents.clone().any(|p| tape.nodes[p].needs_grad);
         let id = tape.push(value, parents, needs_grad, needs_grad.then_some(op));
         Var { tape: Rc::clone(&self.tape), id }
-    }
-
-    /// [`Var::record`] for a one-input op over `self`.
-    pub(crate) fn unary(&self, value: Tensor, op: Op) -> Var {
-        self.record([self.id].into_iter(), value, op)
-    }
-
-    /// [`Var::record`] for a two-input op `self ∘ other`.
-    pub(crate) fn binary(&self, other: &Var, value: Tensor, op: Op) -> Var {
-        self.record([self.id, other.id].into_iter(), value, op)
     }
 }
 
@@ -439,19 +424,19 @@ impl Op {
             Op::QuantizeSte(lo, hi) => {
                 slots.put_map(g, |gv, av| if av < lo || av > hi { 0.0 } else { gv })
             }
-            Op::Sum => slots.put(0, Tensor::filled(slots.value(0).inline_shape(), g.item())),
+            Op::Sum => slots.put(0, Tensor::full(slots.value(0).shape(), g.item())),
             Op::Mean => {
-                let shape = slots.value(0).inline_shape();
-                slots.put(0, Tensor::filled(shape, g.item() / shape.volume() as f64));
+                let a = slots.value(0);
+                slots.put(0, Tensor::full(a.shape(), g.item() / a.len() as f64));
             }
             // The loss chain's backward: `mean` hands each element `g / n`,
             // the square doubles `d·(g / n)`, `sub` and `reshape` pass it on.
             Op::MseTo(mut d) => {
                 let gv = g.item() / d.len() as f64;
                 d.data_mut().iter_mut().for_each(|d| *d = 2.0 * *d * gv);
-                slots.put(0, d.reshaped_to(slots.value(0).inline_shape()));
+                slots.put(0, d.reshaped(slots.value(0).shape()));
             }
-            Op::Reshape => slots.put(0, g.clone().reshaped_to(slots.value(0).inline_shape())),
+            Op::Reshape => slots.put(0, g.clone().reshaped(slots.value(0).shape())),
             Op::Transpose => slots.put(0, g.transpose()),
             Op::Sin => slots.put_map(g, |gv, av| gv * av.cos()),
             Op::Cos => slots.put_map(g, |gv, av| -gv * av.sin()),
@@ -461,10 +446,15 @@ impl Op {
             }),
             Op::Atan2 => slots.put_each(ops::atan2_grads(g, slots)),
             Op::Concat => ops::concat_grads(g, slots),
+            // The product rule: `g ⊙ b` to `a`, `g ⊙ a` to `b`.
             Op::Product(epilogue) => {
                 let g = epilogue.backward(g, None);
                 let (a, b) = (slots.value_for(0, 1), slots.value_for(1, 0));
-                slots.put_each(ops::product_grads(&g, a, b));
+                let grads = [
+                    b.map(|b| g.zip_map(b, |gv, bv| gv * bv)),
+                    a.map(|a| g.zip_map(a, |gv, av| gv * av)),
+                ];
+                slots.put_each(grads);
             }
             Op::Matmul(epilogue) => {
                 let g = epilogue.backward(g, None);
@@ -486,7 +476,15 @@ impl Op {
                     slots,
                 ));
             }
-            Op::ApproxScale(cv) => slots.put_each(approx::approx_scale_grads(cv, g, slots)),
+            // `dx` reads only the coefficient value, `dc` the pixels.
+            Op::ApproxScale(cv) => {
+                let dx = slots.needs(0).then(|| g.map(|gv| gv * cv));
+                let dc = slots.value_for(0, 1).map(|x| {
+                    let dc: f64 = g.data().iter().zip(x.data()).map(|(&gv, &xv)| gv * xv).sum();
+                    Tensor::full(slots.value(1).shape(), dc)
+                });
+                slots.put_each([dx, dc]);
+            }
         }
     }
 }
@@ -522,7 +520,7 @@ impl Gradients {
         );
         match &self.grads[var.id] {
             Some(g) => g.clone(),
-            None => Tensor::filled(self.tape.borrow().nodes[var.id].value.inline_shape(), 0.0),
+            None => Tensor::zeros(self.tape.borrow().nodes[var.id].value.shape()),
         }
     }
 }

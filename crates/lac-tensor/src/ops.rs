@@ -21,7 +21,7 @@ impl Var {
     pub fn add(&self, other: &Var) -> Var {
         self.same_graph(other, "add");
         let value = self.with_values(other, |a, b| a.zip_map(b, |a, b| a + b));
-        self.binary(other, value, Op::Pass)
+        self.record([self.id, other.id], value, Op::Pass)
     }
 
     /// Elementwise subtraction `self - other`.
@@ -32,7 +32,7 @@ impl Var {
     pub fn sub(&self, other: &Var) -> Var {
         self.same_graph(other, "sub");
         let value = self.with_values(other, |a, b| a.zip_map(b, |a, b| a - b));
-        self.binary(other, value, Op::Sub)
+        self.record([self.id, other.id], value, Op::Sub)
     }
 
     /// Elementwise (Hadamard) product.
@@ -43,32 +43,32 @@ impl Var {
     pub fn mul(&self, other: &Var) -> Var {
         self.same_graph(other, "mul");
         let value = self.with_values(other, |a, b| a.zip_map(b, |x, y| x * y));
-        self.binary(other, value, Op::Product(Epilogue::new()))
+        self.record([self.id, other.id], value, Op::Product(Epilogue::new()))
     }
 
     /// Elementwise negation.
     pub fn neg(&self) -> Var {
         let value = self.with_value(|a| a.map(|v| -v));
-        self.unary(value, Op::Neg)
+        self.record([self.id], value, Op::Neg)
     }
 
     /// Add a scalar constant to every element.
     pub fn add_scalar(&self, c: f64) -> Var {
         let value = self.with_value(|a| a.map(|v| v + c));
-        self.unary(value, Op::Pass)
+        self.record([self.id], value, Op::Pass)
     }
 
     /// Multiply every element by a scalar constant (e.g. an exact
     /// power-of-two bit shift in the datapath).
     pub fn mul_scalar(&self, c: f64) -> Var {
         let value = self.with_value(|a| a.map(|v| v * c));
-        self.unary(value, Op::Scale(c))
+        self.record([self.id], value, Op::Scale(c))
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Var {
         let value = self.with_value(|a| a.map(|v| v * v));
-        self.unary(value, Op::Square)
+        self.record([self.id], value, Op::Square)
     }
 
     /// Clamp into `[lo, hi]`; gradient passes through inside the range and
@@ -80,13 +80,13 @@ impl Var {
     pub fn clamp(&self, lo: f64, hi: f64) -> Var {
         assert!(lo <= hi, "clamp bounds inverted: [{lo}, {hi}]");
         let value = self.with_value(|a| a.map(|v| v.clamp(lo, hi)));
-        self.unary(value, Op::Clamp(lo, hi))
+        self.record([self.id], value, Op::Clamp(lo, hi))
     }
 
     /// Sum all elements into a scalar.
     pub fn sum(&self) -> Var {
         let value = Tensor::scalar(self.with_value(Tensor::sum));
-        self.unary(value, Op::Sum)
+        self.record([self.id], value, Op::Sum)
     }
 
     /// Mean of all elements as a scalar.
@@ -96,7 +96,7 @@ impl Var {
     /// Panics on an empty tensor.
     pub fn mean(&self) -> Var {
         let value = Tensor::scalar(self.with_value(Tensor::mean));
-        self.unary(value, Op::Mean)
+        self.record([self.id], value, Op::Mean)
     }
 
     /// 2-D matrix product.
@@ -108,7 +108,7 @@ impl Var {
     pub fn matmul(&self, other: &Var) -> Var {
         self.same_graph(other, "matmul");
         let value = self.with_values(other, Tensor::matmul);
-        self.binary(other, value, Op::Matmul(Epilogue::new()))
+        self.record([self.id, other.id], value, Op::Matmul(Epilogue::new()))
     }
 
     /// 2-D convolution with an odd-sized kernel and same-size zero padding.
@@ -133,7 +133,8 @@ impl Var {
             });
             (value, s)
         });
-        self.binary(kernel, value, Op::Conv { shape: s, epilogue: Epilogue::new(), pre: None })
+        let op = Op::Conv { shape: s, epilogue: Epilogue::new(), pre: None };
+        self.record([self.id, kernel.id], value, op)
     }
 
     /// Mean-squared-error loss against `target`: `mean((self - target)²)`.
@@ -176,7 +177,7 @@ impl Var {
             Tensor::build(&[n], |buf| buf.extend(o.data().iter().zip(target).map(|(o, t)| o - t)))
         });
         let sq_sum: f64 = d.data().iter().map(|d| d * d).sum();
-        self.unary(Tensor::scalar(sq_sum / n as f64), Op::MseTo(d))
+        self.record([self.id], Tensor::scalar(sq_sum / n as f64), Op::MseTo(d))
     }
 
     /// Reinterpret this node's value under a new shape of equal volume —
@@ -206,11 +207,11 @@ impl Var {
     /// Panics if the new shape's volume differs from the node's element
     /// count.
     pub fn reshape(&self, shape: &[usize]) -> Var {
-        if self.inline_shape().dims() == shape {
+        if self.with_value(|v| v.shape() == shape) {
             return self.clone();
         }
         let value = self.value().reshaped(shape);
-        self.unary(value, Op::Reshape)
+        self.record([self.id], value, Op::Reshape)
     }
 
     /// 2-D transpose.
@@ -220,19 +221,19 @@ impl Var {
     /// Panics unless the tensor is 2-D.
     pub fn transpose(&self) -> Var {
         let value = self.with_value(Tensor::transpose);
-        self.unary(value, Op::Transpose)
+        self.record([self.id], value, Op::Transpose)
     }
 
     /// Elementwise sine.
     pub fn sin(&self) -> Var {
         let value = self.with_value(|a| a.map(f64::sin));
-        self.unary(value, Op::Sin)
+        self.record([self.id], value, Op::Sin)
     }
 
     /// Elementwise cosine.
     pub fn cos(&self) -> Var {
         let value = self.with_value(|a| a.map(f64::cos));
-        self.unary(value, Op::Cos)
+        self.record([self.id], value, Op::Cos)
     }
 
     /// Elementwise arccosine with the argument clamped into `[-1, 1]`.
@@ -243,7 +244,7 @@ impl Var {
     /// to exactly ±1.
     pub fn acos_clamped(&self) -> Var {
         let value = self.with_value(|a| a.map(|v| v.clamp(-1.0, 1.0).acos()));
-        self.unary(value, Op::Acos)
+        self.record([self.id], value, Op::Acos)
     }
 
     /// Elementwise four-quadrant arctangent `atan2(self, x)` (self is the
@@ -255,27 +256,22 @@ impl Var {
     pub fn atan2(&self, x: &Var) -> Var {
         self.same_graph(x, "atan2");
         let value = self.with_values(x, |y, x| y.zip_map(x, f64::atan2));
-        self.binary(x, value, Op::Atan2)
+        self.record([self.id, x.id], value, Op::Atan2)
     }
 }
 
-/// The gradients `[dy, dx]` of `atan2(y, x)` under `g`, each only where
-/// that parent needs one.
+/// The gradients `[dy, dx]` of `atan2(y, x)` under `g`: `g·x / r²` and
+/// `-g·y / r²`, each only where that parent needs one.
 pub(crate) fn atan2_grads(g: &Tensor, slots: &Slots<'_>) -> [Option<Tensor>; 2] {
-    let (yv, xv) = (slots.value(0), slots.value(1));
-    let mut dy = slots.needs(0).then(|| Tensor::filled(yv.inline_shape(), 0.0));
-    let mut dx = slots.needs(1).then(|| Tensor::filled(xv.inline_shape(), 0.0));
-    for i in 0..yv.len() {
-        let (y, x) = (yv.data()[i], xv.data()[i]);
-        let r2 = (x * x + y * y).max(1e-12);
-        if let Some(dy) = &mut dy {
-            dy.data_mut()[i] = g.data()[i] * x / r2;
-        }
-        if let Some(dx) = &mut dx {
-            dx.data_mut()[i] = -g.data()[i] * y / r2;
-        }
-    }
-    [dy, dx]
+    let (y, x) = (slots.value(0).data(), slots.value(1).data());
+    let grad = |num: fn(f64, f64, f64) -> f64| {
+        let terms = (0..g.len()).map(|i| (g.data()[i], y[i], x[i]));
+        Tensor::build(g.shape(), |buf| {
+            buf.extend(terms.map(|(gv, y, x)| num(gv, y, x) / (x * x + y * y).max(1e-12)))
+        })
+    };
+    let (dy, dx) = (slots.needs(0), slots.needs(1));
+    [dy.then(|| grad(|gv, _, x| gv * x)), dx.then(|| grad(|gv, y, _| -gv * y))]
 }
 
 /// `concat`'s backward: each parent that needs a gradient receives a
@@ -283,24 +279,13 @@ pub(crate) fn atan2_grads(g: &Tensor, slots: &Slots<'_>) -> [Option<Tensor>; 2] 
 pub(crate) fn concat_grads(g: &Tensor, slots: &mut Slots<'_>) {
     let mut offset = 0;
     for i in 0..slots.len() {
-        let shape = slots.value(i).inline_shape();
-        let chunk = &g.data()[offset..offset + shape.volume()];
+        let part = slots.value(i);
+        let chunk = &g.data()[offset..offset + part.len()];
         offset += chunk.len();
         if slots.needs(i) {
-            slots.put(i, Tensor::with_shape(pool::take_copy(chunk), shape));
+            slots.put(i, Tensor::from_vec(pool::take_copy(chunk), part.shape()));
         }
     }
-}
-
-/// The product rule of `a ⊙ b` under `g`: `[g ⊙ b, g ⊙ a]`. Each
-/// gradient reads the other operand: `g ⊙ b` is computed when `b` is
-/// given and `g ⊙ a` when `a` is.
-pub(crate) fn product_grads(
-    g: &Tensor,
-    a: Option<&Tensor>,
-    b: Option<&Tensor>,
-) -> [Option<Tensor>; 2] {
-    [b.map(|b| g.zip_map(b, |gv, bv| gv * bv)), a.map(|a| g.zip_map(a, |gv, av| gv * av))]
 }
 
 /// The exact gradients `[d_image, d_kernel]` of a same-padded
@@ -317,7 +302,7 @@ pub(crate) fn conv_grads(
 ) -> [Option<Tensor>; 2] {
     let band = (s.h * s.w).max(1);
     let dx = taps.map(|k| {
-        let mut dx = Tensor::filled(g.inline_shape(), 0.0);
+        let mut dx = Tensor::zeros(g.shape());
         for (bdx, bg) in dx.data_mut().chunks_mut(band).zip(g.data().chunks(band)) {
             s.backward_pixels(k.data(), bg, bdx);
         }

@@ -44,7 +44,7 @@ impl Var {
     pub fn quantize_ste(&self, lo: f64, hi: f64) -> Var {
         assert!(lo <= hi, "quantize_ste bounds inverted: [{lo}, {hi}]");
         let value = self.with_value(|a| a.map(|v| round_half_away(v).clamp(lo, hi)));
-        self.unary(value, Op::QuantizeSte(lo, hi))
+        self.record([self.id], value, Op::QuantizeSte(lo, hi))
     }
 
     /// Round to the nearest integer with a plain straight-through gradient
@@ -52,7 +52,7 @@ impl Var {
     /// re-quantized between stages.
     pub fn round_ste(&self) -> Var {
         let value = self.with_value(|a| a.map(round_half_away));
-        self.unary(value, Op::Pass)
+        self.record([self.id], value, Op::Pass)
     }
 
     /// Fused `mul_scalar(c).round_ste()`: scale by an exact constant (a
@@ -61,7 +61,7 @@ impl Var {
     /// `g · c` are bit-identical to the unfused pair.
     pub fn scale_round_ste(&self, c: f64) -> Var {
         let value = self.with_value(|a| a.map(|v| round_half_away(v * c)));
-        self.unary(value, Op::Scale(c))
+        self.record([self.id], value, Op::Scale(c))
     }
 
     /// Fused `mul(other).round_ste()`: elementwise product followed by
@@ -75,13 +75,12 @@ impl Var {
     pub fn mul_round_ste(&self, other: &Var) -> Var {
         self.same_graph(other, "mul_round_ste");
         let value = self.with_values(other, |a, b| a.zip_map(b, |x, y| round_half_away(x * y)));
-        self.binary(other, value, Op::Product(Epilogue::new()))
+        self.record([self.id, other.id], value, Op::Product(Epilogue::new()))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::graph::Graph;
     use crate::tensor::Tensor;
 

@@ -32,41 +32,33 @@ pub struct Tensor {
 }
 
 /// The largest rank a [`Tensor`] holds.
-pub(crate) const MAX_RANK: usize = 4;
+const MAX_RANK: usize = 4;
 
 /// A tensor's dimensions, held inline: copying a shape never allocates.
-/// Dimensions past the rank are zero, so the derived equality is the
-/// slices' equality.
+/// Dimensions past the rank are zero, so derived equality is the slices'.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Shape {
+struct Shape {
     dims: [usize; MAX_RANK],
     rank: u8,
 }
 
 impl Shape {
-    /// The shape with dimensions `dims`.
-    ///
     /// # Panics
     ///
     /// Panics if `dims` has more than [`MAX_RANK`] entries.
-    pub(crate) fn new(dims: &[usize]) -> Shape {
-        assert!(
-            dims.len() <= MAX_RANK,
-            "tensor rank {} exceeds MAX_RANK = {MAX_RANK}: shape {dims:?}",
-            dims.len()
-        );
+    fn new(dims: &[usize]) -> Shape {
+        let rank = dims.len();
+        assert!(rank <= MAX_RANK, "tensor rank {rank} exceeds MAX_RANK = {MAX_RANK}: {dims:?}");
         let mut inline = [0; MAX_RANK];
-        inline[..dims.len()].copy_from_slice(dims);
-        Shape { dims: inline, rank: dims.len() as u8 }
+        inline[..rank].copy_from_slice(dims);
+        Shape { dims: inline, rank: rank as u8 }
     }
 
-    /// The dimensions, outermost first.
-    pub(crate) fn dims(&self) -> &[usize] {
+    fn dims(&self) -> &[usize] {
         &self.dims[..usize::from(self.rank)]
     }
 
-    /// The number of elements.
-    pub(crate) fn volume(&self) -> usize {
+    fn volume(&self) -> usize {
         self.dims().iter().product()
     }
 }
@@ -97,11 +89,7 @@ impl Tensor {
     /// Panics if the buffer length does not match the shape volume, or
     /// the shape's rank exceeds four.
     pub fn from_vec(data: Vec<f64>, shape: &[usize]) -> Self {
-        Self::with_shape(data, Shape::new(shape))
-    }
-
-    /// [`Tensor::from_vec`] under an inline shape.
-    pub(crate) fn with_shape(data: Vec<f64>, shape: Shape) -> Self {
+        let shape = Shape::new(shape);
         let volume = shape.volume();
         assert_eq!(data.len(), volume, "data length {} != shape volume {volume}", data.len());
         Tensor { shape, data }
@@ -123,11 +111,7 @@ impl Tensor {
 
     /// A tensor filled with a constant.
     pub fn full(shape: &[usize], value: f64) -> Self {
-        Self::filled(Shape::new(shape), value)
-    }
-
-    /// [`Tensor::full`] under an inline shape.
-    pub(crate) fn filled(shape: Shape, value: f64) -> Self {
+        let shape = Shape::new(shape);
         Tensor { shape, data: pool::take_filled(shape.volume(), value) }
     }
 
@@ -150,15 +134,14 @@ impl Tensor {
     ///
     /// Panics if `fill` pushes other than the shape's volume of elements.
     pub fn build(shape: &[usize], fill: impl FnOnce(&mut Vec<f64>)) -> Self {
-        let shape = Shape::new(shape);
-        let mut data = pool::take_with_capacity(shape.volume());
+        let mut data = pool::take_with_capacity(Shape::new(shape).volume());
         fill(&mut data);
-        Tensor::with_shape(data, shape)
+        Tensor::from_vec(data, shape)
     }
 
     /// A rank-0 scalar tensor.
     pub fn scalar(value: f64) -> Self {
-        Self::filled(Shape::new(&[]), value)
+        Self::full(&[], value)
     }
 
     /// The `n × n` identity matrix.
@@ -175,19 +158,13 @@ impl Tensor {
         self.shape.dims()
     }
 
-    /// The shape, inline: a copy that never allocates.
-    pub(crate) fn inline_shape(&self) -> Shape {
-        self.shape
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
-    /// True for rank-0 tensors with a single element... never: a rank-0
-    /// tensor still holds one value, so this is only true for shapes with a
-    /// zero dimension.
+    /// True only for shapes with a zero dimension (a rank-0 tensor holds
+    /// one value).
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
@@ -213,12 +190,8 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the new shape's volume differs from the element count.
-    pub fn reshaped(self, shape: &[usize]) -> Tensor {
-        self.reshaped_to(Shape::new(shape))
-    }
-
-    /// [`Tensor::reshaped`] under an inline shape.
-    pub(crate) fn reshaped_to(mut self, shape: Shape) -> Tensor {
+    pub fn reshaped(mut self, shape: &[usize]) -> Tensor {
+        let shape = Shape::new(shape);
         assert_eq!(
             self.data.len(),
             shape.volume(),
