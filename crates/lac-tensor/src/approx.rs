@@ -39,27 +39,15 @@ fn assert_exact_sums(terms: usize, mult: &dyn Multiplier) {
     assert!(terms <= 1 << 21 && bits <= 16, "{terms} products of {bits}-bit {}", mult.name());
 }
 
-// ---------------------------------------------------------------------
-// Devirtualized fast paths.
-//
-// When the multiplier memoizes its full product table
-// (`Multiplier::as_lut` returns a view), the forwards below resolve the
-// table once per tensor op, pre-quantize each operand buffer into
-// row/column indices outside the inner loop, and read every product
-// straight out of the table. Values are bit-identical to one `multiply`
-// call per product: `DenseLut::row`/`col` perform exactly the
-// round-and-clamp of `Multiplier::multiply`, and the table holds the
-// unit's own outputs.
-//
-// Units without a table (wide 16-bit models, sign-magnitude adapters)
-// make one `Multiplier::multiply_row` call per row of products sharing a
-// first operand, whose contract is one `multiply` per element.
-// `approx_matmul` calls it once per element `a[i,p]` against row `p` of
-// `b`. The tap-wise ops (`approx_conv2d`, `approx_conv2d_stacked`,
-// `approx_scale`) fill one product row per distinct tap over the span of
-// the rounded pixels with it, gather, and drop the rows when they
-// return. Elementwise products stay one call per pair.
-// ---------------------------------------------------------------------
+// Devirtualized fast paths. With a unit's dense product table
+// (`Multiplier::as_lut`), the forwards quantize each operand buffer into
+// row/column offsets once and read every product out of the table —
+// bit-identical to one `multiply` per product, since `DenseLut::row`/`col`
+// round and clamp as `multiply` does. Units without a table make one
+// `Multiplier::multiply_row` call (one `multiply` per element) per row of
+// products sharing a first operand: per `a[i,p]` in `approx_matmul`, per
+// distinct tap in the tap-wise ops ([`ProductRows`]). Elementwise products
+// stay one call per pair.
 
 /// Where [`ProductRows`] reads its products.
 enum RowTable<'a> {
@@ -119,13 +107,10 @@ impl<'a> ProductRows<'a> {
             .iter()
             .map(|&v| {
                 let a = round_half_away(v) as i64;
-                match distinct.iter().position(|&d| d == a) {
-                    Some(r) => r,
-                    None => {
-                        distinct.push(a);
-                        distinct.len() - 1
-                    }
-                }
+                distinct.iter().position(|&d| d == a).unwrap_or_else(|| {
+                    distinct.push(a);
+                    distinct.len() - 1
+                })
             })
             .collect();
         if distinct.len().checked_mul(span)? >= products {
@@ -521,10 +506,6 @@ impl Var {
 
     /// The node of [`Var::approx_matmul`] (the empty epilogue) and of
     /// [`Var::approx_matmul_scale_round`] (scale `c`, round).
-    /// Backward: exact-matmul gradients of `g`, or of `g · c`, by the
-    /// fused transposed kernels — bit-identical to
-    /// `g.matmul(&b.transpose())` / `a.transpose().matmul(g)` without
-    /// materializing either transpose.
     fn approx_matmul_node(
         &self,
         other: &Var,
@@ -532,8 +513,7 @@ impl Var {
         op: &str,
         epilogue: Epilogue,
     ) -> Var {
-        self.same_graph(other, op);
-        let product = self.with_values(other, |a, b| approx_matmul_forward(a, b, mult));
+        let product = self.with_values(other, op, |a, b| approx_matmul_forward(a, b, mult));
         let (value, _) = epilogue.forward(product, false);
         self.record([self.id, other.id], value, Op::Matmul(epilogue))
     }
@@ -631,9 +611,8 @@ impl Var {
         [s_in, s_mid]: [f64; 2],
         epilogue: Epilogue,
     ) -> Var {
-        self.same_graph(coeff, "approx_block_transform");
         let keep = self.needs_grad() || coeff.needs_grad();
-        let ((out, pre), mid) = self.with_values(coeff, |x, c| {
+        let ((out, pre), mid) = self.with_values(coeff, "approx_block_transform", |x, c| {
             let (k, kc) = c.dims2("approx_block_transform coefficient");
             let (rows, cols) = x.dims2("approx_block_transform blocks");
             assert!(
@@ -738,10 +717,9 @@ impl Var {
         img_h: usize,
         epilogue: Epilogue,
     ) -> Var {
-        self.same_graph(kernel, "approx_conv2d_stacked");
         assert!(img_h > 0, "approx_conv2d_stacked: img_h must be positive");
         let keep_pre = self.needs_grad() || kernel.needs_grad();
-        let ((out, pre), shape) = self.with_values(kernel, |x, k| {
+        let ((out, pre), shape) = self.with_values(kernel, "approx_conv2d_stacked", |x, k| {
             let (h, w) = x.dims2("conv2d stacked image");
             assert!(
                 h % img_h == 0,
@@ -778,9 +756,7 @@ impl Var {
             });
         self.record([self.id, coeff.id], value, Op::ApproxScale(cv))
     }
-}
 
-impl Var {
     /// Elementwise product computed on approximate hardware: element `i` of
     /// the output is `mult(self_i, other_i)`.
     ///
@@ -809,8 +785,7 @@ impl Var {
     }
 
     /// The node of [`Var::approx_mul_elem`] (the empty epilogue) and of
-    /// [`Var::approx_mul_elem_scale`] (scale `c`). Backward: the exact
-    /// product rule on `g`, or on `g · c`.
+    /// [`Var::approx_mul_elem_scale`] (scale `c`).
     fn approx_mul_elem_node(
         &self,
         other: &Var,
@@ -818,8 +793,7 @@ impl Var {
         op: &str,
         epilogue: Epilogue,
     ) -> Var {
-        self.same_graph(other, op);
-        let product = self.with_values(other, |a, b| match mult.as_lut() {
+        let product = self.with_values(other, op, |a, b| match mult.as_lut() {
             Some(lut) => a.zip_map(b, |x, y| lut.product(lut.row(x), lut.col(y))),
             None => a.zip_map(b, |x, y| approx_product(mult, x, y) as f64),
         });

@@ -54,8 +54,7 @@ impl Var {
         mult: &Arc<dyn Multiplier>,
         adder: &Arc<dyn Adder>,
     ) -> Var {
-        self.same_graph(kernel, "approx_conv2d_accum");
-        let (out, s) = self.with_values(kernel, |x, k| {
+        let (out, s) = self.with_values(kernel, "approx_conv2d_accum", |x, k| {
             let (h, w) = x.dims2("approx_conv2d_accum image");
             let s = ConvShape::new(h, w, k);
             // Per output, partial products join the running sum in

@@ -86,22 +86,20 @@ pub fn check_surrogate_gradients(
     eps: f64,
     tol: f64,
 ) {
+    let build = |g: &Graph, leaves: &[Tensor], f: &dyn Fn(&Graph, &[Var]) -> Var| {
+        let vars: Vec<Var> = leaves.iter().map(|t| g.var(t.clone())).collect();
+        let loss = f(g, &vars);
+        assert_eq!(loss.value().len(), 1, "a gradient check requires a scalar loss");
+        (vars, loss)
+    };
     // Analytic gradients of the surrogate (approximate-forward) loss.
     let graph = Graph::new();
-    let vars: Vec<Var> = leaves.iter().map(|t| graph.var(t.clone())).collect();
-    let loss = surrogate(&graph, &vars);
-    assert_eq!(loss.value().len(), 1, "a gradient check requires a scalar loss");
+    let (vars, loss) = build(&graph, leaves, &surrogate);
     let grads = graph.backward(&loss);
     let analytic: Vec<Tensor> = vars.iter().map(|v| grads.get(v)).collect();
 
     // Numerical gradients of the smooth reference loss.
-    let eval = |leaves: &[Tensor]| -> f64 {
-        let g = Graph::new();
-        let vars: Vec<Var> = leaves.iter().map(|t| g.var(t.clone())).collect();
-        let loss = smooth(&g, &vars);
-        assert_eq!(loss.value().len(), 1, "a gradient check requires a scalar loss");
-        loss.item()
-    };
+    let eval = |leaves: &[Tensor]| build(&Graph::new(), leaves, &smooth).1.item();
 
     let mut perturbed: Vec<Tensor> = leaves.to_vec();
     for (li, leaf) in leaves.iter().enumerate() {

@@ -7,40 +7,27 @@
 //! the returned [`Gradients`] map — the same discipline as a define-by-run
 //! framework like the PyTorch setup the LAC paper trains with.
 //!
-//! # Nodes are data
-//!
 //! A node is its value, a span of the tape's one parent-id list, a
-//! `needs_grad` flag and an [`Op`]: the rule its backward runs, holding
-//! only what the rule reads beyond the parents' values on the tape. So
-//! recording copies no operand and, with a warm buffer pool, allocates
-//! nothing (DESIGN.md §7b).
-//!
-//! # What needs a gradient
-//!
-//! Every node carries a `needs_grad` flag, fixed when it is recorded:
-//! [`Graph::var`] leaves need a gradient, [`Graph::constant`] leaves do
-//! not, and an op node needs one iff at least one of its parents does
-//! (`requires_grad` in PyTorch terms). Only a node that needs a gradient
-//! keeps its op and parents; an op computes the values its backward
-//! saves only then. Within a backward, the gradient of an operand that
-//! needs none is never computed, and [`Graph::backward`] never sends a
-//! gradient to such a parent, so [`Gradients::get`] of a constant is
-//! zeros. A graph built from constants alone (an inference pass) keeps no
-//! op at all; [`Graph::backward_closures`] counts them.
-//!
-//! # Fold order
-//!
-//! [`Graph::backward`] visits nodes in descending id. A node's op sends
-//! each parent its contribution, in parent order, straight into that
-//! parent's slot: moved into an empty slot, added into a filled one by
+//! `needs_grad` flag and an [`Op`] holding only what its backward reads
+//! beyond the parents' values, so recording copies no operand and, with a
+//! warm buffer pool, allocates nothing (DESIGN.md §7b). [`Graph::var`]
+//! leaves need a gradient, [`Graph::constant`] leaves do not, and an op
+//! node needs one iff some parent does (`requires_grad` in PyTorch terms);
+//! only such a node keeps its op and parents. A backward never computes or
+//! sends a gradient for a parent that needs none, so [`Gradients::get`] of
+//! a constant is zeros, and a graph of constants alone (an inference pass)
+//! keeps no op ([`Graph::backward_closures`] counts them). [`Graph::backward`]
+//! visits nodes in descending id; each op sends its parents their shares,
+//! in parent order, moved into an empty slot or added into a filled one by
 //! [`Tensor::accumulate`]'s never-inlined loop.
 
 use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
 
-use crate::approx::{BlockSide, Epilogue};
+use crate::approx::{block_transform_grads, BlockSide, Epilogue};
 use crate::ops::ConvShape;
+use crate::pool;
 use crate::tensor::Tensor;
 
 /// How an op node's backward maps its gradient `g` to its parents'
@@ -50,8 +37,8 @@ pub(crate) enum Op {
     Pass, // every parent receives `g`: add, add_scalar, round_ste
     Sub,
     Neg,
-    Scale(f64), // mul_scalar, scale_round_ste
-    Square,
+    Scale(f64),               // mul_scalar, scale_round_ste
+    Map(fn(f64, f64) -> f64), // `g ⊙ f'(a)` as `df(g, a)`: square, sin, cos, acos
     Clamp(f64, f64),
     QuantizeSte(f64, f64),
     Sum,
@@ -59,20 +46,13 @@ pub(crate) enum Op {
     MseTo(Tensor), // the differences to the target
     Reshape,
     Transpose,
-    Sin,
-    Cos,
-    Acos,
     Atan2,
     Concat,
     Product(Epilogue), // mul, mul_round_ste, approx_mul_elem(_scale)
     Matmul(Epilogue),  // matmul, approx_matmul(_scale_round)
     // Exact and approximate convolutions of an image stack; `pre` holds
     // the pre-clamp values a clamping stage masks with.
-    Conv {
-        shape: ConvShape,
-        epilogue: Epilogue,
-        pre: Option<Tensor>,
-    },
+    Conv { shape: ConvShape, epilogue: Epilogue, pre: Option<Tensor> },
     // The shifts into the second product, the output stage, and the
     // rounded first products `mid` the coefficient's gradient reads.
     BlockTransform {
@@ -134,10 +114,6 @@ pub(crate) struct Slots<'t> {
 }
 
 impl Slots<'_> {
-    pub(crate) fn len(&self) -> usize {
-        self.parents.len()
-    }
-
     /// Whether parent `i` needs a gradient.
     pub(crate) fn needs(&self, i: usize) -> bool {
         self.nodes[self.parents[i] as usize].needs_grad
@@ -163,11 +139,6 @@ impl Slots<'_> {
             Some(acc) => acc.accumulate(&grad),
             slot @ None => *slot = Some(grad),
         }
-    }
-
-    /// [`Slots::put`] of `g ⊙ f(a)` elementwise to the only parent `a`.
-    fn put_map(&mut self, g: &Tensor, f: impl Fn(f64, f64) -> f64) {
-        self.put(0, g.zip_map(self.value(0), f));
     }
 
     /// [`Slots::put`] for each present contribution, in parent order.
@@ -368,8 +339,15 @@ impl Var {
         f(&self.tape.borrow().nodes[self.id].value)
     }
 
-    /// [`Var::with_value`] on the values of `self` and `other` at once.
-    pub(crate) fn with_values<R>(&self, other: &Var, f: impl FnOnce(&Tensor, &Tensor) -> R) -> R {
+    /// [`Var::with_value`] on the values of `self` and `other` at once,
+    /// after [`Var::same_graph`] on them.
+    pub(crate) fn with_values<R>(
+        &self,
+        other: &Var,
+        op: &str,
+        f: impl FnOnce(&Tensor, &Tensor) -> R,
+    ) -> R {
+        self.same_graph(other, op);
         self.with_value(|a| other.with_value(|b| f(a, b)))
     }
 
@@ -393,16 +371,22 @@ impl Var {
         let id = tape.push(value, parents, needs_grad, needs_grad.then_some(op));
         Var { tape: Rc::clone(&self.tape), id }
     }
+
+    /// [`Var::record`] of the elementwise map `f` of this node's value.
+    pub(crate) fn record_map(&self, f: impl Fn(f64) -> f64, op: Op) -> Var {
+        let value = self.with_value(|a| a.map(f));
+        self.record([self.id], value, op)
+    }
 }
 
 impl Op {
     /// The backward rule: send each parent that needs one its share of
     /// the node's gradient `g`, in parent order.
     fn backward(self, g: &Tensor, slots: &mut Slots<'_>) {
-        use crate::{approx, matmul_fast, ops};
+        use crate::{matmul_fast, ops};
         match self {
             Op::Pass => {
-                for i in 0..slots.len() {
+                for i in 0..slots.parents.len() {
                     if slots.needs(i) {
                         slots.put(i, g.clone());
                     }
@@ -415,14 +399,16 @@ impl Op {
             }
             Op::Neg => slots.put(0, g.map(|v| -v)),
             Op::Scale(c) => slots.put(0, g.map(|v| v * c)),
-            Op::Square => slots.put_map(g, |gv, av| 2.0 * av * gv),
+            Op::Map(df) => slots.put(0, g.zip_map(slots.value(0), df)),
             Op::Clamp(lo, hi) => {
-                slots.put_map(g, |gv, av| if (lo..=hi).contains(&av) { gv } else { 0.0 })
+                let df = |gv, av: f64| if (lo..=hi).contains(&av) { gv } else { 0.0 };
+                slots.put(0, g.zip_map(slots.value(0), df));
             }
             // The clipped straight-through estimator: blocked once the
             // master value has left the representable range.
             Op::QuantizeSte(lo, hi) => {
-                slots.put_map(g, |gv, av| if av < lo || av > hi { 0.0 } else { gv })
+                let df = |gv, av| if av < lo || av > hi { 0.0 } else { gv };
+                slots.put(0, g.zip_map(slots.value(0), df));
             }
             Op::Sum => slots.put(0, Tensor::full(slots.value(0).shape(), g.item())),
             Op::Mean => {
@@ -438,14 +424,20 @@ impl Op {
             }
             Op::Reshape => slots.put(0, g.clone().reshaped(slots.value(0).shape())),
             Op::Transpose => slots.put(0, g.transpose()),
-            Op::Sin => slots.put_map(g, |gv, av| gv * av.cos()),
-            Op::Cos => slots.put_map(g, |gv, av| -gv * av.sin()),
-            Op::Acos => slots.put_map(g, |gv, av| {
-                let c = av.clamp(-0.999, 0.999);
-                -gv / (1.0 - c * c).sqrt()
-            }),
             Op::Atan2 => slots.put_each(ops::atan2_grads(g, slots)),
-            Op::Concat => ops::concat_grads(g, slots),
+            // Each parent receives a copy of its span of `g`, under its
+            // own shape.
+            Op::Concat => {
+                let mut offset = 0;
+                for i in 0..slots.parents.len() {
+                    let part = slots.value(i);
+                    let chunk = &g.data()[offset..offset + part.len()];
+                    offset += chunk.len();
+                    if slots.needs(i) {
+                        slots.put(i, Tensor::from_vec(pool::take_copy(chunk), part.shape()));
+                    }
+                }
+            }
             // The product rule: `g ⊙ b` to `a`, `g ⊙ a` to `b`.
             Op::Product(epilogue) => {
                 let g = epilogue.backward(g, None);
@@ -468,13 +460,7 @@ impl Op {
             }
             Op::BlockTransform { side, scales, epilogue, pre, mid } => {
                 let g = epilogue.backward(g, pre.as_ref());
-                slots.put_each(approx::block_transform_grads(
-                    side,
-                    scales,
-                    mid.as_ref(),
-                    &g,
-                    slots,
-                ));
+                slots.put_each(block_transform_grads(side, scales, mid.as_ref(), &g, slots));
             }
             // `dx` reads only the coefficient value, `dc` the pixels.
             Op::ApproxScale(cv) => {

@@ -19,8 +19,7 @@ impl Var {
     ///
     /// Panics on shape mismatch or cross-graph operands.
     pub fn add(&self, other: &Var) -> Var {
-        self.same_graph(other, "add");
-        let value = self.with_values(other, |a, b| a.zip_map(b, |a, b| a + b));
+        let value = self.with_values(other, "add", |a, b| a.zip_map(b, |a, b| a + b));
         self.record([self.id, other.id], value, Op::Pass)
     }
 
@@ -30,8 +29,7 @@ impl Var {
     ///
     /// Panics on shape mismatch or cross-graph operands.
     pub fn sub(&self, other: &Var) -> Var {
-        self.same_graph(other, "sub");
-        let value = self.with_values(other, |a, b| a.zip_map(b, |a, b| a - b));
+        let value = self.with_values(other, "sub", |a, b| a.zip_map(b, |a, b| a - b));
         self.record([self.id, other.id], value, Op::Sub)
     }
 
@@ -41,34 +39,29 @@ impl Var {
     ///
     /// Panics on shape mismatch or cross-graph operands.
     pub fn mul(&self, other: &Var) -> Var {
-        self.same_graph(other, "mul");
-        let value = self.with_values(other, |a, b| a.zip_map(b, |x, y| x * y));
+        let value = self.with_values(other, "mul", |a, b| a.zip_map(b, |x, y| x * y));
         self.record([self.id, other.id], value, Op::Product(Epilogue::new()))
     }
 
     /// Elementwise negation.
     pub fn neg(&self) -> Var {
-        let value = self.with_value(|a| a.map(|v| -v));
-        self.record([self.id], value, Op::Neg)
+        self.record_map(|v| -v, Op::Neg)
     }
 
     /// Add a scalar constant to every element.
     pub fn add_scalar(&self, c: f64) -> Var {
-        let value = self.with_value(|a| a.map(|v| v + c));
-        self.record([self.id], value, Op::Pass)
+        self.record_map(|v| v + c, Op::Pass)
     }
 
     /// Multiply every element by a scalar constant (e.g. an exact
     /// power-of-two bit shift in the datapath).
     pub fn mul_scalar(&self, c: f64) -> Var {
-        let value = self.with_value(|a| a.map(|v| v * c));
-        self.record([self.id], value, Op::Scale(c))
+        self.record_map(|v| v * c, Op::Scale(c))
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Var {
-        let value = self.with_value(|a| a.map(|v| v * v));
-        self.record([self.id], value, Op::Square)
+        self.record_map(|v| v * v, Op::Map(|gv, av| 2.0 * av * gv))
     }
 
     /// Clamp into `[lo, hi]`; gradient passes through inside the range and
@@ -79,8 +72,7 @@ impl Var {
     /// Panics if `lo > hi`.
     pub fn clamp(&self, lo: f64, hi: f64) -> Var {
         assert!(lo <= hi, "clamp bounds inverted: [{lo}, {hi}]");
-        let value = self.with_value(|a| a.map(|v| v.clamp(lo, hi)));
-        self.record([self.id], value, Op::Clamp(lo, hi))
+        self.record_map(|v| v.clamp(lo, hi), Op::Clamp(lo, hi))
     }
 
     /// Sum all elements into a scalar.
@@ -106,8 +98,7 @@ impl Var {
     /// Panics unless `self` is `[m, k]`, `other` is `[k, n]`, and both live
     /// on the same graph.
     pub fn matmul(&self, other: &Var) -> Var {
-        self.same_graph(other, "matmul");
-        let value = self.with_values(other, Tensor::matmul);
+        let value = self.with_values(other, "matmul", Tensor::matmul);
         self.record([self.id, other.id], value, Op::Matmul(Epilogue::new()))
     }
 
@@ -121,8 +112,7 @@ impl Var {
     /// Panics if either operand is not 2-D, if the kernel has even
     /// dimensions, or on cross-graph operands.
     pub fn conv2d(&self, kernel: &Var) -> Var {
-        self.same_graph(kernel, "conv2d");
-        let (value, s) = self.with_values(kernel, |x, k| {
+        let (value, s) = self.with_values(kernel, "conv2d", |x, k| {
             let (h, w) = x.dims2("conv2d image");
             let s = ConvShape::new(h, w, k);
             let mut value = Tensor::zeros(&[h, w]);
@@ -226,14 +216,12 @@ impl Var {
 
     /// Elementwise sine.
     pub fn sin(&self) -> Var {
-        let value = self.with_value(|a| a.map(f64::sin));
-        self.record([self.id], value, Op::Sin)
+        self.record_map(f64::sin, Op::Map(|gv, av| gv * av.cos()))
     }
 
     /// Elementwise cosine.
     pub fn cos(&self) -> Var {
-        let value = self.with_value(|a| a.map(f64::cos));
-        self.record([self.id], value, Op::Cos)
+        self.record_map(f64::cos, Op::Map(|gv, av| -gv * av.sin()))
     }
 
     /// Elementwise arccosine with the argument clamped into `[-1, 1]`.
@@ -243,8 +231,11 @@ impl Var {
     /// treatment for inverse-kinematics kernels where `cos θ₂` may quantize
     /// to exactly ±1.
     pub fn acos_clamped(&self) -> Var {
-        let value = self.with_value(|a| a.map(|v| v.clamp(-1.0, 1.0).acos()));
-        self.record([self.id], value, Op::Acos)
+        let df = |gv: f64, av: f64| {
+            let c = av.clamp(-0.999, 0.999);
+            -gv / (1.0 - c * c).sqrt()
+        };
+        self.record_map(|v| v.clamp(-1.0, 1.0).acos(), Op::Map(df))
     }
 
     /// Elementwise four-quadrant arctangent `atan2(self, x)` (self is the
@@ -254,8 +245,7 @@ impl Var {
     ///
     /// Panics on shape mismatch or cross-graph operands.
     pub fn atan2(&self, x: &Var) -> Var {
-        self.same_graph(x, "atan2");
-        let value = self.with_values(x, |y, x| y.zip_map(x, f64::atan2));
+        let value = self.with_values(x, "atan2", |y, x| y.zip_map(x, f64::atan2));
         self.record([self.id, x.id], value, Op::Atan2)
     }
 }
@@ -272,20 +262,6 @@ pub(crate) fn atan2_grads(g: &Tensor, slots: &Slots<'_>) -> [Option<Tensor>; 2] 
     };
     let (dy, dx) = (slots.needs(0), slots.needs(1));
     [dy.then(|| grad(|gv, _, x| gv * x)), dx.then(|| grad(|gv, y, _| -gv * y))]
-}
-
-/// `concat`'s backward: each parent that needs a gradient receives a
-/// copy of its span of `g`, under its own shape, in parent order.
-pub(crate) fn concat_grads(g: &Tensor, slots: &mut Slots<'_>) {
-    let mut offset = 0;
-    for i in 0..slots.len() {
-        let part = slots.value(i);
-        let chunk = &g.data()[offset..offset + part.len()];
-        offset += chunk.len();
-        if slots.needs(i) {
-            slots.put(i, Tensor::from_vec(pool::take_copy(chunk), part.shape()));
-        }
-    }
 }
 
 /// The exact gradients `[d_image, d_kernel]` of a same-padded

@@ -43,16 +43,14 @@ impl Var {
     /// Panics if `lo > hi`.
     pub fn quantize_ste(&self, lo: f64, hi: f64) -> Var {
         assert!(lo <= hi, "quantize_ste bounds inverted: [{lo}, {hi}]");
-        let value = self.with_value(|a| a.map(|v| round_half_away(v).clamp(lo, hi)));
-        self.record([self.id], value, Op::QuantizeSte(lo, hi))
+        self.record_map(|v| round_half_away(v).clamp(lo, hi), Op::QuantizeSte(lo, hi))
     }
 
     /// Round to the nearest integer with a plain straight-through gradient
     /// (no range clipping). Used for intermediate datapath values that are
     /// re-quantized between stages.
     pub fn round_ste(&self) -> Var {
-        let value = self.with_value(|a| a.map(round_half_away));
-        self.record([self.id], value, Op::Pass)
+        self.record_map(round_half_away, Op::Pass)
     }
 
     /// Fused `mul_scalar(c).round_ste()`: scale by an exact constant (a
@@ -60,8 +58,7 @@ impl Var {
     /// instead of two. Forward values and the straight-through gradient
     /// `g · c` are bit-identical to the unfused pair.
     pub fn scale_round_ste(&self, c: f64) -> Var {
-        let value = self.with_value(|a| a.map(|v| round_half_away(v * c)));
-        self.record([self.id], value, Op::Scale(c))
+        self.record_map(|v| round_half_away(v * c), Op::Scale(c))
     }
 
     /// Fused `mul(other).round_ste()`: elementwise product followed by
@@ -73,8 +70,9 @@ impl Var {
     ///
     /// Panics on shape mismatch or cross-graph operands.
     pub fn mul_round_ste(&self, other: &Var) -> Var {
-        self.same_graph(other, "mul_round_ste");
-        let value = self.with_values(other, |a, b| a.zip_map(b, |x, y| round_half_away(x * y)));
+        let value = self.with_values(other, "mul_round_ste", |a, b| {
+            a.zip_map(b, |x, y| round_half_away(x * y))
+        });
         self.record([self.id, other.id], value, Op::Product(Epilogue::new()))
     }
 }

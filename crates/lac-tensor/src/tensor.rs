@@ -43,8 +43,6 @@ struct Shape {
 }
 
 impl Shape {
-    /// # Panics
-    ///
     /// Panics if `dims` has more than [`MAX_RANK`] entries.
     fn new(dims: &[usize]) -> Shape {
         let rank = dims.len();
