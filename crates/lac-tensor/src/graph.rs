@@ -7,17 +7,17 @@
 //! the returned [`Gradients`] map — the same discipline as a define-by-run
 //! framework like the PyTorch setup the LAC paper trains with.
 //!
-//! A node is its value, a span of the tape's one parent-id list, a
-//! `needs_grad` flag and an [`Op`] holding only what its backward reads
-//! beyond the parents' values, so recording copies no operand and, with a
-//! warm buffer pool, allocates nothing (DESIGN.md §7b). [`Graph::var`]
-//! leaves need a gradient, [`Graph::constant`] leaves do not, and an op
-//! node needs one iff some parent does (`requires_grad` in PyTorch terms);
-//! only such a node keeps its op and parents. A backward never computes or
+//! A node is its value and a `needs_grad` flag. [`Graph::var`] leaves
+//! need a gradient, [`Graph::constant`] leaves do not, and an op node
+//! needs one iff some parent does (`requires_grad` in PyTorch terms); only
+//! such a node enters the tape's op list, with a span of its one parent-id
+//! list and an [`Op`] holding only what its backward reads beyond the
+//! parents' values. So recording copies no operand and, with a warm
+//! buffer pool, allocates nothing (DESIGN.md §7b). A backward never computes or
 //! sends a gradient for a parent that needs none, so [`Gradients::get`] of
 //! a constant is zeros, and a graph of constants alone (an inference pass)
 //! keeps no op ([`Graph::backward_closures`] counts them). [`Graph::backward`]
-//! visits nodes in descending id; each op sends its parents their shares,
+//! runs the op list in descending id; each op sends its parents their shares,
 //! in parent order, moved into an empty slot or added into a filled one by
 //! [`Tensor::accumulate`]'s never-inlined loop.
 
@@ -67,42 +67,27 @@ pub(crate) enum Op {
 
 pub(crate) struct Node {
     pub(crate) value: Tensor,
-    /// The node's span of [`Tape::parent_ids`]; empty for a leaf and an
-    /// op node that needs no gradient.
-    parents: Range<u32>,
     pub(crate) needs_grad: bool,
-    /// `None` for a leaf, an op node that needs no gradient, and a node
-    /// whose backward has run.
-    op: Option<Op>,
+}
+
+/// An op node that needs a gradient: its id, its span of
+/// [`Tape::parent_ids`] and its backward rule.
+struct OpNode {
+    id: u32,
+    parents: Range<u32>,
+    op: Op,
 }
 
 #[derive(Default)]
 pub(crate) struct Tape {
     pub(crate) nodes: Vec<Node>,
-    /// Every node's parent ids, in recording order: one list, reused
+    /// The op nodes that need a gradient, in ascending id: apart from
+    /// `nodes`, so a node is only its value and flag, and a graph of
+    /// constants alone keeps none.
+    ops: Vec<OpNode>,
+    /// The op nodes' parent ids, in recording order: one list, reused
     /// across [`Graph::reset`], whatever a node's parent count.
     parent_ids: Vec<u32>,
-}
-
-impl Tape {
-    /// Append a node over `parents`, which it keeps only when it keeps an
-    /// op, and return its id.
-    fn push(
-        &mut self,
-        value: Tensor,
-        parents: impl Iterator<Item = usize>,
-        needs_grad: bool,
-        op: Option<Op>,
-    ) -> usize {
-        let id = |n: usize| u32::try_from(n).expect("a tape holds fewer than 2^32 nodes");
-        let start = id(self.parent_ids.len());
-        if op.is_some() {
-            self.parent_ids.extend(parents.map(id));
-        }
-        let parents = start..id(self.parent_ids.len());
-        self.nodes.push(Node { value, parents, needs_grad, op });
-        self.nodes.len() - 1
-    }
 }
 
 /// The gradient slots a node's backward writes: its parents', below the
@@ -218,8 +203,9 @@ impl Graph {
     }
 
     fn leaf(&self, value: Tensor, needs_grad: bool) -> Var {
-        let id = self.tape.borrow_mut().push(value, std::iter::empty(), needs_grad, None);
-        Var { tape: Rc::clone(&self.tape), id }
+        let mut tape = self.tape.borrow_mut();
+        tape.nodes.push(Node { value, needs_grad });
+        Var { tape: Rc::clone(&self.tape), id: tape.nodes.len() - 1 }
     }
 
     /// Clear the tape for reuse, keeping the node list's capacity.
@@ -234,6 +220,7 @@ impl Graph {
     pub fn reset(&self) {
         let mut tape = self.tape.borrow_mut();
         tape.nodes.clear();
+        tape.ops.clear();
         tape.parent_ids.clear();
     }
 
@@ -251,7 +238,7 @@ impl Graph {
     /// nodes that need a gradient, until [`Graph::backward`] consumes
     /// them. Zero for a graph built from constants alone.
     pub fn backward_closures(&self) -> usize {
-        self.tape.borrow().nodes.iter().filter(|n| n.op.is_some()).count()
+        self.tape.borrow().ops.len()
     }
 
     /// Run the backward pass from `loss`, consuming the tape's ops.
@@ -271,19 +258,14 @@ impl Graph {
             "backward() called with a Var from a different graph"
         );
         let mut tape = self.tape.borrow_mut();
-        let Tape { nodes, parent_ids } = &mut *tape;
+        let Tape { nodes, ops, parent_ids } = &mut *tape;
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
         grads[loss.id] = Some(Tensor::ones(nodes[loss.id].value.shape()));
-        for id in (0..nodes.len()).rev() {
-            if grads[id].is_none() {
-                continue;
-            }
-            let Some(op) = nodes[id].op.take() else { continue };
-            let (below, here) = grads.split_at_mut(id);
-            let g = here[0].as_ref().expect("checked above");
-            let (nodes, node) = (&nodes[..id], &nodes[id]);
-            let parents = &parent_ids[node.parents.start as usize..node.parents.end as usize];
-            op.backward(g, &mut Slots { nodes, grads: below, parents });
+        for OpNode { id, parents, op } in ops.drain(..).rev() {
+            let (below, here) = grads.split_at_mut(id as usize);
+            let Some(g) = &here[0] else { continue };
+            let parents = &parent_ids[parents.start as usize..parents.end as usize];
+            op.backward(g, &mut Slots { nodes: &nodes[..id as usize], grads: below, parents });
         }
         Gradients { grads, tape: Rc::clone(&self.tape) }
     }
@@ -368,7 +350,15 @@ impl Var {
         let parents = parents.into_iter();
         let mut tape = self.tape.borrow_mut();
         let needs_grad = parents.clone().any(|p| tape.nodes[p].needs_grad);
-        let id = tape.push(value, parents, needs_grad, needs_grad.then_some(op));
+        tape.nodes.push(Node { value, needs_grad });
+        let id = tape.nodes.len() - 1;
+        if needs_grad {
+            let at = |n: usize| u32::try_from(n).expect("a tape holds fewer than 2^32 nodes");
+            let start = at(tape.parent_ids.len());
+            tape.parent_ids.extend(parents.map(at));
+            let parents = start..at(tape.parent_ids.len());
+            tape.ops.push(OpNode { id: at(id), parents, op });
+        }
         Var { tape: Rc::clone(&self.tape), id }
     }
 
