@@ -318,10 +318,10 @@ mod tests {
         }
     }
 
-    /// `infer` on `samples` records nodes but no backward closure, and
+    /// `infer` on `samples` records nodes but no backward op, and
     /// answers what per-sample `infer` calls, `batch_outputs` and the
     /// serving path answer; the same forward over var leaves does record
-    /// closures.
+    /// backward ops.
     fn assert_inference_records_no_closure<K: Kernel + Sync>(
         kernel: &K,
         samples: &[K::Sample],
